@@ -36,6 +36,7 @@ from .values import (
     policy_value,
     policy_value_average,
     policy_value_discounted,
+    policy_values,
 )
 from .restrictions import (
     ConvexHullGlobal,

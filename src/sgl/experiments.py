@@ -215,7 +215,7 @@ def _write_plot_files(
             fh.write("# iteration " + " ".join(action_names[i]) + "\n")
             for r in rows:
                 fh.write(
-                    f"{r.iteration} " + " ".join(repr(p) for p in r.explicit) + "\n"
+                    f"{r.iteration} " + " ".join(repr(float(p)) for p in r.explicit) + "\n"
                 )
         plot_names.append(path.name)
     lines = [

@@ -404,10 +404,10 @@ class TrajectoryLog:
                         r.iteration,
                         r.player,
                         r.state,
-                        ";".join(repr(p) for p in r.probs),
-                        ";".join(repr(p) for p in r.explicit),
-                        repr(r.inst_reward),
-                        repr(r.avg_reward),
+                        ";".join(repr(float(p)) for p in r.probs),
+                        ";".join(repr(float(p)) for p in r.explicit),
+                        repr(float(r.inst_reward)),
+                        repr(float(r.avg_reward)),
                     ]
                 )
 

@@ -15,9 +15,11 @@ Restricted best responses dispatch on the structure of the space:
     state's value simultaneously;
 (c) multi-state games with a global hull or the state-uniform space tie the
     weights across states, making the value generally non-concave in the
-    weights; these are searched by a dense grid over the weight simplex with
-    golden-section polish, and the result carries an honest tolerance
-    estimate instead of an exactness claim.
+    weights; these are searched by a dense grid over the weight simplex,
+    evaluated in one batched solve, then polished by a batched zoom over
+    each coordinate pair.  The result carries a Lipschitz-style tolerance
+    estimate from adjacent grid values, which is not a proof, instead of
+    an exactness claim.
 
 Equilibrium certificates report per-player regret gaps at the initial
 state: the restricted-best-response value minus the value of the candidate
@@ -34,9 +36,9 @@ across runs and evaluation orders.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,8 +75,9 @@ from .values import (
     InducedMDP,
     induce_mdp,
     mdp_policy_value,
+    mdp_policy_values,
     policy_value,
-    stationary_distribution,
+    policy_values,
 )
 
 LP_REGRET_TOL = 1e-9
@@ -513,26 +516,72 @@ def _statewise_best_response(
     )
 
 
+# Policies per batched solve in route (c) and the existence sweep; bounds the
+# working memory whatever the grid or lattice size.
+_BATCH = 2048
 _GRID_STEP = 0.01
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_ZOOM_POINTS = 33
+_ZOOM_LEVELS = 12
+_ZOOM_WIDTH = 1e-13
+_ZOOM_FRACTIONS = np.linspace(0.0, 1.0, _ZOOM_POINTS)
 
 
-def _golden_section_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    mid = 0.5 * (a + b)
-    return mid, f(mid)
+@functools.lru_cache(maxsize=16)
+def _weight_grid(k: int, step: float) -> np.ndarray:
+    """The simplex grid as a read-only (points, k) array, built once per shape."""
+    grid = np.asarray(simplex_grid(k, step), dtype=float)
+    grid.setflags(write=False)
+    return grid
+
+
+def _weight_values(
+    mdp: InducedMDP, stacked: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Initial-state values of the hull policies for a (B, k) array of weights,
+    _BATCH weight vectors per solve."""
+    flat = stacked.reshape(stacked.shape[0], -1)
+    values = np.empty(weights.shape[0])
+    for start in range(0, weights.shape[0], _BATCH):
+        chunk = weights[start:start + _BATCH]
+        probs = (chunk @ flat).reshape((chunk.shape[0], *stacked.shape[1:]))
+        # Blends of valid rows can drift at machine scale; renormalize exactly.
+        np.clip(probs, 0.0, None, out=probs)
+        probs /= probs.sum(axis=2, keepdims=True)
+        values[start:start + _BATCH] = mdp_policy_values(mdp, probs)[:, mdp.initial_index]
+    return values
+
+
+def _pair_zoom(
+    value_of, w: np.ndarray, i: int, j: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate splits of the mass on coordinates i, j and their values.
+
+    Returns the two endpoints (all mass on j, all mass on i) followed by the
+    best split found by a batched zoom: each level evaluates _ZOOM_POINTS
+    evenly spaced splits across [lo, hi] in one call and narrows to the
+    neighbours of the best one, until the bracket is narrower than
+    _ZOOM_WIDTH or _ZOOM_LEVELS levels have run.
+    """
+    mass = w[i] + w[j]
+    lo, hi = 0.0, mass
+    candidates = np.repeat(w[np.newaxis, :], _ZOOM_POINTS, axis=0)
+    ends = None
+    best_t, best_val = 0.0, -np.inf
+    for _ in range(_ZOOM_LEVELS):
+        t = lo + (hi - lo) * _ZOOM_FRACTIONS
+        candidates[:, i] = t
+        candidates[:, j] = mass - t
+        vals = value_of(candidates)
+        if ends is None:
+            ends = (vals[0], vals[-1])
+        at = int(np.argmax(vals))
+        if vals[at] > best_val:
+            best_t, best_val = float(t[at]), float(vals[at])
+        lo = t[max(at - 1, 0)]
+        hi = t[min(at + 1, _ZOOM_POINTS - 1)]
+        if hi - lo < _ZOOM_WIDTH:
+            break
+    return np.array([0.0, mass, best_t]), np.array([ends[0], ends[1], best_val])
 
 
 def _weight_best_response(
@@ -543,36 +592,33 @@ def _weight_best_response(
 ) -> BestResponseResult:
     """Route (c): search the shared-weight simplex; value need not be concave.
 
-    Dense grid plus coordinate-pair golden-section polish; the returned
-    tolerance is a Lipschitz-style bound estimated from the largest value
-    change between adjacent grid points.
+    The whole simplex grid is evaluated in one batched solve; the best grid
+    point is then polished by a batched zoom over each coordinate pair,
+    accepting a split only when it beats the incumbent by more than 1e-13.
+    The returned tolerance is a Lipschitz-style estimate, not a proof: the
+    largest value change per step between adjacent grid points, times the
+    step.
     """
     k = hull.k
     stacked = np.stack([g.probs for g in hull.generators])
 
-    def value_of(w: np.ndarray) -> float:
-        probs = np.tensordot(w, stacked, axes=1)
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum(axis=1, keepdims=True)
-        return float(mdp_policy_value(mdp, probs)[mdp.initial_index])
+    def value_of(weights: np.ndarray) -> np.ndarray:
+        return _weight_values(mdp, stacked, weights)
 
     if k == 1:
         w = np.ones(1)
-        return BestResponseResult(hull.policy_of_weights(w), value_of(w))
-    grid = simplex_grid(k, grid_step)
-    values = np.array([value_of(np.asarray(w)) for w in grid])
+        value = float(value_of(w[np.newaxis])[0])
+        return BestResponseResult(hull.policy_of_weights(w), value)
+    grid = _weight_grid(k, grid_step)
+    values = value_of(grid)
     best_at = int(np.argmax(values))
-    best_w = np.asarray(grid[best_at])
     # Largest change per step between grid neighbours bounds what refinement
     # could still uncover.
-    lipschitz = 0.0
-    arr = np.asarray(grid)
-    for idx in range(len(grid) - 1):
-        step_gap = np.max(np.abs(arr[idx + 1] - arr[idx]))
-        if 0 < step_gap <= 2.0 * grid_step + 1e-12:
-            lipschitz = max(lipschitz, abs(values[idx + 1] - values[idx]) / step_gap)
-    tolerance = lipschitz * grid_step
-    w = best_w.copy()
+    step_gap = np.max(np.abs(np.diff(grid, axis=0)), axis=1)
+    adjacent = (step_gap > 0) & (step_gap <= 2.0 * grid_step + 1e-12)
+    slopes = np.abs(np.diff(values))[adjacent] / step_gap[adjacent]
+    tolerance = float(slopes.max()) * grid_step if slopes.size else 0.0
+    w = grid[best_at].copy()
     best_value = values[best_at]
     for _ in range(3):
         improved = False
@@ -580,16 +626,7 @@ def _weight_best_response(
             mass = w[i] + w[j]
             if mass <= 1e-14:
                 continue
-
-            def f(t: float) -> float:
-                candidate = w.copy()
-                candidate[i] = t
-                candidate[j] = mass - t
-                return value_of(candidate)
-
-            t_star, val = _golden_section_max(f, 0.0, mass)
-            for t_candidate in (0.0, mass, t_star):
-                val_c = f(t_candidate)
+            for t_candidate, val_c in zip(*_pair_zoom(value_of, w, i, j)):
                 if val_c > best_value + 1e-13:
                     w[i] = t_candidate
                     w[j] = mass - t_candidate
@@ -807,29 +844,55 @@ def sweep_existence(
         + [f"gap_{i}" for i in range(game.n_players)]
         + ["max_gap"]
     )
+    policy_tables = [np.stack([policy.probs for _, policy in grid]) for grid in grids]
+    # Row entries reuse the lattice's own float objects, as a per-point loop
+    # would, so the rows cost no more memory than the tuples holding them.
+    param_lists = [
+        [params if params else (0.0,) for params, _ in grid] for grid in grids
+    ]
+    total = int(np.prod(sizes))
     rows: list[tuple] = []
-    gap_lattice = np.zeros(sizes)
+    gap_lattice = np.zeros(total)
     best_gap = np.inf
-    best_idx: tuple[int, ...] | None = None
-    for idx in itertools.product(*(range(s) for s in sizes)):
-        params = [grids[i][idx[i]][0] for i in range(len(spaces))]
-        joint = JointPolicy(tuple(grids[i][idx[i]][1] for i in range(len(spaces))))
-        current = policy_value(game, joint)
-        gaps = []
+    best_flat: int | None = None
+    for start in range(0, total, _BATCH):
+        stop = min(start + _BATCH, total)
+        lattice_idx = np.unravel_index(np.arange(start, stop), sizes)
+        point_idx = [ix.tolist() for ix in lattice_idx]
+        current = policy_values(
+            game, [policy_tables[i][lattice_idx[i]] for i in range(len(spaces))]
+        )
+        responses = np.empty_like(current)
         for i in range(game.n_players):
-            key = tuple(idx[j] for j in range(len(spaces)) if j != i)
-            if key not in br_cache[i]:
-                br = restricted_best_response(game, i, _others(joint, i), spaces[i])
-                br_cache[i][key] = br.value
-            gaps.append(max(br_cache[i][key] - float(current[i]), 0.0))
-        max_gap = max(gaps)
-        gap_lattice[idx] = max_gap
-        flat_params = tuple(x for p in params for x in (p if p else (0.0,)))
-        rows.append(flat_params + tuple(gaps) + (max_gap,))
-        if max_gap < best_gap - 1e-15:
-            best_gap = max_gap
-            best_idx = idx
-    assert best_idx is not None
+            rest = [j for j in range(len(spaces)) if j != i]
+            if rest:
+                keys = list(zip(*(point_idx[j] for j in rest)))
+            else:
+                keys = [()] * (stop - start)
+            for key in dict.fromkeys(keys):
+                if key not in br_cache[i]:
+                    others = [grids[j][k][1] for j, k in zip(rest, key)]
+                    br = restricted_best_response(game, i, others, spaces[i])
+                    br_cache[i][key] = br.value
+            responses[:, i] = [br_cache[i][key] for key in keys]
+        gaps = np.maximum(responses - current, 0.0)
+        gap_lattice[start:stop] = gaps.max(axis=1)
+        param_columns = [
+            [param_lists[i][k][d] for k in point_idx[i]]
+            for i in range(len(spaces))
+            for d in range(param_widths[i])
+        ]
+        gap_columns = [column.tolist() for column in gaps.T]
+        first_max = np.argmax(gaps, axis=1).tolist()
+        max_column = [gap_columns[at][row] for row, at in enumerate(first_max)]
+        rows.extend(zip(*param_columns, *gap_columns, max_column))
+        for offset, max_gap in enumerate(max_column):
+            if max_gap < best_gap - 1e-15:
+                best_gap = max_gap
+                best_flat = start + offset
+    assert best_flat is not None
+    best_idx = tuple(int(x) for x in np.unravel_index(best_flat, sizes))
+    gap_lattice = gap_lattice.reshape(sizes)
     refinement = 0.0
     for axis in range(len(sizes)):
         if sizes[axis] > 1:
@@ -867,34 +930,27 @@ def best_response_convexity_test(
 
     Finds distinct optimal policies (searching the space's extreme points
     and the computed best response), blends random pairs, and reports False
-    as soon as a blend loses value beyond 1e-8.  Returns True vacuously
-    when only one optimum is found.
+    when any blend loses value beyond 1e-8.  Candidates and blends are each
+    evaluated in one batched solve.  Returns True vacuously when only one
+    optimum is found.
     """
     if not space.is_convex:
         raise UnsupportedOperationError("convexity test expects a convex space")
     mdp = induce_mdp(game, i, others)
     br = restricted_best_response(game, i, others, space)
     value_tol = max(1e-9, br.tolerance)
-
-    def value_of(policy: Policy) -> float:
-        return float(mdp_policy_value(mdp, policy.probs)[mdp.initial_index])
-
-    candidates = [br.policy]
     try:
         extremes = space.vertices()
     except UnsupportedOperationError:
         extremes = []
-    v_star = br.value
-    for vert in extremes:
-        val = value_of(vert)
-        if val > v_star:
-            v_star = val
-    for vert in extremes:
-        if value_of(vert) >= v_star - value_tol:
-            candidates.append(vert)
+    candidates = [br.policy] + extremes
+    values = mdp_policy_values(mdp, np.stack([c.probs for c in candidates]))[
+        :, mdp.initial_index
+    ]
+    v_star = max([br.value, *values[1:]])
     distinct: list[Policy] = []
-    for cand in candidates:
-        if value_of(cand) < v_star - value_tol:
+    for cand, val in zip(candidates, values):
+        if val < v_star - value_tol:
             continue
         if not any(np.max(np.abs(cand.probs - d.probs)) <= 1e-9 for d in distinct):
             distinct.append(cand)
@@ -902,15 +958,17 @@ def best_response_convexity_test(
         return True
     rng = np.random.default_rng(seed)
     pairs = list(itertools.combinations(range(len(distinct)), 2))
+    blends = []
     for trial in range(trials):
         a_idx, b_idx = pairs[trial % len(pairs)]
         alpha = 0.5 if trial < len(pairs) else float(rng.uniform(0.05, 0.95))
-        blend = Policy(
+        blends.append(
             alpha * distinct[a_idx].probs + (1.0 - alpha) * distinct[b_idx].probs
         )
-        if value_of(blend) < v_star - max(1e-8, br.tolerance):
-            return False
-    return True
+    if not blends:
+        return True
+    blend_values = mdp_policy_values(mdp, np.stack(blends))[:, mdp.initial_index]
+    return bool(np.all(blend_values >= v_star - max(1e-8, br.tolerance)))
 
 
 def alternating_best_response(

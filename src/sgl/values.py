@@ -6,13 +6,19 @@ d (P_pi - I) = 0, sum(d) = 1 directly.  Both are direct dense solves rather
 than fixed-point iteration, so results are reproducible to solver precision
 and every returned table is residual-checked against VALUE_TOL.
 
+Every evaluator works on a batch: ``policy_values`` and ``mdp_policy_values``
+take a leading batch axis and make one solve over the (B, |S|, |S|) stack,
+and the single-policy functions are their batch-of-one case.
+
 The ergodicity check used to gate average-reward evaluation is the
 support-union test: the state graph with an edge s -> s' whenever *some*
 joint action moves s to s' with positive probability must form a single
 communicating class.  This is a decidable approximation of requiring
 irreducibility under every joint policy (which quantifies over a continuum);
 a specific policy can still zero out the support of an action, so the
-per-policy chain is re-checked at evaluation time.
+per-policy chain is re-checked at evaluation time.  That check asks only
+for a unichain chain, one closed class plus possibly transient states,
+which is exactly when the stationary system has a unique solution.
 """
 
 from __future__ import annotations
@@ -38,28 +44,67 @@ from .games import (
 
 def joint_action_weights(game: StochasticGame, joint: JointPolicy) -> np.ndarray:
     """Probability of each flat joint action per state, shape (|S|, prod|A_i|)."""
+    return _joint_weight_stack(game, _single_stacks(game, joint))[0]
+
+
+def _single_stacks(game: StochasticGame, joint: JointPolicy) -> list[np.ndarray]:
+    """A joint policy as a batch of one: one (1, |S|, |A_i|) stack per player."""
     if len(joint) != game.n_players:
         raise MalformedInputError("joint policy has wrong player count")
-    for i, pol in enumerate(joint.policies):
-        if pol.probs.shape != (game.n_states, game.action_counts[i]):
+    return [pol.probs[np.newaxis] for pol in joint.policies]
+
+
+def _joint_weight_stack(game: StochasticGame, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Joint-action probabilities per policy and state, shape (B, |S|, prod|A_i|)."""
+    if len(stacks) != game.n_players:
+        raise MalformedInputError("need one policy stack per player")
+    stacks = [np.asarray(probs, dtype=float) for probs in stacks]
+    batch = stacks[0].shape[0]
+    for i, probs in enumerate(stacks):
+        if probs.shape != (batch, game.n_states, game.action_counts[i]):
             raise MalformedInputError(f"policy {i} shape mismatch with game")
-    weights = np.ones((game.n_states, 1))
-    for pol in joint.policies:
+    weights = np.ones((batch, game.n_states, 1))
+    for probs in stacks:
         # Row-major flat index grows fastest in the last player, matching kron order.
-        weights = np.einsum("sj,sk->sjk", weights, pol.probs).reshape(
-            game.n_states, -1
+        weights = np.einsum("bsj,bsk->bsjk", weights, probs).reshape(
+            batch, game.n_states, -1
         )
     return weights
+
+
+def _chain_stack(
+    game: StochasticGame, stacks: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Markov matrices (B, |S|, |S|) and expected rewards (B, n, |S|)."""
+    w = _joint_weight_stack(game, stacks)
+    p = np.einsum("bsj,sjt->bst", w, game.transition)
+    r = np.einsum("bsj,isj->bis", w, game.rewards)
+    return p, r
 
 
 def chain_and_rewards(
     game: StochasticGame, joint: JointPolicy
 ) -> tuple[np.ndarray, np.ndarray]:
     """Markov matrix P_pi (|S| x |S|) and expected rewards r_pi (n x |S|)."""
-    w = joint_action_weights(game, joint)
-    p = np.einsum("sj,sjt->st", w, game.transition)
-    r = np.einsum("sj,isj->is", w, game.rewards)
-    return p, r
+    p, r = _chain_stack(game, _single_stacks(game, joint))
+    return p[0], r[0]
+
+
+def _discounted_values(p: np.ndarray, r: np.ndarray, gamma: float) -> np.ndarray:
+    """Solve V = r + gamma P V for a stack of chains; (B, m, |S|) from r's shape.
+
+    One solve covers the whole stack, and the Bellman residual is checked for
+    every member: a residual above VALUE_TOL (which would indicate a
+    defective solve) raises ArithmeticError.
+    """
+    n = p.shape[-1]
+    values = np.swapaxes(
+        np.linalg.solve(np.eye(n) - gamma * p, np.swapaxes(r, 1, 2)), 1, 2
+    )
+    residual = np.max(np.abs(values - (r + gamma * values @ np.swapaxes(p, 1, 2))))
+    if residual > VALUE_TOL:
+        raise ArithmeticError(f"Bellman residual {residual} above tolerance")
+    return values
 
 
 def policy_value_discounted(game: StochasticGame, joint: JointPolicy) -> np.ndarray:
@@ -70,49 +115,87 @@ def policy_value_discounted(game: StochasticGame, joint: JointPolicy) -> np.ndar
     """
     gamma = game.require_discounted()
     p, r = chain_and_rewards(game, joint)
-    a = np.eye(game.n_states) - gamma * p
-    values = np.linalg.solve(a, r.T).T
-    residual = np.max(np.abs(values - (r + gamma * values @ p.T)))
-    if residual > VALUE_TOL:
-        raise ArithmeticError(f"Bellman residual {residual} above tolerance")
-    return values
+    return _discounted_values(p[np.newaxis], r[np.newaxis], gamma)[0]
+
+
+def _require_unichain(support: np.ndarray) -> None:
+    """Raise unless a chain's (|S|, |S|) support has exactly one closed class.
+
+    Transient states may feed into that class: d (P - I) = 0, sum(d) = 1 is
+    uniquely solvable for any unichain chain, with d zero off the class.
+    """
+    _, labels = connected_components(
+        support.astype(np.int8), directed=True, connection="strong"
+    )
+    src, dst = np.nonzero(support)
+    leaving = labels[src[labels[src] != labels[dst]]]
+    closed = np.setdiff1d(labels, leaving)
+    if closed.size != 1:
+        raise ErgodicityError(
+            f"chain induced by the policy has {closed.size} closed classes, not one"
+        )
+
+
+def _stationary_stack(p: np.ndarray) -> np.ndarray:
+    """Stationary distributions (B, |S|) of a stack of unichain chains.
+
+    Every chain is checked; chains sharing a support pattern share the
+    verdict, so each distinct pattern is checked once.
+    """
+    n = p.shape[-1]
+    supports = (p > 0.0).reshape(p.shape[0], -1)
+    packed = np.ascontiguousarray(np.packbits(supports, axis=1))
+    patterns = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+    for b in np.unique(patterns, return_index=True)[1]:
+        _require_unichain(supports[b].reshape(n, n))
+    a = np.swapaxes(p, 1, 2) - np.eye(n)
+    a[:, -1, :] = 1.0
+    b = np.zeros((p.shape[0], n, 1))
+    b[:, -1, 0] = 1.0
+    d = np.linalg.solve(a, b)[..., 0]
+    residual = np.abs(d - (d[:, np.newaxis, :] @ p)[:, 0, :]).sum(axis=1)
+    if np.any(residual > VALUE_TOL) or np.any(d < -VALUE_TOL):
+        raise ErgodicityError(f"stationary solve failed (residual {residual.max()})")
+    d = np.clip(d, 0.0, None)
+    return d / d.sum(axis=1, keepdims=True)
 
 
 def stationary_distribution(p: np.ndarray) -> np.ndarray:
-    """Stationary d with d P = d, sum(d) = 1, for an irreducible chain."""
-    n = p.shape[0]
-    support = (p > 0.0).astype(np.int8)
-    n_comp, _ = connected_components(support, directed=True, connection="strong")
-    if n_comp != 1:
-        raise ErgodicityError(
-            "chain induced by the policy is not a single communicating class"
-        )
-    a = (p.T - np.eye(n)).copy()
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    d = np.linalg.solve(a, b)
-    residual = np.abs(d - d @ p).sum()
-    if residual > VALUE_TOL or np.any(d < -VALUE_TOL):
-        raise ErgodicityError(f"stationary solve failed (residual {residual})")
-    return np.clip(d, 0.0, None) / np.clip(d, 0.0, None).sum()
+    """Stationary d with d P = d, sum(d) = 1, for a unichain chain."""
+    return _stationary_stack(p[np.newaxis])[0]
+
+
+def _average_gains(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Long-run average rewards (B, m) of a stack of unichain chains."""
+    d = _stationary_stack(p)
+    return (r @ d[:, :, np.newaxis])[:, :, 0]
 
 
 def policy_value_average(game: StochasticGame, joint: JointPolicy) -> np.ndarray:
     """Long-run average reward per player (state-independent), shape (n,)."""
     game.require_average()
+    return policy_values(game, _single_stacks(game, joint))[0]
+
+
+def policy_values(game: StochasticGame, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-player values at the initial state of a batch of joint policies.
+
+    ``stacks`` holds one (B, |S|, |A_i|) array per player; member b of the
+    batch is the joint policy made of every player's b-th policy.  Returns
+    shape (B, n), computed with one linear solve for the whole batch.
+    """
+    p, r = _chain_stack(game, stacks)
+    if isinstance(game.formulation, Discounted):
+        values = _discounted_values(p, r, game.formulation.gamma)
+        return values[:, :, game.initial_index]
     if not check_ergodic(game):
         raise ErgodicityError("game fails the support-union ergodicity check")
-    p, r = chain_and_rewards(game, joint)
-    d = stationary_distribution(p)
-    return r @ d
+    return _average_gains(p, r)
 
 
 def policy_value(game: StochasticGame, joint: JointPolicy) -> np.ndarray:
     """Per-player value of the joint policy at the initial state, shape (n,)."""
-    if isinstance(game.formulation, Discounted):
-        return policy_value_discounted(game, joint)[:, game.initial_index]
-    return policy_value_average(game, joint)
+    return policy_values(game, _single_stacks(game, joint))[0]
 
 
 def check_ergodic(game: StochasticGame) -> bool:
@@ -206,19 +289,30 @@ def induce_mdp(
     )
 
 
+def mdp_policy_values(mdp: InducedMDP, probs: np.ndarray) -> np.ndarray:
+    """State values (B, |S|) of a (B, |S|, |A|) stack of policies in the MDP.
+
+    One linear solve covers the whole stack.  Average-reward MDPs return
+    each gain broadcast over states so callers can index by state uniformly.
+    """
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 3 or probs.shape[1:] != (mdp.n_states, mdp.n_actions):
+        raise MalformedInputError("policy stack shape mismatch with the MDP")
+    p = np.einsum("bsa,sat->bst", probs, mdp.transition)
+    r = np.einsum("bsa,sa->bs", probs, mdp.reward)[:, np.newaxis, :]
+    if isinstance(mdp.formulation, Discounted):
+        return _discounted_values(p, r, mdp.formulation.gamma)[:, 0, :]
+    gains = _average_gains(p, r)
+    return np.repeat(gains, mdp.n_states, axis=1)
+
+
 def mdp_policy_value(mdp: InducedMDP, probs: np.ndarray) -> np.ndarray:
     """State values of a (|S|, |A|) policy array in the induced MDP.
 
     Average-reward MDPs return a constant vector (the gain broadcast over
     states) so callers can index by state uniformly.
     """
-    p = np.einsum("sa,sat->st", probs, mdp.transition)
-    r = np.einsum("sa,sa->s", probs, mdp.reward)
-    if isinstance(mdp.formulation, Discounted):
-        gamma = mdp.formulation.gamma
-        return np.linalg.solve(np.eye(mdp.n_states) - gamma * p, r)
-    d = stationary_distribution(p)
-    return np.full(mdp.n_states, float(d @ r))
+    return mdp_policy_values(mdp, np.asarray(probs)[np.newaxis])[0]
 
 
 # ---------------------------------------------------------------------------

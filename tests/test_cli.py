@@ -24,6 +24,7 @@ from sgl.games import (
 )
 from sgl.restrictions import save_spaces, ConvexHullGlobal, FullSpace
 from sgl.games import Policy
+from sgl.learners import load_trajectory_rows
 
 # What an installer's generated `sgl` script does, given the entry point value
 # as its first argument.
@@ -271,6 +272,29 @@ class TestReproduce:
         assert (out / "trajectory_seed1.csv").exists()
         assert (out / "plot_player0.dat").exists()
         assert "plot" in (out / "plot.gp").read_text()
+
+    def test_restricted_trajectory_reads_back(self, capsys, tmp_path):
+        # The restricted player's explicit probabilities are NumPy scalars in
+        # memory; the files must hold plain numbers.
+        out = tmp_path / "rps-restricted"
+        code, _ = run_cli(
+            capsys,
+            "reproduce", "rps-restricted",
+            "--iters", "2000",
+            "--seeds", "1",
+            "--out", str(out),
+        )
+        assert code == 0
+        rows = load_trajectory_rows(out / "trajectory_seed0.csv")
+        assert rows
+        for row in rows:
+            assert sum(row.explicit) == pytest.approx(1.0, abs=1e-9)
+        for player in (0, 1):
+            lines = (out / f"plot_player{player}.dat").read_text().splitlines()
+            assert len(lines) > 1
+            for line in lines[1:]:
+                values = [float(x) for x in line.split()]
+                assert len(values) == 4
 
     def test_unknown_name_exit_2(self):
         # argparse rejects names outside the experiment list

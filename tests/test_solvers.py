@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from sgl import solvers
 from sgl.games import (
     Average,
     Discounted,
+    StochasticGame,
     JointPolicy,
     MalformedInputError,
     Policy,
@@ -39,11 +41,13 @@ from sgl.solvers import (
 from sgl.values import mdp_policy_value, induce_mdp, policy_value
 from util import (
     grid_minimax_value,
+    hull_grid_max,
     random_game,
     random_global_hull,
     random_joint_policy,
     random_policy,
     random_statewise_hull,
+    reference_sweep_rows,
 )
 
 
@@ -238,6 +242,46 @@ class TestRestrictedBestResponse:
             other = random_policy(rng, 3, 2)
             assert mdp_policy_value(mdp, other.probs)[0] <= br.value + 1e-8
 
+    def test_average_reward_response_with_transient_state(self):
+        # Staying in s0 pays 1; going leads to s1, which returns to s0.  The
+        # optimal response (always stay) leaves s1 transient.
+        transition = np.zeros((2, 2, 2))
+        transition[0, 0, 0] = 1.0
+        transition[0, 1, 1] = 1.0
+        transition[1, :, 0] = 1.0
+        rewards = np.zeros((1, 2, 2))
+        rewards[0, 0, 0] = 1.0
+        game = StochasticGame(
+            ("s0", "s1"), (("stay", "go"),), transition, rewards, "s0", Average()
+        )
+        br = restricted_best_response(game, 0, [], FullSpace(2, 2))
+        assert br.value == pytest.approx(1.0, abs=1e-12)
+        assert br.policy.probs[0].tolist() == [1.0, 0.0]
+
+    def test_global_hull_beats_weight_grid(self):
+        rng = np.random.default_rng(71)
+        for _ in range(3):
+            game = random_game(rng, n_states=4, action_counts=(3, 2), gamma=0.9)
+            hull = random_global_hull(rng, 4, 3, k=3)
+            opponent = [random_policy(rng, 4, 2)]
+            br = restricted_best_response(game, 0, opponent, hull)
+            assert br.value >= hull_grid_max(game, 0, opponent, hull, 0.02) - 1e-12
+            mdp = induce_mdp(game, 0, opponent)
+            own = mdp_policy_value(mdp, br.policy.probs)[mdp.initial_index]
+            assert br.value == pytest.approx(own, abs=1e-10)
+            assert br.tolerance > 0.0
+
+    def test_global_hull_zoom_beats_fine_segment(self):
+        # Two generators: the pairwise zoom must reach the maximum over a
+        # 20,001-point segment, well below the 0.01 search grid.
+        rng = np.random.default_rng(73)
+        for _ in range(4):
+            game = random_game(rng, n_states=3, action_counts=(2, 2), gamma=0.95)
+            hull = random_global_hull(rng, 3, 2, k=2)
+            opponent = [random_policy(rng, 3, 2)]
+            br = restricted_best_response(game, 0, opponent, hull)
+            assert br.value >= hull_grid_max(game, 0, opponent, hull, 5e-5) - 1e-12
+
     def test_pinned_space_multistate(self):
         rng = np.random.default_rng(53)
         game = random_game(rng, n_states=2, action_counts=(3, 2))
@@ -402,6 +446,19 @@ class TestSweep:
         assert result.min_max_gap > 0
         assert result.margin > 0
         assert not result.epsilon_equilibrium_found
+
+    @pytest.mark.parametrize("batch", [16, 2048])
+    def test_fact5_rows_match_pointwise_loop(self, fact5, monkeypatch, batch):
+        # A small batch size makes lattice chunks split mid-row.
+        monkeypatch.setattr(solvers, "_BATCH", batch)
+        spaces = [StateUniform(3, 2), StateUniform(3, 2)]
+        result = sweep_existence(fact5, spaces, resolution=0.1, epsilon=1e-8)
+        assert result.rows == reference_sweep_rows(fact5, spaces, 0.1)
+
+    def test_hull_rows_match_pointwise_loop(self, rps_game, rps_column_hull):
+        spaces = [FullSpace(1, 3), rps_column_hull]
+        result = sweep_existence(rps_game, spaces, resolution=0.25, epsilon=1e-6)
+        assert result.rows == reference_sweep_rows(rps_game, spaces, 0.25)
 
     def test_dimension_guard(self, fact5):
         spaces = [FullSpace(3, 2), FullSpace(3, 2)]  # 3 + 3 parameters

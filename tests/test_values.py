@@ -9,6 +9,7 @@ from sgl.games import (
     ErgodicityError,
     FormulationMismatchError,
     JointPolicy,
+    MalformedInputError,
     Policy,
     StochasticGame,
     fact5_game,
@@ -21,12 +22,15 @@ from sgl.values import (
     induce_mdp,
     matrix_value,
     mdp_policy_value,
+    mdp_policy_values,
     policy_value,
     policy_value_average,
     policy_value_discounted,
+    policy_values,
     simulate_average_reward,
+    stationary_distribution,
 )
-from util import random_game, random_joint_policy
+from util import random_game, random_joint_policy, random_policy
 
 
 def two_state_cycle(formulation) -> StochasticGame:
@@ -120,6 +124,29 @@ class TestAverage:
         joint = JointPolicy((Policy([[1.0], [1.0]]),))
         with pytest.raises(ErgodicityError):
             policy_value_average(game, joint)
+
+    def test_unichain_policy_matches_simulation(self):
+        # Action 0 never enters s2, so under it s2 is transient; action 1
+        # reaches s2, so the game still passes the support-union check.
+        transition = np.zeros((3, 2, 3))
+        transition[0, 0] = [0.3, 0.7, 0.0]
+        transition[1, 0] = [0.6, 0.4, 0.0]
+        transition[2, 0] = [0.5, 0.5, 0.0]
+        transition[:, 1] = [0.0, 0.0, 1.0]
+        rewards = np.zeros((1, 3, 2))
+        rewards[0, :, 0] = [1.0, -0.5, 4.0]
+        game = StochasticGame(
+            ("s0", "s1", "s2"), (("a", "b"),), transition, rewards, "s0", Average()
+        )
+        assert check_ergodic(game)
+        joint = JointPolicy((Policy.pure(3, 2, [0, 0, 0]),))
+        exact = policy_value_average(game, joint)
+        # Stationary law of the s0/s1 class: d0 = 0.6 / 1.3.
+        assert exact[0] == pytest.approx((0.6 - 0.35) / 1.3, abs=1e-12)
+        p, _ = chain_and_rewards(game, joint)
+        assert stationary_distribution(p)[2] <= 1e-15
+        sim = simulate_average_reward(game, joint, steps=200_000, seed=5, start_state=2)
+        assert abs(sim[0] - exact[0]) <= 1e-2
 
     def test_matches_simulation_from_any_start(self):
         rng = np.random.default_rng(7)
@@ -270,3 +297,69 @@ def test_policy_value_at_initial_state(fact5):
     at_start = policy_value(fact5, joint)
     table = policy_value_discounted(fact5, joint)
     assert np.allclose(at_start, table[:, fact5.initial_index], atol=0)
+
+
+class TestBatched:
+    """The batched evaluators against a per-policy loop."""
+
+    @pytest.mark.parametrize("average", [False, True])
+    def test_mdp_policy_values_match_loop(self, average):
+        rng = np.random.default_rng(31 + average)
+        for _ in range(5):
+            game = random_game(rng, n_states=4, action_counts=(3, 2), average=average)
+            mdp = induce_mdp(game, 0, [random_policy(rng, 4, 2)])
+            stack = np.stack([random_policy(rng, 4, 3).probs for _ in range(9)])
+            batched = mdp_policy_values(mdp, stack)
+            assert batched.shape == (9, 4)
+            for b in range(9):
+                single = mdp_policy_value(mdp, stack[b])
+                assert np.max(np.abs(batched[b] - single)) <= 1e-12
+                if not average:
+                    # Direct Bellman solve, independent of the batch code.
+                    p = np.einsum("sa,sat->st", stack[b], mdp.transition)
+                    r = np.einsum("sa,sa->s", stack[b], mdp.reward)
+                    direct = np.linalg.solve(np.eye(4) - game.formulation.gamma * p, r)
+                    assert np.max(np.abs(batched[b] - direct)) <= 1e-12
+
+    @pytest.mark.parametrize("average", [False, True])
+    def test_policy_values_match_loop(self, average):
+        rng = np.random.default_rng(41 + average)
+        for _ in range(5):
+            game = random_game(rng, n_states=3, action_counts=(2, 3), average=average)
+            joints = [random_joint_policy(rng, game) for _ in range(7)]
+            stacks = [np.stack([j[i].probs for j in joints]) for i in range(2)]
+            batched = policy_values(game, stacks)
+            assert batched.shape == (7, 2)
+            for b, joint in enumerate(joints):
+                assert np.max(np.abs(batched[b] - policy_value(game, joint))) <= 1e-12
+
+    def test_mismatched_stacks_rejected(self):
+        rng = np.random.default_rng(43)
+        game = random_game(rng, n_states=3, action_counts=(2, 2))
+        stacks = [np.full((4, 3, 2), 0.5), np.full((5, 3, 2), 0.5)]
+        with pytest.raises(MalformedInputError):
+            policy_values(game, stacks)
+        with pytest.raises(MalformedInputError):
+            policy_values(game, stacks[:1])
+
+    def test_residual_checked_for_every_member(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        game = random_game(rng, n_states=3, action_counts=(2, 2))
+        joints = [random_joint_policy(rng, game) for _ in range(5)]
+        stacks = [np.stack([j[i].probs for j in joints]) for i in range(2)]
+        mdp = induce_mdp(game, 0, [joints[0][1]])
+        solve = np.linalg.solve
+
+        def perturb_last_member(a, b):
+            x = solve(a, b)
+            x[-1] += 1e-6
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", perturb_last_member)
+        with pytest.raises(ArithmeticError):
+            policy_values(game, stacks)
+        with pytest.raises(ArithmeticError):
+            mdp_policy_values(mdp, stacks[0])
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        policy_values(game, stacks)
+        mdp_policy_values(mdp, stacks[0])

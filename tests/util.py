@@ -156,3 +156,67 @@ def grid_minimax_value(m: np.ndarray, resolution: float = 1e-3) -> float:
             best = points[int(np.argmax(values))]
         units = next_units
     return best_value
+
+
+# ---------------------------------------------------------------------------
+# References for the batched evaluators
+# ---------------------------------------------------------------------------
+
+
+def reference_sweep_rows(game, spaces, resolution: float) -> list[tuple]:
+    """Existence-sweep rows computed one lattice point at a time.
+
+    Calls the single-policy ``policy_value`` and ``restricted_best_response``
+    at every point, in lattice order, so a batched sweep can be compared
+    with the plain loop it replaces.
+    """
+    from sgl.solvers import restricted_best_response
+    from sgl.values import policy_value
+
+    grids = [space.param_points(resolution) for space in spaces]
+    rows = []
+    for idx in itertools.product(*(range(len(g)) for g in grids)):
+        points = [grids[i][idx[i]] for i in range(len(spaces))]
+        joint = JointPolicy(tuple(policy for _, policy in points))
+        current = policy_value(game, joint)
+        gaps = []
+        for i in range(game.n_players):
+            others = [p for j, p in enumerate(joint.policies) if j != i]
+            best = restricted_best_response(game, i, others, spaces[i]).value
+            gaps.append(max(best - float(current[i]), 0.0))
+        params = tuple(x for params, _ in points for x in (params if params else (0.0,)))
+        rows.append(params + tuple(gaps) + (max(gaps),))
+    return rows
+
+
+def hull_grid_max(
+    game: StochasticGame,
+    i: int,
+    others: list[Policy],
+    hull: ConvexHullGlobal,
+    step: float,
+) -> float:
+    """Largest initial-state value over a weight grid of a global hull.
+
+    Discounted games only.  Marginalizes the opponents and solves every
+    grid policy's Bellman system in one batched ``np.linalg.solve``, using
+    only numpy, not the library's value code.
+    """
+    gamma = game.formulation.gamma
+    n_s = game.n_states
+    shaped_t = game.transition.reshape((n_s, *game.action_counts, n_s))
+    shaped_r = game.rewards[i].reshape((n_s, *game.action_counts))
+    letters = "abcdefgh"[: game.n_players]
+    factors = [p.probs for p in others]
+    opp = [letters[j] for j in range(game.n_players) if j != i]
+    mine = letters[i]
+    spec = ",".join(f"s{x}" for x in opp)
+    t = np.einsum(f"s{letters}t,{spec}->s{mine}t", shaped_t, *factors)
+    r = np.einsum(f"s{letters},{spec}->s{mine}", shaped_r, *factors)
+    weights = np.asarray(simplex_grid(hull.k, step))
+    generators = np.stack([g.probs for g in hull.generators])
+    probs = np.einsum("bk,ksa->bsa", weights, generators)
+    chain = np.einsum("bsa,sat->bst", probs, t)
+    reward = np.einsum("bsa,sa->bs", probs, r)
+    values = np.linalg.solve(np.eye(n_s) - gamma * chain, reward[:, :, np.newaxis])
+    return float(values[:, game.initial_index, 0].max())
