@@ -27,7 +27,7 @@ from .games import (
     load_game,
     validate,
 )
-from .learners import PlayerSpec, WolfPhcConfig, self_play
+from .learners import PlayerSpec, WolfPhcConfig, final_joint_policy, self_play
 from .restrictions import ConvexHullGlobal, FullSpace, load_spaces, space_from_dict
 from .solvers import (
     certificate_to_dict,
@@ -200,6 +200,7 @@ def _cmd_learn(args) -> int:
         "avg_rewards": [
             log.player_rows(i)[-1].avg_reward for i in range(game.n_players)
         ],
+        "final_joint": joint_policy_to_list(final_joint_policy(game, log), game.states),
         "csv": args.out,
     }
     print(json.dumps(payload, indent=2))

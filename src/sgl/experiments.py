@@ -20,10 +20,12 @@ allots two regiments while the other two land independently uniformly at
 random: the extra pair adds (2,0)/(1,1)/(0,2) with probabilities
 (1/4, 1/2, 1/4), so each deliberate base split convolves into a generator
 over the five full allotments.  Under this reading the restricted game's
-minimax value is exactly 0, which is the recorded cross-check; the
-uniform-over-splits reading (extra split drawn from (1/3, 1/3, 1/3)) gives
-a different value and is rejected.  Both oracle values are computed by
-``blotto_interpretation_oracle`` and frozen as a fixture.
+minimax value is exactly 0.  ``blotto_interpretation_oracle`` also solves
+the uniform-over-splits reading (extra split drawn from (1/3, 1/3, 1/3)),
+and its value is 0 as well, up to rounding, so the recorded
+``interpretation_oracle`` values do not tell the two readings apart: the
+hull follows the independent-uniform reading by choice, not because the
+cross-check rules the other one out.
 """
 
 from __future__ import annotations
@@ -126,7 +128,8 @@ def blotto_interpretation_oracle() -> dict:
     """Minimax values of the restricted Blotto under both readings of the hull.
 
     Independent-uniform extra armies give value exactly 0; drawing the extra
-    split uniformly from the three splits does not.
+    split uniformly from the three splits also gives 0, up to rounding
+    (about -5.6e-17), so the two values do not distinguish the readings.
     """
     game = blotto_4_3()
     readings = {}

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -184,23 +185,26 @@ def wolf_phc_step(
     inv_c = 1.0 / learner.counts[s]
     pol = learner.policy[s]
     avg = learner.avg_policy[s]
-    for b in range(n):
-        avg[b] += (pol[b] - avg[b]) * inv_c
+    # One pass: average-policy update, both expectations, greedy arm.
     exp_pol = 0.0
     exp_avg = 0.0
+    greedy = 0
+    best = q_row[0]
     for b in range(n):
-        exp_pol += pol[b] * q_row[b]
-        exp_avg += avg[b] * q_row[b]
+        p = pol[b]
+        qb = q_row[b]
+        m = avg[b]
+        m += (p - m) * inv_c
+        avg[b] = m
+        exp_pol += p * qb
+        exp_avg += m * qb
+        if qb > best:
+            best = qb
+            greedy = b
     delta_win = 1.0 / (cfg.win_offset + t / cfg.win_scale)
     losing = not (exp_pol > exp_avg)
     delta = cfg.lose_ratio * delta_win if losing else delta_win
     learner.last_delta_was_lose = losing
-    greedy = 0
-    best = q_row[0]
-    for b in range(1, n):
-        if q_row[b] > best:
-            best = q_row[b]
-            greedy = b
     if n > 1:
         dec = delta / (n - 1)
         total = 0.0
@@ -213,8 +217,7 @@ def wolf_phc_step(
             pol[b] = v
             total += v
         inv_total = 1.0 / total
-        for b in range(n):
-            pol[b] *= inv_total
+        pol[:] = [v * inv_total for v in pol]
     return learner
 
 
@@ -350,39 +353,35 @@ class TrajectoryLog:
         iterations, rescaled to a per-``window`` rate.  Returns the first
         checkpoint iteration from which every later movement is below the
         threshold (the final iteration if never stable).
+
+        One pass groups each player's explicit rows by checkpoint, in
+        ``states`` order; each checkpoint's partner is the latest checkpoint
+        at least ``window`` iterations earlier.
         """
-        per_player_series: list[list[tuple[int, np.ndarray]]] = []
-        for i in range(self.n_players):
-            series: dict[int, list] = {}
-            for state in self.states:
-                for r in self.player_rows(i, state):
-                    series.setdefault(r.iteration, []).append(np.asarray(r.explicit))
-            per_player_series.append(
-                [(it, np.concatenate(series[it])) for it in sorted(series)]
-            )
-        iters = [it for it, _ in per_player_series[0]]
-        movements: list[tuple[int, float]] = []
-        for idx, it in enumerate(iters):
-            back = it - window
-            prev_idx = max(
-                (k for k in range(idx + 1) if iters[k] <= back), default=None
-            )
-            if prev_idx is None:
-                continue
-            span = it - iters[prev_idx]
-            move = max(
-                float(np.abs(per_player_series[i][idx][1]
-                             - per_player_series[i][prev_idx][1]).sum())
-                for i in range(self.n_players)
-            )
-            movements.append((it, move * (window / span)))
-        stable_from = self.iterations
-        for k in range(len(movements) - 1, -1, -1):
-            if movements[k][1] < threshold:
-                stable_from = movements[k][0]
-            else:
-                break
-        return stable_from
+        if window < 1:
+            raise ValueError("window must be at least one iteration")
+        order = {state: k for k, state in enumerate(self.states)}
+        grouped: list[dict[int, list]] = [{} for _ in range(self.n_players)]
+        for r in self.rows:
+            grouped[r.player].setdefault(r.iteration, []).append((order[r.state], r.explicit))
+        iters = sorted(grouped[0])
+        its = np.asarray(iters, dtype=np.int64)
+        prev = np.searchsorted(its, its - window, side="right") - 1
+        cur = np.flatnonzero(prev >= 0)
+        if cur.size == 0:
+            return self.iterations
+        prev = prev[cur]
+        move = np.zeros(cur.size)
+        for by_iter in grouped:
+            series = np.array([
+                [p for _, explicit in sorted(by_iter[it], key=itemgetter(0)) for p in explicit]
+                for it in iters
+            ])
+            np.maximum(move, np.abs(series[cur] - series[prev]).sum(axis=1), out=move)
+        rates = move * (window / (its[cur] - its[prev]))
+        unstable = np.flatnonzero(~(rates < threshold))
+        start = int(unstable[-1]) + 1 if unstable.size else 0
+        return int(its[cur[start]]) if start < cur.size else self.iterations
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -499,6 +498,14 @@ def self_play(
         else (q_learner_step if spec.algo == "q" else wolf_phc_step)
         for spec in specs
     ]
+    # Per-player constants of the sampling loop, bound once.
+    seats = [
+        (learner.policy, rng.random, learner.config.explore_base,
+         learner.config.explore_scale, arm_cum, stride)
+        for learner, rng, arm_cum, stride
+        in zip(learners, player_rngs, arm_cumulative, strides)
+    ]
+    env_random = env_rng.random
 
     totals = [0.0] * n
     rows: list[CheckpointRow] = []
@@ -506,13 +513,12 @@ def self_play(
     arms = [0] * n
     for t in range(iterations):
         j = 0
-        for i in range(n):
-            learner = learners[i]
-            cfg = learner.config
-            e = cfg.explore_base / (1.0 + t / cfg.explore_scale)
-            pol = learner.policy[s]
+        for i, seat in enumerate(seats):
+            policy, rand, explore_base, explore_scale, arm_cum, stride = seat
+            e = explore_base / (1.0 + t / explore_scale)
+            pol = policy[s]
             k = len(pol)
-            u = player_rngs[i].random()
+            u = rand()
             acc = 0.0
             arm = k - 1
             uniform = e / k
@@ -523,22 +529,22 @@ def self_play(
                     arm = b
                     break
             arms[i] = arm
-            if arm_cumulative[i] is None:
+            if arm_cum is None:
                 action = arm
             else:
-                cum = arm_cumulative[i][s][arm]
-                v = player_rngs[i].random()
+                cum = arm_cum[s][arm]
+                v = rand()
                 action = len(cum) - 1
                 for b, threshold in enumerate(cum):
                     if v < threshold:
                         action = b
                         break
-            j += strides[i] * action
+            j += stride * action
         if single_state:
             s2 = 0
         else:
             cum = cum_t[s][j]
-            v = env_rng.random()
+            v = env_random()
             s2 = len(cum) - 1
             for b, threshold in enumerate(cum):
                 if v < threshold:

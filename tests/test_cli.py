@@ -17,6 +17,7 @@ from sgl.cli import main
 from sgl.games import (
     bach_stravinsky,
     blotto_4_3,
+    fact5_game,
     game_to_dict,
     load_game,
     rps,
@@ -221,6 +222,25 @@ class TestLearn:
             "--seed", "1",
         )
         assert code == 0
+
+    def test_final_joint_reports_every_state(self, capsys, tmp_path):
+        game_path = tmp_path / "fact5.json"
+        save_game(fact5_game(), game_path)
+        code, payload = run_cli(
+            capsys,
+            "learn",
+            "--game", str(game_path),
+            "--iters", "1000",
+            "--seed", "3",
+        )
+        assert code == 0
+        final_joint = payload["final_joint"]
+        assert len(final_joint) == 2
+        for player in final_joint:
+            assert sorted(player) == ["left", "right", "s0"]
+            for row in player.values():
+                assert len(row) == 2
+                assert sum(row) == pytest.approx(1.0, abs=1e-12)
 
     def test_non_hull_space_exit_3(self, tmp_path, rps_file):
         spaces_path = tmp_path / "space.json"

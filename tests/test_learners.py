@@ -1,10 +1,19 @@
 """Learner update rules, self-play determinism, and trajectory logs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgl.games import JointPolicy, MalformedInputError, Policy, matrix_game, rps
+from sgl.games import (
+    JointPolicy,
+    MalformedInputError,
+    Policy,
+    fact5_game,
+    matrix_game,
+    rps,
+)
 from sgl.learners import (
     CheckpointRow,
     LearnerState,
@@ -18,9 +27,15 @@ from sgl.learners import (
     self_play,
     wolf_phc_step,
 )
-from sgl.restrictions import ConvexHullGlobal, FullSpace, membership
+from sgl.restrictions import ConvexHullGlobal, FullSpace, StateUniform, membership
 from sgl.solvers import check_equilibrium
-from util import random_game
+from util import random_game, reference_stabilization_iteration
+
+RPS_COLUMN_HULL = ConvexHullGlobal(
+    (Policy([[0.5, 0.5, 0.0]]), Policy([[0.0, 0.5, 0.5]]))
+)
+FACT5_HULL = StateUniform(3, 2).as_hull()
+GAMMA_95 = WolfPhcConfig(gamma=0.95)
 
 
 class TestConfig:
@@ -294,3 +309,92 @@ class TestSelfPlay:
         assert 10_000 <= stab <= 10_000 + log.checkpoint_every
         stab_hard = log.stabilization_iteration(threshold=0.0)  # never stable
         assert stab_hard == log.iterations
+
+
+@pytest.fixture(scope="module")
+def stabilization_logs():
+    """WoLF RPS, RPS against the column hull, and 3-state Fact 5 play."""
+    return {
+        "rps": self_play(rps(), [PlayerSpec(), PlayerSpec()], 20_000, seed=31,
+                         checkpoint_every=25),
+        "rps-column-hull": self_play(
+            rps(), [PlayerSpec(), PlayerSpec(space=RPS_COLUMN_HULL)], 20_000,
+            seed=32, checkpoint_every=25,
+        ),
+        "fact5": self_play(
+            fact5_game(), [PlayerSpec(config=GAMMA_95), PlayerSpec(config=GAMMA_95)],
+            20_000, seed=33, checkpoint_every=25,
+        ),
+    }
+
+
+class TestStabilization:
+    @pytest.mark.parametrize("name", ["rps", "rps-column-hull", "fact5"])
+    @pytest.mark.parametrize("threshold", [0.0, 0.01, 10.0])
+    @pytest.mark.parametrize("window", [1, 5_000, 10_000, 20_001])
+    def test_matches_quadratic_reference(self, stabilization_logs, name, threshold, window):
+        log = stabilization_logs[name]
+        got = log.stabilization_iteration(threshold=threshold, window=window)
+        assert got == reference_stabilization_iteration(log, threshold, window)
+        assert type(got) is int
+
+    def test_window_longer_than_run_has_no_movement(self, stabilization_logs):
+        log = stabilization_logs["rps"]
+        assert log.stabilization_iteration(threshold=10.0, window=20_001) == 20_000
+
+    def test_single_checkpoint(self, rps_game):
+        log = self_play(rps_game, [PlayerSpec(), PlayerSpec()], 10, seed=4,
+                        checkpoint_every=10)
+        assert len(log.player_rows(0)) == 1
+        for window in (1, 5):
+            assert log.stabilization_iteration(0.01, window) == 10
+            assert reference_stabilization_iteration(log, 0.01, window) == 10
+
+    def test_window_must_be_positive(self, rps_game):
+        log = self_play(rps_game, [PlayerSpec(), PlayerSpec()], 100, seed=4)
+        with pytest.raises(ValueError):
+            log.stabilization_iteration(0.01, 0)
+
+
+def _rows_digest(rows) -> str:
+    # Every float goes through float() so the text is the same whichever
+    # way numpy prints its scalars; repr of a float round-trips exactly.
+    text = repr([
+        (r.iteration, r.player, r.state, tuple(map(float, r.probs)),
+         tuple(map(float, r.explicit)), float(r.inst_reward), float(r.avg_reward))
+        for r in rows
+    ])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of 5,000-iteration self-play logs, pinned from the scalar update
+# path; any change to a single trajectory float changes them.
+GOLDEN_TRAJECTORIES = {
+    "wolf-rps": (
+        rps, [PlayerSpec(), PlayerSpec()], 21,
+        "428e974c4cdc9daa6f81f5a334b48aba89a5ec28c319aff1d64e8e34ac1a6cf5",
+    ),
+    "rps-column-hull": (
+        rps, [PlayerSpec(), PlayerSpec(space=RPS_COLUMN_HULL)], 22,
+        "c236e07c87743f4ec8befd71fff4401d3ca7e9bbd4b53f926d6e09f300334475",
+    ),
+    "q-rps": (
+        rps, [PlayerSpec(algo="q"), PlayerSpec(algo="q")], 23,
+        "0bac3dec14cf862813cff9148f9fa86ab6aa6cedd56f1233f1efa3f20d4c5430",
+    ),
+    "fact5-state-uniform-hull": (
+        fact5_game, [PlayerSpec(space=FACT5_HULL), PlayerSpec(space=FACT5_HULL)], 24,
+        "db5caec6bc7e883e2a691b65a3677374690e64ec19524948052900f47fd7fb01",
+    ),
+    "fact5-gamma-0.95": (
+        fact5_game, [PlayerSpec(config=GAMMA_95), PlayerSpec(config=GAMMA_95)], 25,
+        "ee055ec9a92cd8cdcfac1d427d9e18bfa4366c87b1cdf4c9e9243daa56f067a6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRAJECTORIES))
+def test_golden_trajectory_digest(name):
+    make_game, specs, seed, expected = GOLDEN_TRAJECTORIES[name]
+    log = self_play(make_game(), specs, 5_000, seed)
+    assert _rows_digest(log.rows) == expected

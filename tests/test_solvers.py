@@ -408,6 +408,16 @@ class TestImplicitRoute:
         assert np.allclose(sol.weights[1], [0.5, 0.0, 0.0, 0.5], atol=1e-9)
         assert sol.certificate.verdict
 
+    def test_blotto_readings_share_value_zero(self):
+        # Both readings of the restricted Blotto hull have value 0, so the
+        # oracle recorded in the blotto-restricted summary cannot pick one.
+        from sgl.experiments import blotto_interpretation_oracle
+
+        readings = blotto_interpretation_oracle()
+        assert sorted(readings) == ["independent_uniform", "uniform_over_splits"]
+        for value in readings.values():
+            assert abs(value) <= 1e-12
+
     def test_full_spaces_reduce_to_minimax(self, rps_game):
         sol = restricted_equilibrium_via_implicit(
             rps_game, [FullSpace(1, 3), FullSpace(1, 3)]

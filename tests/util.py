@@ -220,3 +220,46 @@ def hull_grid_max(
     reward = np.einsum("bsa,sa->bs", probs, r)
     values = np.linalg.solve(np.eye(n_s) - gamma * chain, reward[:, :, np.newaxis])
     return float(values[:, game.initial_index, 0].max())
+
+
+def reference_stabilization_iteration(
+    log, threshold: float = 0.01, window: int = 10_000
+) -> int:
+    """``TrajectoryLog.stabilization_iteration`` as a direct quadratic scan.
+
+    For every checkpoint it searches all earlier checkpoints for the latest
+    one at least ``window`` iterations back, and takes each player's L1
+    movement with its own numpy call.
+    """
+    per_player_series: list[list[tuple[int, np.ndarray]]] = []
+    for i in range(log.n_players):
+        series: dict[int, list] = {}
+        for state in log.states:
+            for r in log.player_rows(i, state):
+                series.setdefault(r.iteration, []).append(np.asarray(r.explicit))
+        per_player_series.append(
+            [(it, np.concatenate(series[it])) for it in sorted(series)]
+        )
+    iters = [it for it, _ in per_player_series[0]]
+    movements: list[tuple[int, float]] = []
+    for idx, it in enumerate(iters):
+        back = it - window
+        prev_idx = max(
+            (k for k in range(idx + 1) if iters[k] <= back), default=None
+        )
+        if prev_idx is None:
+            continue
+        span = it - iters[prev_idx]
+        move = max(
+            float(np.abs(per_player_series[i][idx][1]
+                         - per_player_series[i][prev_idx][1]).sum())
+            for i in range(log.n_players)
+        )
+        movements.append((it, move * (window / span)))
+    stable_from = log.iterations
+    for k in range(len(movements) - 1, -1, -1):
+        if movements[k][1] < threshold:
+            stable_from = movements[k][0]
+        else:
+            break
+    return stable_from
