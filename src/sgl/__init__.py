@@ -54,8 +54,6 @@ from .restrictions import (
     convexity_probe,
     epsilon_exploration,
     map_policy,
-    membership,
-    project,
 )
 from .solvers import (
     BestResponseResult,
@@ -75,7 +73,6 @@ from .learners import (
     TrajectoryLog,
     WolfPhcConfig,
     q_learner_step,
-    restricted_wolf_phc_step,
     self_play,
     wolf_phc_step,
 )

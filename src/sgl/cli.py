@@ -28,7 +28,7 @@ from .games import (
     validate,
 )
 from .learners import PlayerSpec, WolfPhcConfig, final_joint_policy, self_play
-from .restrictions import ConvexHullGlobal, FullSpace, load_spaces, space_from_dict
+from .restrictions import FullSpace, load_spaces, space_from_dict
 from .solvers import (
     certificate_to_dict,
     check_equilibrium,
@@ -181,7 +181,7 @@ def _cmd_learn(args) -> int:
         if path is not None:
             data = _load_json_file(path)
             candidate = space_from_dict(data, game.states, game.action_counts[i])
-            if not isinstance(candidate, ConvexHullGlobal):
+            if candidate.variant != "convex_hull_global":
                 raise UnsupportedOperationError(
                     "learners only support convex-hull restriction files"
                 )

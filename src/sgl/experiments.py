@@ -106,20 +106,23 @@ def rps_restriction_hull() -> ConvexHullGlobal:
     )
 
 
-def blotto_restriction_hull() -> ConvexHullGlobal:
-    """Row allots two regiments deliberately; two more land uniformly at random.
+# Armies the random regiments add to the first battlefield, under each reading.
+INDEPENDENT_UNIFORM_EXTRA = {0: 0.25, 1: 0.5, 2: 0.25}
+UNIFORM_OVER_SPLITS_EXTRA = {0: 1.0 / 3.0, 1: 1.0 / 3.0, 2: 1.0 / 3.0}
 
-    Convolving each deliberate split with the binomial (1/4, 1/2, 1/4) extra
-    allotment yields one generator per deliberate split over the five rows.
+
+def blotto_restriction_hull(extra: dict[int, float]) -> ConvexHullGlobal:
+    """Row allots two regiments deliberately; two more land at random.
+
+    Convolving each deliberate split (2-0, 1-1, 0-2) with the distribution
+    ``extra`` of armies added to the first battlefield yields one generator
+    per deliberate split over the five rows.
     """
-    base_splits = [(2, 0), (1, 1), (0, 2)]
-    extra = {0: 0.25, 1: 0.5, 2: 0.25}  # armies added to the first battlefield
     generators = []
-    for first, _ in base_splits:
+    for first in (2, 1, 0):
         row = np.zeros(5)
         for added, p in extra.items():
-            total_first = first + added
-            row[4 - total_first] = p  # action index 0 is the 4-0 split
+            row[4 - (first + added)] = p  # action index 0 is the 4-0 split
         generators.append(Policy(row[np.newaxis, :]))
     return ConvexHullGlobal(tuple(generators))
 
@@ -134,16 +137,10 @@ def blotto_interpretation_oracle() -> dict:
     game = blotto_4_3()
     readings = {}
     for label, extra in (
-        ("independent_uniform", {0: 0.25, 1: 0.5, 2: 0.25}),
-        ("uniform_over_splits", {0: 1.0 / 3.0, 1: 1.0 / 3.0, 2: 1.0 / 3.0}),
+        ("independent_uniform", INDEPENDENT_UNIFORM_EXTRA),
+        ("uniform_over_splits", UNIFORM_OVER_SPLITS_EXTRA),
     ):
-        generators = []
-        for first in (2, 1, 0):
-            row = np.zeros(5)
-            for added, p in extra.items():
-                row[4 - (first + added)] = p
-            generators.append(Policy(row[np.newaxis, :]))
-        hull = ConvexHullGlobal(tuple(generators))
+        hull = blotto_restriction_hull(extra)
         solution = restricted_equilibrium_via_implicit(
             game, [hull, FullSpace(1, 4)]
         )
@@ -242,14 +239,67 @@ def _write_plot_files(
     (outdir / "plot.gp").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _learning_experiment(
-    spec: ReproductionSpec,
-    game: StochasticGame,
-    player_specs: list[PlayerSpec],
-    reference: dict,
-    reference_policies: list[list[float]],
-    restricted_player: int | None,
-) -> dict:
+# ---------------------------------------------------------------------------
+# The named experiments
+# ---------------------------------------------------------------------------
+
+
+def _nash_reference(game: StochasticGame, spaces: list, player: int | None) -> dict:
+    value, row, col = minimax_zero_sum_matrix(game)
+    return {
+        "kind": "nash",
+        "value_row": value,
+        "row": [float(x) for x in row],
+        "col": [float(x) for x in col],
+    }
+
+
+def _restricted_reference(game: StochasticGame, spaces: list, player: int) -> dict:
+    solution = restricted_equilibrium_via_implicit(game, spaces)
+    return {
+        "kind": "restricted",
+        "value_row": solution.value,
+        "row": [float(x) for x in solution.explicit_joint[0].probs[0]],
+        "col": [float(x) for x in solution.explicit_joint[1].probs[0]],
+        ("row_weights", "col_weights")[player]: [
+            float(x) for x in solution.weights[player]
+        ],
+        "certificate": certificate_to_dict(solution.certificate, game),
+    }
+
+
+def _blotto_restricted_reference(game: StochasticGame, spaces: list, player: int) -> dict:
+    """The restricted reference with the interpretation oracle before the certificate."""
+    reference = _restricted_reference(game, spaces, player)
+    reference["interpretation_oracle"] = blotto_interpretation_oracle()
+    reference["certificate"] = reference.pop("certificate")
+    return reference
+
+
+# Learning experiments: the game, the restricted player, its hull (or none)
+# and the reference builder.
+_LEARNING = {
+    "rps": (rps, None, None, _nash_reference),
+    "rps-restricted": (rps, 1, rps_restriction_hull, _restricted_reference),
+    "blotto": (blotto_4_3, None, None, _nash_reference),
+    "blotto-restricted": (
+        blotto_4_3,
+        0,
+        lambda: blotto_restriction_hull(INDEPENDENT_UNIFORM_EXTRA),
+        _blotto_restricted_reference,
+    ),
+}
+
+
+def _experiment_learning(spec: ReproductionSpec) -> dict:
+    game_of, restricted_player, hull_of, reference_of = _LEARNING[spec.name]
+    game = game_of()
+    spaces = [FullSpace(game.n_states, k) for k in game.action_counts]
+    player_specs = [PlayerSpec() for _ in spaces]
+    if hull_of is not None:
+        spaces[restricted_player] = hull_of()
+        player_specs[restricted_player] = PlayerSpec(space=spaces[restricted_player])
+    reference = reference_of(game, spaces, restricted_player)
     runs = _learning_runs(game, player_specs, spec)
     outdir = spec.outdir
     outdir.mkdir(parents=True, exist_ok=True)
@@ -260,10 +310,10 @@ def _learning_experiment(
     _write_plot_files(
         outdir,
         runs[0][1],
-        reference_policies,
+        [reference["row"], reference["col"]],
         [list(names) for names in game.action_sets],
     )
-    summary = {
+    return {
         "experiment": spec.name,
         "base_seed": spec.seed,
         "n_seeds": spec.n_seeds,
@@ -272,95 +322,6 @@ def _learning_experiment(
         "reference": reference,
         "runs": stats,
     }
-    return summary
-
-
-# ---------------------------------------------------------------------------
-# The named experiments
-# ---------------------------------------------------------------------------
-
-
-def _experiment_rps(spec: ReproductionSpec) -> dict:
-    game = rps()
-    value, row, col = minimax_zero_sum_matrix(game)
-    reference = {
-        "kind": "nash",
-        "value_row": value,
-        "row": [float(x) for x in row],
-        "col": [float(x) for x in col],
-    }
-    return _learning_experiment(
-        spec,
-        game,
-        [PlayerSpec(), PlayerSpec()],
-        reference,
-        [reference["row"], reference["col"]],
-        restricted_player=None,
-    )
-
-
-def _experiment_rps_restricted(spec: ReproductionSpec) -> dict:
-    game = rps()
-    hull = rps_restriction_hull()
-    solution = restricted_equilibrium_via_implicit(game, [FullSpace(1, 3), hull])
-    reference = {
-        "kind": "restricted",
-        "value_row": solution.value,
-        "row": [float(x) for x in solution.explicit_joint[0].probs[0]],
-        "col": [float(x) for x in solution.explicit_joint[1].probs[0]],
-        "col_weights": [float(x) for x in solution.weights[1]],
-        "certificate": certificate_to_dict(solution.certificate, game),
-    }
-    return _learning_experiment(
-        spec,
-        game,
-        [PlayerSpec(), PlayerSpec(space=hull)],
-        reference,
-        [reference["row"], reference["col"]],
-        restricted_player=1,
-    )
-
-
-def _experiment_blotto(spec: ReproductionSpec) -> dict:
-    game = blotto_4_3()
-    value, row, col = minimax_zero_sum_matrix(game)
-    reference = {
-        "kind": "nash",
-        "value_row": value,
-        "row": [float(x) for x in row],
-        "col": [float(x) for x in col],
-    }
-    return _learning_experiment(
-        spec,
-        game,
-        [PlayerSpec(), PlayerSpec()],
-        reference,
-        [reference["row"], reference["col"]],
-        restricted_player=None,
-    )
-
-
-def _experiment_blotto_restricted(spec: ReproductionSpec) -> dict:
-    game = blotto_4_3()
-    hull = blotto_restriction_hull()
-    solution = restricted_equilibrium_via_implicit(game, [hull, FullSpace(1, 4)])
-    reference = {
-        "kind": "restricted",
-        "value_row": solution.value,
-        "row": [float(x) for x in solution.explicit_joint[0].probs[0]],
-        "col": [float(x) for x in solution.explicit_joint[1].probs[0]],
-        "row_weights": [float(x) for x in solution.weights[0]],
-        "interpretation_oracle": blotto_interpretation_oracle(),
-        "certificate": certificate_to_dict(solution.certificate, game),
-    }
-    return _learning_experiment(
-        spec,
-        game,
-        [PlayerSpec(space=hull), PlayerSpec()],
-        reference,
-        [reference["row"], reference["col"]],
-        restricted_player=0,
-    )
 
 
 def _experiment_fact1(spec: ReproductionSpec) -> dict:
@@ -488,10 +449,7 @@ def _experiment_bos(spec: ReproductionSpec) -> dict:
 
 
 _RUNNERS = {
-    "rps": _experiment_rps,
-    "rps-restricted": _experiment_rps_restricted,
-    "blotto": _experiment_blotto,
-    "blotto-restricted": _experiment_blotto_restricted,
+    **{name: _experiment_learning for name in _LEARNING},
     "fact1": _experiment_fact1,
     "fact5": _experiment_fact5,
     "bos-equilibria": _experiment_bos,

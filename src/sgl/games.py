@@ -239,16 +239,6 @@ class StochasticGame:
         if not isinstance(self.formulation, Average):
             raise FormulationMismatchError("operation requires an average-reward game")
 
-    def with_formulation(self, formulation: RewardFormulation) -> "StochasticGame":
-        return StochasticGame(
-            self.states,
-            self.action_sets,
-            self.transition,
-            self.rewards,
-            self.initial_state,
-            formulation,
-        )
-
     def payoff_matrix(self, player: int) -> np.ndarray:
         """For a 2-player matrix game, player's payoffs as an (|A_1|, |A_2|) array."""
         if not self.is_matrix_game or self.n_players != 2:
@@ -297,13 +287,6 @@ def validate(game: StochasticGame) -> list[str]:
         if not (0.0 < game.formulation.gamma < 1.0):
             problems.append("discount factor outside (0, 1)")
     return problems
-
-
-def require_valid(game: StochasticGame) -> StochasticGame:
-    problems = validate(game)
-    if problems:
-        raise MalformedInputError("; ".join(problems))
-    return game
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ historical average policy) and by the larger delta_lose otherwise.
 Equality counts as losing, which keeps the rule deterministic and learns
 fast when not strictly ahead.
 
-The restricted variant runs the identical update over a fixed set of
-generator strategies instead of primitive actions: the learner samples a
-generator from its weight vector, executes a primitive action drawn from
-that generator, and hill-climbs in the weight simplex.  Its induced
-explicit policy is the weight-blend of the generators, so by construction
-it never leaves the hull.
+The restricted variant runs the identical update (``wolf_phc_step``) over
+a fixed set of generator strategies instead of primitive actions: the
+learner samples a generator from its weight vector, executes a primitive
+action drawn from that generator, and hill-climbs in the weight simplex.
+Its induced explicit policy is the weight-blend of the generators, so by
+construction it never leaves the hull.
 
 Matches are single-threaded and own their mutable state; the RNG is seeded
 per match and split per player, so a (seed, config, game) triple fixes the
@@ -145,7 +145,7 @@ class LearnerState:
         if self.generators is None:
             return list(self.policy[s])
         w = np.asarray(self.policy[s])
-        return list(w @ self.generators[:, s, :])
+        return (w @ self.generators[:, s, :]).tolist()
 
 
 def fresh_learner(
@@ -219,21 +219,6 @@ def wolf_phc_step(
         inv_total = 1.0 / total
         pol[:] = [v * inv_total for v in pol]
     return learner
-
-
-def restricted_wolf_phc_step(
-    learner: LearnerState, s: int, g: int, r: float, s2: int, t: int
-) -> LearnerState:
-    """WoLF-PHC over hull generators: the same rule with arms = generators.
-
-    ``g`` is the generator sampled from the weight vector; the executed
-    primitive action was drawn from that generator's distribution.  The
-    induced explicit policy is the weight blend of the generators, hence
-    always a hull member.
-    """
-    if learner.generators is None:
-        raise MalformedInputError("restricted step needs a generator-backed learner")
-    return wolf_phc_step(learner, s, g, r, s2, t)
 
 
 def q_learner_step(
@@ -483,21 +468,12 @@ def self_play(
                 raise MalformedInputError(f"player {i} hull does not match the game")
             gens = np.stack([g.probs for g in spec.space.generators])
             learners.append(fresh_learner(n_states, gens.shape[0], spec.config, gens))
-            arm_cumulative.append(
-                [
-                    [list(np.cumsum(gens[k, s])) for k in range(gens.shape[0])]
-                    for s in range(n_states)
-                ]
-            )
+            arm_cumulative.append([_cumulative(gens[:, s]) for s in range(n_states)])
         else:
             learners.append(fresh_learner(n_states, counts[i], spec.config))
             arm_cumulative.append(None)
 
-    steps = [
-        restricted_wolf_phc_step if spec.space is not None
-        else (q_learner_step if spec.algo == "q" else wolf_phc_step)
-        for spec in specs
-    ]
+    steps = [q_learner_step if spec.algo == "q" else wolf_phc_step for spec in specs]
     # Per-player constants of the sampling loop, bound once.
     seats = [
         (learner.policy, rng.random, learner.config.explore_base,

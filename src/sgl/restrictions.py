@@ -1,19 +1,39 @@
 """Restricted policy spaces and implicit games.
 
 A restricted policy space is a non-empty, membership-testable subset of one
-player's policy polytope.  The variants here are the closed polytopal ones
-(full space, a singleton, convex hulls of generator policies mixed with one
-global weight vector or with independent per-state weights, the
-state-uniform space that forces one shared strategy across all states, and
-simplices with pinned coordinates) plus the finite non-convex set of
-deterministic policies.
+player's policy polytope.  Three classes hold every variant:
 
-Two hull flavours are deliberately distinct.  A statewise hull lets the
-blend weights vary per state, so it is closed under per-state blending of
-members; a global hull (and the state-uniform space, which is the global
-hull of the all-states-one-action policies) shares one weight vector across
-states and is convex but *not* closed under per-state blending.  Several
-solver routines hinge on that separation.
+* ``ConvexHullStatewise``: per-state generator strategies blended with
+  independent per-state weights, so it is closed under per-state blending
+  of members;
+* ``ConvexHullGlobal``: generator policies mixed with one weight vector
+  shared across states, convex but *not* closed under per-state blending;
+* ``DeterministicOnly``: the finite set of pure policies, non-convex once
+  it has two members.
+
+Several solver routines hinge on the separation between the two hulls.
+The other named variants are constructor functions returning a hull:
+
+* ``FullSpace(n_states, n_actions)``: the statewise hull of the unit
+  vectors, the whole policy polytope;
+* ``FixedCoordinates(n_states, n_actions, pins)``: the statewise hull of
+  each state's extreme strategies, pinned (state, action) entries fixed and
+  the free mass on one free action;
+* ``StateUniform(n_states, n_actions)``: the global hull of the
+  all-states-one-action pure policies, one shared strategy in every state;
+* ``Singleton(policy)``: the global hull of one generator.
+
+A state whose generators include every unit vector is the whole simplex,
+so membership there needs no LP and projection is the sort-based simplex
+projection.
+
+Spaces read from and write to JSON objects tagged by ``variant``.  Each
+space keeps the tag it was built under and writes it back: the classes
+write ``convex_hull_statewise``, ``convex_hull_global`` and
+``deterministic_only``; the constructors write ``full``,
+``fixed_coordinates``, ``state_uniform`` and ``singleton`` with their own
+arguments (the shape, pins by state name, or the one policy) rather than
+generators.  ``space_from_dict`` reads all seven tags.
 
 An implicit game rewrites a game from the point of view of limited agents:
 each player's implicit actions are distributions over its explicit actions
@@ -26,10 +46,11 @@ policy; `map_policy` performs that mapping.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -45,7 +66,6 @@ from .games import (
 )
 
 MEMBERSHIP_TOL = 1e-9
-PROJECTION_TOL = 1e-10
 MAX_ENUMERATION = 10**6  # pure-policy enumeration guard
 MAX_HULL_GENERATORS = 12  # exact active-set projection enumerates supports
 
@@ -65,28 +85,29 @@ def project_to_simplex(v: np.ndarray, total: float = 1.0) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def simplex_grid(k: int, resolution: float) -> list[tuple[float, ...]]:
+@functools.lru_cache(maxsize=16)
+def simplex_grid(k: int, resolution: float) -> np.ndarray:
     """All length-k probability vectors with entries on a grid of the given step.
 
     The step is snapped to 1/N for N = round(1/resolution) so the grid
-    always contains every vertex of the simplex.
+    always contains every vertex of the simplex.  Returns a read-only
+    (points, k) array, built once per (k, resolution), with the points in
+    lexicographic order of their numerators.
     """
     if k < 1:
         raise ValueError("need at least one coordinate")
-    if k == 1:
-        return [(1.0,)]
     n = max(1, round(1.0 / resolution))
-    points: list[tuple[float, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            points.append(tuple((p / n) for p in prefix + [remaining]))
-            return
-        for c in range(remaining + 1):
-            rec(prefix + [c], remaining - c, slots - 1)
-
-    rec([], n, k)
-    return points
+    numerators = np.zeros((1, 0), dtype=np.int64)
+    remaining = np.array([n])
+    for _ in range(k - 1):
+        # Each prefix branches into every count 0..remaining for the next entry.
+        reps = remaining + 1
+        count = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        numerators = np.column_stack([np.repeat(numerators, reps, axis=0), count])
+        remaining = np.repeat(remaining, reps) - count
+    grid = np.column_stack([numerators, remaining]) / n
+    grid.setflags(write=False)
+    return grid
 
 
 def _recover_weights_lp(
@@ -178,12 +199,14 @@ class RestrictedPolicySpace:
 
     Concrete spaces know their policy shape, answer membership queries,
     project (when convex), expose extreme points, and expose a low-
-    dimensional parameterization used by grid sweeps.
+    dimensional parameterization used by grid sweeps.  ``variant`` is the
+    file-format tag the space was built under.
     """
 
     n_states: int
     n_actions: int
     is_convex: bool
+    variant: str
 
     def contains(self, policy: Policy, tol: float = MEMBERSHIP_TOL) -> bool:
         raise NotImplementedError
@@ -218,99 +241,12 @@ class RestrictedPolicySpace:
 
 
 @dataclass(frozen=True)
-class FullSpace(RestrictedPolicySpace):
-    """The whole policy polytope: no restriction at all."""
-
-    n_states: int
-    n_actions: int
-    is_convex: bool = True
-
-    def contains(self, policy: Policy, tol: float = MEMBERSHIP_TOL) -> bool:
-        self._check_shape(policy)
-        return True
-
-    def project(self, policy: Policy) -> Policy:
-        self._check_shape(policy)
-        return Policy(
-            np.vstack([project_to_simplex(row) for row in policy.probs])
-        )
-
-    def witness(self) -> Policy:
-        return Policy.uniform(self.n_states, self.n_actions)
-
-    def random_member(self, rng: np.random.Generator) -> Policy:
-        return Policy(rng.dirichlet(np.ones(self.n_actions), size=self.n_states))
-
-    def vertices(self) -> list[Policy]:
-        total = self.n_actions**self.n_states
-        if total > MAX_ENUMERATION:
-            raise UnsupportedOperationError(
-                f"{total} pure policies exceeds the enumeration bound"
-            )
-        return [
-            Policy.pure(self.n_states, self.n_actions, choice)
-            for choice in itertools.product(
-                range(self.n_actions), repeat=self.n_states
-            )
-        ]
-
-    def param_dim(self) -> int:
-        return self.n_states * (self.n_actions - 1)
-
-    def param_points(self, resolution: float):
-        per_state = simplex_grid(self.n_actions, resolution)
-        points = []
-        for combo in itertools.product(per_state, repeat=self.n_states):
-            theta = tuple(x for row in combo for x in row[:-1])
-            points.append((theta, Policy(np.array(combo))))
-        return points
-
-
-@dataclass(frozen=True)
-class Singleton(RestrictedPolicySpace):
-    """Exactly one admissible policy."""
-
-    policy: Policy
-    is_convex: bool = True
-
-    @property
-    def n_states(self) -> int:  # type: ignore[override]
-        return self.policy.n_states
-
-    @property
-    def n_actions(self) -> int:  # type: ignore[override]
-        return self.policy.n_actions
-
-    def contains(self, policy: Policy, tol: float = MEMBERSHIP_TOL) -> bool:
-        self._check_shape(policy)
-        return bool(np.max(np.abs(policy.probs - self.policy.probs)) <= tol)
-
-    def project(self, policy: Policy) -> Policy:
-        self._check_shape(policy)
-        return self.policy
-
-    def witness(self) -> Policy:
-        return self.policy
-
-    def random_member(self, rng: np.random.Generator) -> Policy:
-        return self.policy
-
-    def vertices(self) -> list[Policy]:
-        return [self.policy]
-
-    def param_dim(self) -> int:
-        return 0
-
-    def param_points(self, resolution: float):
-        return [((), self.policy)]
-
-
-@dataclass(frozen=True)
 class ConvexHullGlobal(RestrictedPolicySpace):
     """Mixtures of generator policies sharing one weight vector across states."""
 
     generators: tuple[Policy, ...]
     is_convex: bool = True
+    variant: str = field(default="convex_hull_global", init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.generators:
@@ -331,6 +267,10 @@ class ConvexHullGlobal(RestrictedPolicySpace):
     @property
     def k(self) -> int:
         return len(self.generators)
+
+    def as_hull(self) -> "ConvexHullGlobal":
+        """The space itself: every global restriction is already a hull."""
+        return self
 
     def _stacked(self) -> np.ndarray:
         """Generators flattened to (k, n_states * n_actions)."""
@@ -371,56 +311,16 @@ class ConvexHullGlobal(RestrictedPolicySpace):
 
     def param_points(self, resolution: float):
         return [
-            (tuple(w[:-1]), self.policy_of_weights(np.asarray(w)))
+            (tuple(w[:-1].tolist()), self.policy_of_weights(w))
             for w in simplex_grid(self.k, resolution)
         ]
 
 
-def state_uniform_space(n_states: int, n_actions: int) -> "StateUniform":
-    return StateUniform(n_states=n_states, n_actions=n_actions)
-
-
-@dataclass(frozen=True)
-class StateUniform(RestrictedPolicySpace):
-    """Policies forced to play one shared mixed strategy in every state."""
-
-    n_states: int
-    n_actions: int
-    is_convex: bool = True
-
-    def contains(self, policy: Policy, tol: float = MEMBERSHIP_TOL) -> bool:
-        self._check_shape(policy)
-        return bool(np.max(np.abs(policy.probs - policy.probs[0])) <= tol)
-
-    def project(self, policy: Policy) -> Policy:
-        self._check_shape(policy)
-        shared = project_to_simplex(policy.probs.mean(axis=0))
-        return Policy.state_uniform(self.n_states, shared)
-
-    def witness(self) -> Policy:
-        return Policy.uniform(self.n_states, self.n_actions)
-
-    def random_member(self, rng: np.random.Generator) -> Policy:
-        return Policy.state_uniform(self.n_states, rng.dirichlet(np.ones(self.n_actions)))
-
-    def vertices(self) -> list[Policy]:
-        return [
-            Policy.pure(self.n_states, self.n_actions, [a] * self.n_states)
-            for a in range(self.n_actions)
-        ]
-
-    def param_dim(self) -> int:
-        return self.n_actions - 1
-
-    def param_points(self, resolution: float):
-        return [
-            (tuple(w[:-1]), Policy.state_uniform(self.n_states, np.asarray(w)))
-            for w in simplex_grid(self.n_actions, resolution)
-        ]
-
-    def as_hull(self) -> ConvexHullGlobal:
-        """The equivalent global hull over the all-states-one-action policies."""
-        return ConvexHullGlobal(tuple(self.vertices()))
+def _covers_simplex(rows: np.ndarray) -> bool:
+    """Whether the rows include every unit vector, making their hull the simplex."""
+    n_actions = rows.shape[1]
+    unit = ((rows == 1.0).sum(axis=1) == 1) & ((rows == 0.0).sum(axis=1) == n_actions - 1)
+    return np.unique(rows[unit].argmax(axis=1)).size == n_actions
 
 
 @dataclass(frozen=True)
@@ -428,10 +328,16 @@ class ConvexHullStatewise(RestrictedPolicySpace):
     """Per-state convex strategy sets, blended independently at each state.
 
     ``generators[s]`` lists the extreme strategies available at state s.
+    ``pins`` holds the pins of a hull built by ``FixedCoordinates``, for the
+    file format.
     """
 
     generators: tuple[tuple[np.ndarray, ...], ...]
     is_convex: bool = True
+    variant: str = field(default="convex_hull_statewise", init=False, compare=False, repr=False)
+    pins: tuple[tuple[int, int, float], ...] = field(
+        default=(), init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         gens = tuple(
@@ -445,7 +351,12 @@ class ConvexHullStatewise(RestrictedPolicySpace):
             for g in per_state:
                 if g.shape != (width,):
                     raise MalformedInputError("generator strategies must share one length")
+        stacks = tuple(np.stack(per_state) for per_state in gens)
+        for stacked in stacks:
+            stacked.setflags(write=False)
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "_stacks", stacks)
+        object.__setattr__(self, "_whole", tuple(_covers_simplex(g) for g in stacks))
 
     @property
     def n_states(self) -> int:  # type: ignore[override]
@@ -457,8 +368,9 @@ class ConvexHullStatewise(RestrictedPolicySpace):
 
     def contains(self, policy: Policy, tol: float = MEMBERSHIP_TOL) -> bool:
         self._check_shape(policy)
-        for s in range(self.n_states):
-            stacked = np.stack(self.generators[s])
+        for s, stacked in enumerate(self._stacks):
+            if self._whole[s]:
+                continue
             gap, _ = _recover_weights_lp(policy.probs[s], stacked)
             if gap > tol:
                 return False
@@ -467,10 +379,11 @@ class ConvexHullStatewise(RestrictedPolicySpace):
     def project(self, policy: Policy) -> Policy:
         self._check_shape(policy)
         rows = []
-        for s in range(self.n_states):
-            stacked = np.stack(self.generators[s])
-            w = _project_onto_hull(policy.probs[s], stacked)
-            rows.append(stacked.T @ w)
+        for s, stacked in enumerate(self._stacks):
+            if self._whole[s]:
+                rows.append(project_to_simplex(policy.probs[s]))
+            else:
+                rows.append(stacked.T @ _project_onto_hull(policy.probs[s], stacked))
         probs = np.vstack(rows)
         probs = np.clip(probs, 0.0, None)
         probs /= probs.sum(axis=1, keepdims=True)
@@ -481,29 +394,22 @@ class ConvexHullStatewise(RestrictedPolicySpace):
 
     def random_member(self, rng: np.random.Generator) -> Policy:
         rows = []
-        for per_state in self.generators:
-            w = rng.dirichlet(np.ones(len(per_state)))
-            rows.append(np.stack(per_state).T @ w)
+        for stacked in self._stacks:
+            w = rng.dirichlet(np.ones(stacked.shape[0]))
+            rows.append(stacked.T @ w)
         return Policy(np.vstack(rows))
 
     def vertices(self) -> list[Policy]:
         counts = [len(per_state) for per_state in self.generators]
         total = int(np.prod(counts))
         if total > MAX_ENUMERATION:
-            raise UnsupportedOperationError("too many statewise vertex combinations")
-        out = []
-        for combo in itertools.product(*(range(c) for c in counts)):
-            out.append(
-                Policy(
-                    np.vstack(
-                        [self.generators[s][combo[s]] for s in range(self.n_states)]
-                    )
-                )
+            raise UnsupportedOperationError(
+                f"{total} vertices exceed the enumeration bound"
             )
-        return out
+        return [Policy(np.vstack(rows)) for rows in itertools.product(*self.generators)]
 
     def generators_at(self, s: int) -> np.ndarray:
-        return np.stack(self.generators[s])
+        return self._stacks[s]
 
     def param_dim(self) -> int:
         return sum(len(per_state) - 1 for per_state in self.generators)
@@ -514,157 +420,9 @@ class ConvexHullStatewise(RestrictedPolicySpace):
         ]
         points = []
         for combo in itertools.product(*per_state_grids):
-            rows = [
-                np.stack(self.generators[s]).T @ np.asarray(w)
-                for s, w in enumerate(combo)
-            ]
-            theta = tuple(x for w in combo for x in w[:-1])
+            rows = [self._stacks[s].T @ w for s, w in enumerate(combo)]
+            theta = tuple(x for w in combo for x in w[:-1].tolist())
             points.append((theta, Policy(np.vstack(rows))))
-        return points
-
-
-@dataclass(frozen=True)
-class FixedCoordinates(RestrictedPolicySpace):
-    """Simplex with pinned entries: listed (state, action) pairs hold fixed mass."""
-
-    n_states: int
-    n_actions: int
-    pins: tuple[tuple[int, int, float], ...]
-    is_convex: bool = True
-
-    def __post_init__(self) -> None:
-        pins = tuple((int(s), int(a), float(p)) for s, a, p in self.pins)
-        seen = set()
-        per_state_sum: dict[int, float] = {}
-        for s, a, p in pins:
-            if not (0 <= s < self.n_states and 0 <= a < self.n_actions):
-                raise MalformedInputError(f"pin ({s}, {a}) out of range")
-            if (s, a) in seen:
-                raise MalformedInputError(f"duplicate pin for ({s}, {a})")
-            if p < -STRUCTURAL_TOL or p > 1.0 + STRUCTURAL_TOL:
-                raise MalformedInputError(f"pin probability {p} outside [0, 1]")
-            seen.add((s, a))
-            per_state_sum[s] = per_state_sum.get(s, 0.0) + p
-        for s, total in per_state_sum.items():
-            if total > 1.0 + STRUCTURAL_TOL:
-                raise MalformedInputError(f"pins at state {s} sum to {total} > 1")
-            n_pinned = sum(1 for ps, _, _ in pins if ps == s)
-            if n_pinned == self.n_actions and abs(total - 1.0) > STRUCTURAL_TOL:
-                raise MalformedInputError(f"state {s} fully pinned but mass != 1")
-        object.__setattr__(self, "pins", pins)
-
-    def _pin_rows(self) -> list[dict[int, float]]:
-        rows: list[dict[int, float]] = [dict() for _ in range(self.n_states)]
-        for s, a, p in self.pins:
-            rows[s][a] = p
-        return rows
-
-    def contains(self, policy: Policy, tol: float = MEMBERSHIP_TOL) -> bool:
-        self._check_shape(policy)
-        for s, a, p in self.pins:
-            if abs(policy.probs[s, a] - p) > tol:
-                return False
-        return True
-
-    def project(self, policy: Policy) -> Policy:
-        self._check_shape(policy)
-        probs = np.array(policy.probs)
-        for s, row_pins in enumerate(self._pin_rows()):
-            if not row_pins:
-                probs[s] = project_to_simplex(probs[s])
-                continue
-            free = [a for a in range(self.n_actions) if a not in row_pins]
-            mass = 1.0 - sum(row_pins.values())
-            new_row = np.zeros(self.n_actions)
-            for a, p in row_pins.items():
-                new_row[a] = p
-            if free:
-                new_row[free] = project_to_simplex(probs[s, free], total=max(mass, 0.0))
-            probs[s] = new_row
-        return Policy(probs)
-
-    def witness(self) -> Policy:
-        probs = np.zeros((self.n_states, self.n_actions))
-        for s, row_pins in enumerate(self._pin_rows()):
-            free = [a for a in range(self.n_actions) if a not in row_pins]
-            mass = 1.0 - sum(row_pins.values())
-            for a, p in row_pins.items():
-                probs[s, a] = p
-            if free:
-                probs[s, free] = mass / len(free)
-        return Policy(probs)
-
-    def random_member(self, rng: np.random.Generator) -> Policy:
-        probs = np.zeros((self.n_states, self.n_actions))
-        for s, row_pins in enumerate(self._pin_rows()):
-            free = [a for a in range(self.n_actions) if a not in row_pins]
-            mass = 1.0 - sum(row_pins.values())
-            for a, p in row_pins.items():
-                probs[s, a] = p
-            if free:
-                probs[s, free] = mass * rng.dirichlet(np.ones(len(free)))
-        return Policy(probs)
-
-    def vertex_rows_per_state(self) -> list[list[np.ndarray]]:
-        """Per state, the extreme strategies: pins fixed, free mass on one action."""
-        per_state_rows: list[list[np.ndarray]] = []
-        for s, row_pins in enumerate(self._pin_rows()):
-            free = [a for a in range(self.n_actions) if a not in row_pins]
-            mass = 1.0 - sum(row_pins.values())
-            base = np.zeros(self.n_actions)
-            for a, p in row_pins.items():
-                base[a] = p
-            rows = []
-            if not free or mass <= STRUCTURAL_TOL:
-                rows.append(base)
-            else:
-                for a in free:
-                    row = base.copy()
-                    row[a] = mass
-                    rows.append(row)
-            per_state_rows.append(rows)
-        return per_state_rows
-
-    def vertices(self) -> list[Policy]:
-        """Pinned coordinates fixed, all free mass on one free action per state."""
-        per_state_rows = self.vertex_rows_per_state()
-        total = int(np.prod([len(r) for r in per_state_rows]))
-        if total > MAX_ENUMERATION:
-            raise UnsupportedOperationError("too many pinned-simplex vertices")
-        return [
-            Policy(np.vstack(rows))
-            for rows in itertools.product(*per_state_rows)
-        ]
-
-    def param_dim(self) -> int:
-        dims = 0
-        for row_pins in self._pin_rows():
-            free = self.n_actions - len(row_pins)
-            dims += max(free - 1, 0)
-        return dims
-
-    def param_points(self, resolution: float):
-        per_state: list[list[np.ndarray]] = []
-        for s, row_pins in enumerate(self._pin_rows()):
-            free = [a for a in range(self.n_actions) if a not in row_pins]
-            mass = 1.0 - sum(row_pins.values())
-            base = np.zeros(self.n_actions)
-            for a, p in row_pins.items():
-                base[a] = p
-            rows = []
-            if not free or mass <= STRUCTURAL_TOL:
-                rows.append(base)
-            else:
-                for w in simplex_grid(len(free), resolution):
-                    row = base.copy()
-                    row[free] = mass * np.asarray(w)
-                    rows.append(row)
-            per_state.append(rows)
-        points = []
-        for combo in itertools.product(*per_state):
-            policy = Policy(np.vstack(combo))
-            theta = tuple(policy.probs.ravel())
-            points.append((theta, policy))
         return points
 
 
@@ -674,6 +432,7 @@ class DeterministicOnly(RestrictedPolicySpace):
 
     n_states: int
     n_actions: int
+    variant: str = field(default="deterministic_only", init=False, compare=False, repr=False)
 
     @property
     def is_convex(self) -> bool:  # type: ignore[override]
@@ -695,15 +454,7 @@ class DeterministicOnly(RestrictedPolicySpace):
         return Policy.pure(self.n_states, self.n_actions, choices)
 
     def vertices(self) -> list[Policy]:
-        total = self.n_actions**self.n_states
-        if total > MAX_ENUMERATION:
-            raise UnsupportedOperationError(
-                f"{total} pure policies exceeds the enumeration bound"
-            )
-        return [
-            Policy.pure(self.n_states, self.n_actions, choice)
-            for choice in itertools.product(range(self.n_actions), repeat=self.n_states)
-        ]
+        return FullSpace(self.n_states, self.n_actions).vertices()
 
     def param_dim(self) -> int:
         return 1
@@ -713,20 +464,77 @@ class DeterministicOnly(RestrictedPolicySpace):
 
 
 # ---------------------------------------------------------------------------
-# Operations over spaces
+# Constructors of the named hulls
 # ---------------------------------------------------------------------------
 
 
-def membership(
-    space: RestrictedPolicySpace, policy: Policy, tol: float = MEMBERSHIP_TOL
-) -> bool:
-    return space.contains(policy, tol)
+def _tagged(space: RestrictedPolicySpace, variant: str) -> RestrictedPolicySpace:
+    object.__setattr__(space, "variant", variant)
+    return space
 
 
-def project(space: RestrictedPolicySpace, policy: Policy) -> Policy:
-    if not space.is_convex:
-        raise UnsupportedOperationError("cannot project onto a non-convex space")
-    return space.project(policy)
+def FullSpace(n_states: int, n_actions: int) -> ConvexHullStatewise:
+    """The whole policy polytope: the statewise hull of the unit vectors."""
+    unit = tuple(np.eye(n_actions))
+    return _tagged(ConvexHullStatewise((unit,) * n_states), "full")
+
+
+def FixedCoordinates(
+    n_states: int, n_actions: int, pins: Sequence[tuple[int, int, float]]
+) -> ConvexHullStatewise:
+    """Simplex with pinned entries: listed (state, action) pairs hold fixed mass.
+
+    Pins are independent across states, so the space is the statewise hull
+    of each state's extreme strategies: the pins fixed and all free mass on
+    one free action.
+    """
+    pins = tuple((int(s), int(a), float(p)) for s, a, p in pins)
+    pin_rows: list[dict[int, float]] = [dict() for _ in range(n_states)]
+    for s, a, p in pins:
+        if not (0 <= s < n_states and 0 <= a < n_actions):
+            raise MalformedInputError(f"pin ({s}, {a}) out of range")
+        if a in pin_rows[s]:
+            raise MalformedInputError(f"duplicate pin for ({s}, {a})")
+        if p < -STRUCTURAL_TOL or p > 1.0 + STRUCTURAL_TOL:
+            raise MalformedInputError(f"pin probability {p} outside [0, 1]")
+        pin_rows[s][a] = p
+    per_state_rows = []
+    for s, row_pins in enumerate(pin_rows):
+        total = sum(row_pins.values())
+        if total > 1.0 + STRUCTURAL_TOL:
+            raise MalformedInputError(f"pins at state {s} sum to {total} > 1")
+        free = [a for a in range(n_actions) if a not in row_pins]
+        if not free and abs(total - 1.0) > STRUCTURAL_TOL:
+            raise MalformedInputError(f"state {s} fully pinned but mass != 1")
+        base = np.zeros(n_actions)
+        base[list(row_pins)] = list(row_pins.values())
+        mass = 1.0 - total
+        if free and mass > STRUCTURAL_TOL:
+            per_state_rows.append(tuple(base + mass * np.eye(n_actions)[free]))
+        else:
+            per_state_rows.append((base,))
+    hull = _tagged(ConvexHullStatewise(tuple(per_state_rows)), "fixed_coordinates")
+    object.__setattr__(hull, "pins", pins)
+    return hull
+
+
+def StateUniform(n_states: int, n_actions: int) -> ConvexHullGlobal:
+    """One shared mixed strategy in every state: the global hull of the
+    all-states-one-action pure policies."""
+    generators = tuple(
+        Policy.pure(n_states, n_actions, [a] * n_states) for a in range(n_actions)
+    )
+    return _tagged(ConvexHullGlobal(generators), "state_uniform")
+
+
+def Singleton(policy: Policy) -> ConvexHullGlobal:
+    """Exactly one admissible policy: the global hull of one generator."""
+    return _tagged(ConvexHullGlobal((policy,)), "singleton")
+
+
+# ---------------------------------------------------------------------------
+# Operations over spaces
+# ---------------------------------------------------------------------------
 
 
 def convexity_probe(
@@ -741,10 +549,6 @@ def convexity_probe(
         if not space.contains(mid, tol=MEMBERSHIP_TOL):
             return False
     return True
-
-
-def full_space_for(game: StochasticGame, i: int) -> FullSpace:
-    return FullSpace(game.n_states, game.action_counts[i])
 
 
 # ---------------------------------------------------------------------------
@@ -787,13 +591,6 @@ class TauMapping:
     @property
     def n_players(self) -> int:
         return len(self.taus)
-
-    def identity_like(self) -> bool:
-        return all(
-            t.shape[1] == t.shape[2]
-            and np.max(np.abs(t - np.eye(t.shape[1]))) <= STRUCTURAL_TOL
-            for t in self.taus
-        )
 
 
 def identity_tau(game: StochasticGame) -> TauMapping:
@@ -952,43 +749,26 @@ def map_policy(ig: ImplicitGame, implicit_joint: JointPolicy) -> JointPolicy:
 def space_to_dict(space: RestrictedPolicySpace, states: Sequence[str]) -> dict:
     from .games import policy_to_dict
 
-    if isinstance(space, FullSpace):
-        return {"variant": "full", "states": len(states), "actions": space.n_actions}
-    if isinstance(space, Singleton):
-        return {"variant": "singleton", "policy": policy_to_dict(space.policy, states)}
-    if isinstance(space, ConvexHullGlobal):
+    variant = space.variant
+    if variant == "convex_hull_global":
         return {
-            "variant": "convex_hull_global",
+            "variant": variant,
             "generators": [policy_to_dict(g, states) for g in space.generators],
         }
-    if isinstance(space, ConvexHullStatewise):
+    if variant == "singleton":
+        return {"variant": variant, "policy": policy_to_dict(space.generators[0], states)}
+    if variant == "convex_hull_statewise":
         return {
-            "variant": "convex_hull_statewise",
+            "variant": variant,
             "generators": {
                 states[s]: [[float(x) for x in g] for g in per_state]
                 for s, per_state in enumerate(space.generators)
             },
         }
-    if isinstance(space, StateUniform):
-        return {
-            "variant": "state_uniform",
-            "states": len(states),
-            "actions": space.n_actions,
-        }
-    if isinstance(space, FixedCoordinates):
-        return {
-            "variant": "fixed_coordinates",
-            "states": len(states),
-            "actions": space.n_actions,
-            "pins": [[states[s], a, p] for s, a, p in space.pins],
-        }
-    if isinstance(space, DeterministicOnly):
-        return {
-            "variant": "deterministic_only",
-            "states": len(states),
-            "actions": space.n_actions,
-        }
-    raise MalformedInputError(f"unknown space type {type(space).__name__}")
+    record = {"variant": variant, "states": len(states), "actions": space.n_actions}
+    if variant == "fixed_coordinates":
+        record["pins"] = [[states[s], a, p] for s, a, p in space.pins]
+    return record
 
 
 def space_from_dict(
@@ -1062,29 +842,27 @@ def load_spaces(path, game: StochasticGame) -> list[RestrictedPolicySpace]:
 def space_equal(
     a: RestrictedPolicySpace, b: RestrictedPolicySpace, tol: float = 1e-12
 ) -> bool:
-    """Structural equality within tol (used by round-trip checks)."""
-    if type(a) is not type(b):
+    """Structural equality within tol (used by round-trip checks): the same
+    class, shape and file record, numbers compared within tol."""
+    if type(a) is not type(b) or (a.n_states, a.n_actions) != (b.n_states, b.n_actions):
         return False
-    if (a.n_states, a.n_actions) != (b.n_states, b.n_actions):
-        return False
-    if isinstance(a, Singleton):
-        return bool(np.max(np.abs(a.policy.probs - b.policy.probs)) <= tol)
-    if isinstance(a, ConvexHullGlobal):
-        return len(a.generators) == len(b.generators) and all(
-            np.max(np.abs(x.probs - y.probs)) <= tol
-            for x, y in zip(a.generators, b.generators)
+    states = [f"s{k}" for k in range(a.n_states)]
+    return _records_close(space_to_dict(a, states), space_to_dict(b, states), tol)
+
+
+def _records_close(x, y, tol: float) -> bool:
+    if isinstance(x, dict):
+        return (
+            isinstance(y, dict)
+            and x.keys() == y.keys()
+            and all(_records_close(x[key], y[key], tol) for key in x)
         )
-    if isinstance(a, ConvexHullStatewise):
-        return all(
-            len(pa) == len(pb)
-            and all(np.max(np.abs(x - y)) <= tol for x, y in zip(pa, pb))
-            for pa, pb in zip(a.generators, b.generators)
+    if isinstance(x, list):
+        return (
+            isinstance(y, list)
+            and len(x) == len(y)
+            and all(_records_close(u, v, tol) for u, v in zip(x, y))
         )
-    if isinstance(a, FixedCoordinates):
-        if len(a.pins) != len(b.pins):
-            return False
-        return all(
-            sa == sb and aa == ab and abs(pa - pb) <= tol
-            for (sa, aa, pa), (sb, ab, pb) in zip(sorted(a.pins), sorted(b.pins))
-        )
-    return True
+    if isinstance(x, float):
+        return isinstance(y, (int, float)) and abs(x - y) <= tol
+    return x == y

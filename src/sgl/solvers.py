@@ -2,24 +2,30 @@
 
 Matrix-game minimax is solved by linear programming, refined to the
 lexicographically-least optimal vertex (sequential LPs) and then polished
-by solving the active-constraint system directly, so returned strategies
-and values are accurate to machine precision rather than LP tolerance.
+by solving the active-constraint system directly.  What the code checks is
+that the row and column securities of the returned strategies agree within
+LP_REGRET_TOL, so both strategies have pure-deviation regret within it.
+Neither the value nor the strategy entries are exact: ROADMAP D6 records a
+value off by 5e-11 and a strategy entry of -7.5e-11.
 
-Restricted best responses dispatch on the structure of the space:
+Restricted best responses take one route per input:
 
-(a) single-state games against any polytopal space reduce to maximizing a
-    linear function of the strategy, exact at a vertex;
-(b) multi-state games with the full space or a statewise hull reduce to an
-    MDP over per-state generator choices, solved by exact policy iteration
-    (discounted) or a gain/bias LP (average reward), which maximizes every
-    state's value simultaneously;
-(c) multi-state games with a global hull or the state-uniform space tie the
-    weights across states, making the value generally non-concave in the
-    weights; these are searched by a dense grid over the weight simplex,
-    evaluated in one batched solve, then polished by a batched zoom over
-    each coordinate pair.  The result carries a Lipschitz-style tolerance
-    estimate from adjacent grid values, which is not a proof, instead of
-    an exactness claim.
+(a) single-state games, whatever the space, reduce to maximizing a linear
+    function of the strategy over ``space.vertices()``, exact at a vertex;
+(b) multi-state games with a ``ConvexHullStatewise`` space (``FullSpace``
+    and ``FixedCoordinates`` build these) reduce to an MDP over per-state
+    generator choices, solved by exact policy iteration (discounted) or a
+    gain/bias LP (average reward), which maximizes every state's value
+    simultaneously;
+(c) multi-state games with a ``ConvexHullGlobal`` space (``StateUniform``
+    and ``Singleton`` build these) tie the weights across states, making
+    the value generally non-concave in the weights; these are searched by
+    a dense grid over the weight simplex, evaluated in one batched solve,
+    then polished by a batched zoom over each coordinate pair.  The result
+    carries a Lipschitz-style tolerance estimate from adjacent grid values,
+    which is not a proof, instead of an exactness claim;
+(d) multi-state games with the ``DeterministicOnly`` space enumerate the
+    pure policies.
 
 Equilibrium certificates report per-player regret gaps at the initial
 state: the restricted-best-response value minus the value of the candidate
@@ -36,9 +42,7 @@ across runs and evaluation orders.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,7 +50,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .games import (
-    Average,
     Discounted,
     JointPolicy,
     MalformedInputError,
@@ -59,13 +62,10 @@ from .restrictions import (
     ConvexHullGlobal,
     ConvexHullStatewise,
     DeterministicOnly,
-    FixedCoordinates,
     FullSpace,
     ImplicitGame,
     MEMBERSHIP_TOL,
     RestrictedPolicySpace,
-    Singleton,
-    StateUniform,
     TauMapping,
     build_implicit,
     map_policy,
@@ -413,14 +413,6 @@ def _matrix_best_response(
     )
 
 
-def _statewise_generators(
-    mdp: InducedMDP, space: FullSpace | ConvexHullStatewise
-) -> list[np.ndarray]:
-    if isinstance(space, FullSpace):
-        return [np.eye(mdp.n_actions) for _ in range(mdp.n_states)]
-    return [space.generators_at(s) for s in range(mdp.n_states)]
-
-
 def _policy_iteration_discounted(
     mdp: InducedMDP, generators: list[np.ndarray]
 ) -> tuple[list[int], np.ndarray]:
@@ -497,10 +489,10 @@ def _gain_bias_lp(
 def _statewise_best_response(
     game: StochasticGame,
     mdp: InducedMDP,
-    space: FullSpace | ConvexHullStatewise,
+    space: ConvexHullStatewise,
 ) -> BestResponseResult:
     """Route (b): optimal per-state generator choice in the induced MDP."""
-    generators = _statewise_generators(mdp, space)
+    generators = [space.generators_at(s) for s in range(mdp.n_states)]
     if isinstance(mdp.formulation, Discounted):
         choice, v = _policy_iteration_discounted(mdp, generators)
         value = float(v[mdp.initial_index])
@@ -524,14 +516,6 @@ _ZOOM_POINTS = 33
 _ZOOM_LEVELS = 12
 _ZOOM_WIDTH = 1e-13
 _ZOOM_FRACTIONS = np.linspace(0.0, 1.0, _ZOOM_POINTS)
-
-
-@functools.lru_cache(maxsize=16)
-def _weight_grid(k: int, step: float) -> np.ndarray:
-    """The simplex grid as a read-only (points, k) array, built once per shape."""
-    grid = np.asarray(simplex_grid(k, step), dtype=float)
-    grid.setflags(write=False)
-    return grid
 
 
 def _weight_values(
@@ -609,7 +593,7 @@ def _weight_best_response(
         w = np.ones(1)
         value = float(value_of(w[np.newaxis])[0])
         return BestResponseResult(hull.policy_of_weights(w), value)
-    grid = _weight_grid(k, grid_step)
+    grid = simplex_grid(k, grid_step)
     values = value_of(grid)
     best_at = int(np.argmax(values))
     # Largest change per step between grid neighbours bounds what refinement
@@ -664,30 +648,15 @@ def restricted_best_response(
     mdp = induce_mdp(game, i, others)
     if space.n_states != game.n_states or space.n_actions != game.action_counts[i]:
         raise MalformedInputError("space shape does not match the player")
-    if isinstance(space, Singleton):
-        value = float(mdp_policy_value(mdp, space.policy.probs)[mdp.initial_index])
-        return BestResponseResult(space.policy, value, description="singleton")
     if game.is_matrix_game:
         return _matrix_best_response(game, mdp, space)
-    if isinstance(space, (FullSpace, ConvexHullStatewise)):
+    if isinstance(space, ConvexHullStatewise):
         return _statewise_best_response(game, mdp, space)
-    if isinstance(space, StateUniform):
-        return _weight_best_response(game, mdp, space.as_hull())
     if isinstance(space, ConvexHullGlobal):
         return _weight_best_response(game, mdp, space)
     if isinstance(space, DeterministicOnly):
         return _deterministic_best_response(game, mdp, space)
-    if isinstance(space, FixedCoordinates):
-        # Pins are independent across states, so the space is the statewise
-        # hull of its per-state vertices.
-        statewise = _pinned_as_statewise(space)
-        return _statewise_best_response(game, mdp, statewise)
     raise UnsupportedOperationError(f"unsupported space {type(space).__name__}")
-
-
-def _pinned_as_statewise(space: FixedCoordinates) -> ConvexHullStatewise:
-    per_state = space.vertex_rows_per_state()
-    return ConvexHullStatewise(tuple(tuple(rows) for rows in per_state))
 
 
 # ---------------------------------------------------------------------------
@@ -745,20 +714,10 @@ def enumerate_deterministic(
             f"{total} pure joint policies exceeds the bound {max_profiles}"
         )
     full = [FullSpace(game.n_states, k) for k in game.action_counts]
-    certificates = []
-    choice_lists = [
-        list(itertools.product(range(k), repeat=game.n_states))
-        for k in game.action_counts
+    return [
+        check_equilibrium(game, JointPolicy(combo), full, epsilon)
+        for combo in itertools.product(*(space.vertices() for space in full))
     ]
-    for combo in itertools.product(*choice_lists):
-        joint = JointPolicy(
-            tuple(
-                Policy.pure(game.n_states, game.action_counts[i], combo[i])
-                for i in range(game.n_players)
-            )
-        )
-        certificates.append(check_equilibrium(game, joint, full, epsilon))
-    return certificates
 
 
 def restricted_equilibrium_via_implicit(
@@ -768,27 +727,19 @@ def restricted_equilibrium_via_implicit(
 ) -> RestrictedMatrixEquilibrium:
     """Solve a restricted zero-sum matrix game through its implicit game.
 
-    Hull generators become the implicit actions (the full space contributes
-    its pure actions), the implicit matrix game is solved by minimax LP,
-    and the optimal implicit mixtures map back to explicit strategies.
+    Each space's vertices become the implicit actions (the full space
+    contributes its pure actions), the implicit matrix game is solved by
+    minimax LP, and the optimal implicit mixtures map back to explicit
+    strategies.
     """
     if game.n_players != 2 or not game.is_matrix_game:
         raise UnsupportedOperationError("implicit route needs a 2-player matrix game")
     if not classify(game).is_zero_sum:
         raise UnsupportedOperationError("implicit route needs a zero-sum game")
-    generator_lists = []
-    for i, space in enumerate(spaces):
-        if isinstance(space, ConvexHullGlobal):
-            generator_lists.append(list(space.generators))
-        elif isinstance(space, (FullSpace, StateUniform, DeterministicOnly)):
-            generator_lists.append(space.vertices())
-        else:
-            raise UnsupportedOperationError(
-                f"space {type(space).__name__} has no finite generator set"
-            )
     taus = []
     names = []
-    for i, gens in enumerate(generator_lists):
+    for space in spaces:
+        gens = space.vertices()
         tau = np.stack([g.probs[0] for g in gens])[np.newaxis, :, :]
         taus.append(tau)
         names.append(tuple(f"g{k}" for k in range(len(gens))))
@@ -1016,11 +967,6 @@ def certificate_to_dict(cert: EquilibriumCertificate, game: StochasticGame) -> d
         "verdict": bool(cert.verdict),
         "policy": joint_policy_to_list(cert.joint, game.states),
     }
-
-
-def save_certificate(cert: EquilibriumCertificate, game: StochasticGame, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(certificate_to_dict(cert, game), fh, indent=2)
 
 
 def sweep_to_csv(result: SweepResult, path) -> None:

@@ -1,6 +1,7 @@
 """Command-line surface: commands, file formats, and exit codes."""
 
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -275,6 +276,29 @@ class TestReproduce:
         assert code == 0
         summary = json.loads((tmp_path / "bos" / "summary.json").read_text())
         assert summary["count"] == 3
+
+    # sha256 of the certification outputs at the default seed, pinned from
+    # the code before the restricted-space classes were collapsed.
+    CERTIFICATION_DIGESTS = {
+        "fact1": {
+            "summary.json": "d593d61dde7f1d34d464010b30d2542bc14055c9d9c96dbe757330aed53abe2b",
+        },
+        "fact5": {
+            "summary.json": "0dbfcd6405e782720a41febeb308e8e5f6ff61a67dc584c829c73104cbea0b5a",
+            "sweep.csv": "c33796cb4c46b566a7a8dd7cd029058de46d7297959c94e1dbda127f3eeb4a0f",
+        },
+        "bos-equilibria": {
+            "summary.json": "1f1e44abd2a3d112c3ca0f1ea690bacd09665f72f7a669765bf2aa99a0994cef",
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(CERTIFICATION_DIGESTS))
+    def test_certification_outputs_are_pinned(self, capsys, tmp_path, name):
+        code, _ = run_cli(capsys, "reproduce", name, "--out", str(tmp_path / name))
+        assert code == 0
+        for filename, digest in self.CERTIFICATION_DIGESTS[name].items():
+            data = (tmp_path / name / filename).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, filename
 
     def test_small_learning_run_files(self, capsys, tmp_path):
         out = tmp_path / "rps"

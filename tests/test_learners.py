@@ -23,11 +23,10 @@ from sgl.learners import (
     fresh_learner,
     load_trajectory_rows,
     q_learner_step,
-    restricted_wolf_phc_step,
     self_play,
     wolf_phc_step,
 )
-from sgl.restrictions import ConvexHullGlobal, FullSpace, StateUniform, membership
+from sgl.restrictions import ConvexHullGlobal, FullSpace, StateUniform
 from sgl.solvers import check_equilibrium
 from util import random_game, reference_stabilization_iteration
 
@@ -162,11 +161,6 @@ class TestWolfPhcStep:
 
 
 class TestRestrictedStep:
-    def test_requires_generators(self):
-        learner = fresh_learner(1, 2, WolfPhcConfig())
-        with pytest.raises(MalformedInputError):
-            restricted_wolf_phc_step(learner, 0, 0, 1.0, 0, 0)
-
     def test_explicit_policy_is_weight_blend(self, rps_column_hull):
         gens = np.stack([g.probs for g in rps_column_hull.generators])
         learner = fresh_learner(1, 2, WolfPhcConfig(), generators=gens)
@@ -174,6 +168,7 @@ class TestRestrictedStep:
         assert np.allclose(learner.explicit_row(0), [0.5, 0.5, 0.0])
         learner.policy[0] = [2 / 3, 1 / 3]
         assert np.allclose(learner.explicit_row(0), [1 / 3, 0.5, 1 / 6])
+        assert all(type(x) is float for x in learner.explicit_row(0))
 
     def test_same_arithmetic_as_unrestricted(self, rps_column_hull):
         gens = np.stack([g.probs for g in rps_column_hull.generators])
@@ -183,7 +178,7 @@ class TestRestrictedStep:
         for t in range(30):
             g = int(rng.integers(0, 2))
             r = float(rng.normal())
-            restricted_wolf_phc_step(restricted, 0, g, r, 0, t)
+            wolf_phc_step(restricted, 0, g, r, 0, t)
             wolf_phc_step(plain, 0, g, r, 0, t)
         assert restricted.policy == plain.policy
         assert restricted.q == plain.q
@@ -197,7 +192,8 @@ class TestRestrictedStep:
         )
         for row in log.player_rows(1):
             policy = Policy(np.asarray(row.explicit)[np.newaxis, :])
-            assert membership(rps_column_hull, policy, tol=1e-9)
+            assert rps_column_hull.contains(policy, tol=1e-9)
+            assert all(type(x) is float for x in row.explicit)
 
 
 class TestQLearner:

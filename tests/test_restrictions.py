@@ -1,9 +1,12 @@
 """Restricted policy spaces, projections, and implicit games."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sgl import restrictions
 from sgl.games import (
     Average,
     Discounted,
@@ -28,15 +31,15 @@ from sgl.restrictions import (
     epsilon_exploration,
     identity_tau,
     map_policy,
-    membership,
-    project,
     project_to_simplex,
+    save_spaces,
+    simplex_grid,
     space_equal,
     space_from_dict,
     space_to_dict,
 )
 from sgl.values import matrix_value, policy_value, policy_value_discounted
-from util import random_game, random_joint_policy, random_policy
+from util import random_game, random_joint_policy, random_policy, reference_simplex_grid
 
 ALL_SPACES = {}
 
@@ -68,43 +71,66 @@ def _build_spaces():
 
 ALL_SPACES = _build_spaces()
 
+SAVED_SPACE_DIGESTS = {
+    "deterministic": "0fa705f1aa37b3664df60b34de29a99e84a7f5c72c2d7322b1f7b278f716956a",
+    "fixed": "40e2cddceff2ef238877815b4884b76bc0a0e5e47479be0f7516d3dfada45eca",
+    "full": "772fbfc9ba9f5c330b6ac8731135cf45a5f09c9f1be5b2b2e6eca6454755fc88",
+    "hull_global": "564884d87ab0b482e38b9e46701fc2cd0ff5ada571a99d77439349a600a303b4",
+    "hull_statewise": "9af9e26a0cf0558c509bd7217b19811681d20d6c4096decc04a37a6bdd36be91",
+    "singleton": "95972748b3058d103c64f7bee2c3ddba8456afa1b5ab4432b13d4804112774f7",
+    "state_uniform": "bd8a89cab73ce2f3bde821da93cb72f4504bb7a7fef4e976ee4ed21cbd2fdcb7",
+}
+
 
 class TestMembership:
     def test_pinned_half_accepts_and_rejects(self):
         space = FixedCoordinates(1, 3, ((0, 1, 0.5),))
-        assert membership(space, Policy([[0.25, 0.5, 0.25]]))
-        assert not membership(space, Policy([[1 / 3, 1 / 3, 1 / 3]]))
+        assert space.contains(Policy([[0.25, 0.5, 0.25]]))
+        assert not space.contains(Policy([[1 / 3, 1 / 3, 1 / 3]]))
 
     def test_hull_weight_recovery(self):
         hull = ConvexHullGlobal(
             (Policy([[0.5, 0.5, 0.0]]), Policy([[0.0, 0.5, 0.5]]))
         )
         # (1/3, 1/2, 1/6) = 2/3 * s1 + 1/3 * s2.
-        assert membership(hull, Policy([[1 / 3, 0.5, 1 / 6]]))
-        assert not membership(hull, Policy([[1 / 3, 1 / 3, 1 / 3]]))
+        assert hull.contains(Policy([[1 / 3, 0.5, 1 / 6]]))
+        assert not hull.contains(Policy([[1 / 3, 1 / 3, 1 / 3]]))
         gap, weights = hull.recover_weights(Policy([[1 / 3, 0.5, 1 / 6]]))
         assert gap <= 1e-9
         assert np.allclose(weights, [2 / 3, 1 / 3], atol=1e-9)
 
     def test_state_uniform(self):
         space = StateUniform(2, 2)
-        assert membership(space, Policy([[0.3, 0.7], [0.3, 0.7]]))
-        assert not membership(space, Policy([[0.3, 0.7], [0.7, 0.3]]))
+        assert space.contains(Policy([[0.3, 0.7], [0.3, 0.7]]))
+        assert not space.contains(Policy([[0.3, 0.7], [0.7, 0.3]]))
 
     def test_deterministic(self):
         space = DeterministicOnly(2, 2)
-        assert membership(space, Policy.pure(2, 2, [1, 0]))
-        assert not membership(space, Policy([[0.5, 0.5], [1.0, 0.0]]))
+        assert space.contains(Policy.pure(2, 2, [1, 0]))
+        assert not space.contains(Policy([[0.5, 0.5], [1.0, 0.0]]))
 
     def test_every_witness_is_a_member(self):
         for name, space in ALL_SPACES.items():
-            assert membership(space, space.witness()), name
+            assert space.contains(space.witness()), name
 
     def test_random_members_are_members(self):
         rng = np.random.default_rng(0)
         for name, space in ALL_SPACES.items():
             for _ in range(20):
-                assert membership(space, space.random_member(rng)), name
+                assert space.contains(space.random_member(rng)), name
+
+
+class TestSimplexGrid:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_pointwise_recursion(self, k):
+        for resolution in (1.0, 0.7, 0.5, 1 / 3, 0.1, 0.03):
+            grid = simplex_grid(k, resolution)
+            assert not grid.flags.writeable
+            assert grid.tolist() == [list(p) for p in reference_simplex_grid(k, resolution)]
+
+    def test_rejects_empty_simplex(self):
+        with pytest.raises(ValueError):
+            simplex_grid(0, 0.1)
 
 
 class TestProjection:
@@ -120,17 +146,17 @@ class TestProjection:
             if not space.is_convex:
                 continue
             member = space.random_member(rng)
-            projected = project(space, member)
+            projected = space.project(member)
             assert np.max(np.abs(projected.probs - member.probs)) <= 1e-10, name
 
     def test_pin_projection_hand_solved(self):
         space = FixedCoordinates(1, 3, ((0, 1, 0.5),))
-        projected = project(space, Policy([[1.0, 0.0, 0.0]]))
+        projected = space.project(Policy([[1.0, 0.0, 0.0]]))
         assert np.allclose(projected.probs, [[0.5, 0.5, 0.0]], atol=1e-12)
 
     def test_state_uniform_projects_to_mean(self):
         space = StateUniform(2, 2)
-        projected = project(space, Policy([[1.0, 0.0], [0.0, 1.0]]))
+        projected = space.project(Policy([[1.0, 0.0], [0.0, 1.0]]))
         assert np.allclose(projected.probs, 0.5, atol=1e-12)
 
     def test_idempotence_and_membership(self):
@@ -140,21 +166,41 @@ class TestProjection:
                 continue
             for _ in range(15):
                 raw = random_policy(rng, space.n_states, space.n_actions)
-                once = project(space, raw)
-                twice = project(space, once)
-                assert membership(space, once, tol=1e-9), name
+                once = space.project(raw)
+                twice = space.project(once)
+                assert space.contains(once, tol=1e-9), name
                 assert np.max(np.abs(twice.probs - once.probs)) <= 1e-10, name
+
+    def test_whole_simplex_states_need_no_hull_solver(self, monkeypatch):
+        # States whose generators include every unit vector answer membership
+        # and projection without an LP or the support enumeration, which also
+        # keeps them usable above MAX_HULL_GENERATORS actions.
+        def forbidden(*args):
+            raise AssertionError("hull solver called on a whole-simplex state")
+
+        monkeypatch.setattr(restrictions, "_recover_weights_lp", forbidden)
+        monkeypatch.setattr(restrictions, "_project_onto_hull", forbidden)
+        rng = np.random.default_rng(4)
+        n_actions = restrictions.MAX_HULL_GENERATORS + 3
+        for space in (FullSpace(2, n_actions), FixedCoordinates(2, n_actions, ())):
+            raw = random_policy(rng, 2, n_actions)
+            assert space.contains(raw)
+            projected = space.project(raw)
+            assert np.max(np.abs(projected.probs - raw.probs)) <= 1e-12
+        pinned = FixedCoordinates(2, 3, ((0, 1, 0.5),))
+        with pytest.raises(AssertionError):
+            pinned.contains(pinned.witness())
 
     def test_deterministic_rejects_projection(self):
         with pytest.raises(UnsupportedOperationError):
-            project(DeterministicOnly(1, 3), Policy([[0.5, 0.25, 0.25]]))
+            DeterministicOnly(1, 3).project(Policy([[0.5, 0.25, 0.25]]))
 
     def test_hull_projection_beats_vertices(self):
         rng = np.random.default_rng(3)
         hull = ALL_SPACES["hull_global"]
         for _ in range(10):
             raw = random_policy(rng, 2, 3)
-            projected = project(hull, raw)
+            projected = hull.project(raw)
             d_proj = np.sum((projected.probs - raw.probs) ** 2)
             for g in hull.generators:
                 assert d_proj <= np.sum((g.probs - raw.probs) ** 2) + 1e-12
@@ -192,7 +238,7 @@ class TestConvexity:
                         ]
                     )
                 )
-                assert membership(space, blend)
+                assert space.contains(blend)
 
     def test_global_hull_fails_statewise_blend(self):
         """Per-state blending escapes spaces whose weights are tied across states."""
@@ -201,10 +247,10 @@ class TestConvexity:
         )
         a, b = hull.generators
         mixed_states = Policy(np.vstack([a.probs[0], b.probs[1]]))
-        assert not membership(hull, mixed_states)
+        assert not hull.contains(mixed_states)
         uniform_space = StateUniform(2, 2)
-        assert membership(uniform_space, a) and membership(uniform_space, b)
-        assert not membership(uniform_space, mixed_states)
+        assert uniform_space.contains(a) and uniform_space.contains(b)
+        assert not uniform_space.contains(mixed_states)
 
 
 class TestSerialization:
@@ -214,6 +260,16 @@ class TestSerialization:
             data = space_to_dict(space, states)
             back = space_from_dict(data, states, space.n_actions)
             assert space_equal(space, back), name
+
+    @pytest.mark.parametrize("name", sorted(SAVED_SPACE_DIGESTS))
+    def test_saved_file_bytes_are_pinned(self, tmp_path, name):
+        # save_spaces of [space] over states ("s0", "s1"): the bytes written
+        # before the variants other than the two hulls and the deterministic
+        # space became constructor functions.
+        game = random_game(np.random.default_rng(0), n_states=2, action_counts=(3, 3))
+        path = tmp_path / "spaces.json"
+        save_spaces([ALL_SPACES[name]], game, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_SPACE_DIGESTS[name]
 
     def test_pins_serialize_by_state_name(self):
         data = space_to_dict(ALL_SPACES["fixed"], ("s0", "s1"))
@@ -392,7 +448,7 @@ def test_projection_idempotence_random_spaces(seed):
         tuple(random_policy(rng, n_states, n_actions) for _ in range(k))
     )
     raw = random_policy(rng, n_states, n_actions)
-    once = project(space, raw)
-    twice = project(space, once)
-    assert membership(space, once, tol=1e-9)
+    once = space.project(raw)
+    twice = space.project(once)
+    assert space.contains(once, tol=1e-9)
     assert np.max(np.abs(twice.probs - once.probs)) <= 1e-10

@@ -163,6 +163,23 @@ def grid_minimax_value(m: np.ndarray, resolution: float = 1e-3) -> float:
 # ---------------------------------------------------------------------------
 
 
+def reference_simplex_grid(k: int, resolution: float) -> list[tuple[float, ...]]:
+    """``restrictions.simplex_grid`` as a recursion over the entries, one
+    point at a time, with each entry p / N for N = round(1/resolution)."""
+    n = max(1, round(1.0 / resolution))
+    points: list[tuple[float, ...]] = []
+
+    def rec(prefix: list[int], remaining: int, slots: int) -> None:
+        if slots == 1:
+            points.append(tuple(p / n for p in prefix + [remaining]))
+            return
+        for c in range(remaining + 1):
+            rec(prefix + [c], remaining - c, slots - 1)
+
+    rec([], n, k)
+    return points
+
+
 def reference_sweep_rows(game, spaces, resolution: float) -> list[tuple]:
     """Existence-sweep rows computed one lattice point at a time.
 
