@@ -1,5 +1,16 @@
 """Command-line surface.
 
+Commands: ``validate`` checks a game file; ``solve`` runs minimax, support
+enumeration or the restricted implicit-game route; ``check`` certifies a
+joint policy; ``sweep`` grid-sweeps for equilibrium existence; ``learn``
+runs self-play; ``reproduce`` runs one named experiment into ``--out``, or
+with ``all`` every experiment into ``<out>/<name>/``.
+
+Restricted spaces come in one way: ``--spaces FILE``, a JSON list with one
+space object per player, read by ``restrictions.load_spaces``.  Without it
+every player has the full policy space (``sweep`` requires it).  ``learn``
+takes ``full`` and ``convex_hull_global`` entries only.
+
 Exit codes: 0 on success, 2 for malformed input (bad files, schema
 violations, policies outside their spaces), 3 for unsupported combinations
 (e.g. minimax on a general-sum game), 4 for ergodicity failures.  Results
@@ -28,7 +39,7 @@ from .games import (
     validate,
 )
 from .learners import PlayerSpec, WolfPhcConfig, final_joint_policy, self_play
-from .restrictions import FullSpace, load_spaces, space_from_dict
+from .restrictions import FullSpace, load_spaces
 from .solvers import (
     certificate_to_dict,
     check_equilibrium,
@@ -74,17 +85,11 @@ def _load_json_file(path: str):
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
 
 
-def _player_spaces(args, game):
-    """Spaces from --space-N options; players without one get the full space."""
-    spaces = []
-    for i in range(game.n_players):
-        path = getattr(args, f"space_{i}", None)
-        if path is None:
-            spaces.append(FullSpace(game.n_states, game.action_counts[i]))
-        else:
-            data = _load_json_file(path)
-            spaces.append(space_from_dict(data, game.states, game.action_counts[i]))
-    return spaces
+def _spaces(args, game):
+    """The --spaces file's spaces, or every player's full space without one."""
+    if args.spaces is None:
+        return [FullSpace(game.n_states, k) for k in game.action_counts]
+    return load_spaces(args.spaces, game)
 
 
 def _cmd_validate(args) -> int:
@@ -121,8 +126,7 @@ def _cmd_solve(args) -> int:
         )
         return EXIT_OK
     # restricted: solve through the implicit game over hull generators
-    spaces = _player_spaces(args, game)
-    solution = restricted_equilibrium_via_implicit(game, spaces)
+    solution = restricted_equilibrium_via_implicit(game, _spaces(args, game))
     _emit(
         {
             "value": solution.value,
@@ -138,18 +142,14 @@ def _cmd_solve(args) -> int:
 def _cmd_check(args) -> int:
     game = load_game(args.game)
     joint = joint_policy_from_list(_load_json_file(args.policy), game)
-    spaces = load_spaces(args.spaces, game) if args.spaces else [
-        FullSpace(game.n_states, k) for k in game.action_counts
-    ]
-    cert = check_equilibrium(game, joint, spaces, epsilon=args.eps)
+    cert = check_equilibrium(game, joint, _spaces(args, game), epsilon=args.eps)
     _emit(certificate_to_dict(cert, game), args.out)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     game = load_game(args.game)
-    spaces = load_spaces(args.spaces, game)
-    result = sweep_existence(game, spaces, args.resolution, args.eps)
+    result = sweep_existence(game, _spaces(args, game), args.resolution, args.eps)
     if args.out:
         sweep_to_csv(result, args.out)
     payload = {
@@ -175,18 +175,13 @@ def _cmd_learn(args) -> int:
         else WolfPhcConfig()
     )
     specs = []
-    for i in range(game.n_players):
-        path = getattr(args, f"space_{i}", None)
-        space = None
-        if path is not None:
-            data = _load_json_file(path)
-            candidate = space_from_dict(data, game.states, game.action_counts[i])
-            if candidate.variant != "convex_hull_global":
-                raise UnsupportedOperationError(
-                    "learners only support convex-hull restriction files"
-                )
-            space = candidate
-        specs.append(PlayerSpec(algo=args.algo, config=config, space=space))
+    for space in _spaces(args, game):
+        if space.variant not in ("full", "convex_hull_global"):
+            raise UnsupportedOperationError(
+                "learners only support full and convex-hull spaces"
+            )
+        hull = space if space.variant == "convex_hull_global" else None
+        specs.append(PlayerSpec(algo=args.algo, config=config, space=hull))
     log = self_play(game, specs, args.iters, args.seed)
     if args.out:
         log.to_csv(args.out)
@@ -208,26 +203,22 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    spec = ReproductionSpec(
-        name=args.name,
-        seed=args.seed,
-        iterations=args.iters,
-        outdir=Path(args.out),
-        n_seeds=args.seeds,
-        workers=args.workers,
-    )
-    summary = reproduce(spec)
-    print(json.dumps({"experiment": args.name, "outdir": str(spec.outdir),
-                      "keys": sorted(summary)}, indent=2))
-    return EXIT_OK
-
-
-def _add_space_options(parser: argparse.ArgumentParser, count: int = 8) -> None:
-    for i in range(count):
-        parser.add_argument(
-            f"--space-{i}", dest=f"space_{i}", metavar="FILE", default=None,
-            help=f"restricted-space JSON for player {i}",
+    every = args.name == "all"
+    reports = []
+    for name in EXPERIMENT_NAMES if every else (args.name,):
+        spec = ReproductionSpec(
+            name=name,
+            seed=args.seed,
+            iterations=args.iters,
+            outdir=Path(args.out) / name if every else Path(args.out),
+            n_seeds=args.seeds,
+            workers=args.workers,
         )
+        summary = reproduce(spec)
+        reports.append({"experiment": name, "outdir": str(spec.outdir),
+                        "keys": sorted(summary)})
+    print(json.dumps(reports if every else reports[0], indent=2))
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("game")
     p_solve.add_argument("--out", default=None)
-    _add_space_options(p_solve)
+    p_solve.add_argument("--spaces", default=None)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_check = sub.add_parser("check", help="certify a joint policy")
@@ -275,11 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("--iters", type=int, default=1_000_000)
     p_learn.add_argument("--seed", type=int, default=0)
     p_learn.add_argument("--out", default=None, help="trajectory CSV path")
-    _add_space_options(p_learn)
+    p_learn.add_argument("--spaces", default=None)
     p_learn.set_defaults(func=_cmd_learn)
 
     p_rep = sub.add_parser("reproduce", help="run a named experiment end to end")
-    p_rep.add_argument("name", choices=list(EXPERIMENT_NAMES))
+    p_rep.add_argument("name", choices=[*EXPERIMENT_NAMES, "all"])
     p_rep.add_argument("--seed", type=int, default=0)
     p_rep.add_argument("--iters", type=int, default=1_000_000)
     p_rep.add_argument("--out", default="out")

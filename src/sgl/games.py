@@ -320,35 +320,18 @@ def classify(game: StochasticGame, tol: float = STRUCTURAL_TOL) -> GameClassific
     shaped = game.transition.reshape(
         (game.n_states, *game.action_counts, game.n_states)
     )
-    no_control = True
+    varies = []
     for i in range(game.n_players):
-        axis = 1 + i
-        ref = shaped.take(indices=0, axis=axis)
-        varies = any(
-            np.max(np.abs(shaped.take(indices=k, axis=axis) - ref)) > tol
+        ref = shaped.take(indices=0, axis=1 + i)
+        varies.append(any(
+            np.max(np.abs(shaped.take(indices=k, axis=1 + i) - ref)) > tol
             for k in range(1, game.action_counts[i])
-        )
-        if varies:
-            no_control = False
+        ))
     # Player i is the sole controller iff no other player's axis varies.
-    controllers = []
-    for i in range(game.n_players):
-        only_i = True
-        for other in range(game.n_players):
-            if other == i:
-                continue
-            axis = 1 + other
-            ref = shaped.take(indices=0, axis=axis)
-            for k in range(1, game.action_counts[other]):
-                if np.max(np.abs(shaped.take(indices=k, axis=axis) - ref)) > tol:
-                    only_i = False
-                    break
-            if not only_i:
-                break
-        controllers.append(only_i)
+    controllers = [not any(varies[:i] + varies[i + 1:]) for i in range(game.n_players)]
     return GameClassification(
         is_zero_sum=zero_sum,
-        is_no_control=no_control,
+        is_no_control=not any(varies),
         is_single_controller=tuple(controllers),
         is_team=team,
     )

@@ -780,6 +780,11 @@ def space_from_dict(
         raise MalformedInputError("space object must carry a 'variant' field")
     variant = data["variant"]
     n_states = len(states)
+    shape = (data.get("states", n_states), data.get("actions", n_actions))
+    if shape != (n_states, n_actions):
+        raise MalformedInputError(
+            f"{variant} space has shape {shape}, the player has {(n_states, n_actions)}"
+        )
     if variant == "full":
         return FullSpace(n_states, n_actions)
     if variant == "singleton":

@@ -23,9 +23,12 @@ Restricted best responses take one route per input:
     a dense grid over the weight simplex, evaluated in one batched solve,
     then polished by a batched zoom over each coordinate pair.  The result
     carries a Lipschitz-style tolerance estimate from adjacent grid values,
-    which is not a proof, instead of an exactness claim;
-(d) multi-state games with the ``DeterministicOnly`` space enumerate the
-    pure policies.
+    which is not a proof, instead of an exactness claim.
+
+Multi-state games with a ``DeterministicOnly`` space take route (b) over the
+unit vectors (``FullSpace``): an optimal pure stationary policy always
+exists (Puterman, *Markov Decision Processes*, 1994), and route (b)'s
+per-state generator choice is pure.
 
 Equilibrium certificates report per-player regret gaps at the initial
 state: the restricted-best-response value minus the value of the candidate
@@ -626,18 +629,6 @@ def _weight_best_response(
     )
 
 
-def _deterministic_best_response(
-    game: StochasticGame, mdp: InducedMDP, space: DeterministicOnly
-) -> BestResponseResult:
-    best_policy, best_value = None, -np.inf
-    for pol in space.vertices():
-        value = float(mdp_policy_value(mdp, pol.probs)[mdp.initial_index])
-        if value > best_value + 1e-12:
-            best_policy, best_value = pol, value
-    assert best_policy is not None
-    return BestResponseResult(best_policy, best_value, description="pure policy")
-
-
 def restricted_best_response(
     game: StochasticGame,
     i: int,
@@ -650,12 +641,12 @@ def restricted_best_response(
         raise MalformedInputError("space shape does not match the player")
     if game.is_matrix_game:
         return _matrix_best_response(game, mdp, space)
+    if isinstance(space, DeterministicOnly):
+        space = FullSpace(space.n_states, space.n_actions)
     if isinstance(space, ConvexHullStatewise):
         return _statewise_best_response(game, mdp, space)
     if isinstance(space, ConvexHullGlobal):
         return _weight_best_response(game, mdp, space)
-    if isinstance(space, DeterministicOnly):
-        return _deterministic_best_response(game, mdp, space)
     raise UnsupportedOperationError(f"unsupported space {type(space).__name__}")
 
 
@@ -730,12 +721,15 @@ def restricted_equilibrium_via_implicit(
     Each space's vertices become the implicit actions (the full space
     contributes its pure actions), the implicit matrix game is solved by
     minimax LP, and the optimal implicit mixtures map back to explicit
-    strategies.
+    strategies.  Non-convex spaces are refused: the mixtures would lie
+    outside them.
     """
     if game.n_players != 2 or not game.is_matrix_game:
         raise UnsupportedOperationError("implicit route needs a 2-player matrix game")
     if not classify(game).is_zero_sum:
         raise UnsupportedOperationError("implicit route needs a zero-sum game")
+    if not all(space.is_convex for space in spaces):
+        raise UnsupportedOperationError("implicit route needs convex spaces")
     taus = []
     names = []
     for space in spaces:

@@ -335,47 +335,3 @@ def matrix_value(game: StochasticGame, joint: JointPolicy) -> np.ndarray:
     if isinstance(game.formulation, Discounted):
         return base / (1.0 - game.formulation.gamma)
     return base
-
-
-def simulate_average_reward(
-    game: StochasticGame,
-    joint: JointPolicy,
-    steps: int,
-    seed: int,
-    start_state: int | None = None,
-) -> np.ndarray:
-    """Monte-Carlo long-run average reward per player along one trajectory.
-
-    An independent oracle for `policy_value_average`: it walks the chain
-    P_pi step by step and averages the per-state expected rewards, rather
-    than solving for the stationary distribution.
-    """
-    p, r = chain_and_rewards(game, joint)
-    rng = np.random.default_rng(seed)
-    cumulative = [row.tolist() for row in np.cumsum(p, axis=1)]
-    reward_rows = [r[:, s].tolist() for s in range(game.n_states)]
-    totals = [0.0] * game.n_players
-    n = game.n_players
-    s = game.initial_index if start_state is None else start_state
-    visits = [0] * game.n_states
-    chunk = 10**6
-    remaining = steps
-    while remaining > 0:
-        block = min(chunk, remaining)
-        draws = rng.random(block).tolist()
-        for u in draws:
-            visits[s] += 1
-            row = cumulative[s]
-            nxt = len(row) - 1
-            for idx, threshold in enumerate(row):
-                if u < threshold:
-                    nxt = idx
-                    break
-            s = nxt
-        remaining -= block
-    for state, count in enumerate(visits):
-        if count:
-            rr = reward_rows[state]
-            for i in range(n):
-                totals[i] += rr[i] * count
-    return np.asarray(totals) / steps

@@ -15,6 +15,7 @@ import pytest
 
 import sgl
 from sgl.cli import main
+from sgl.experiments import EXPERIMENT_NAMES
 from sgl.games import (
     bach_stravinsky,
     blotto_4_3,
@@ -24,9 +25,9 @@ from sgl.games import (
     rps,
     save_game,
 )
-from sgl.restrictions import save_spaces, ConvexHullGlobal, FullSpace
-from sgl.games import Policy
-from sgl.learners import load_trajectory_rows
+from sgl.restrictions import save_spaces, ConvexHullGlobal, DeterministicOnly, FullSpace
+from sgl.games import Policy, joint_policy_to_list
+from sgl.learners import PlayerSpec, final_joint_policy, load_trajectory_rows, self_play
 
 # What an installer's generated `sgl` script does, given the entry point value
 # as its first argument.
@@ -96,12 +97,10 @@ class TestSolve:
     def test_restricted_with_space_file(self, capsys, tmp_path, rps_file):
         game = rps()
         hull = ConvexHullGlobal((Policy([[0.5, 0.5, 0]]), Policy([[0, 0.5, 0.5]])))
-        space_path = tmp_path / "col_space.json"
-        from sgl.restrictions import space_to_dict
-
-        space_path.write_text(json.dumps(space_to_dict(hull, game.states)))
+        spaces_path = tmp_path / "spaces.json"
+        save_spaces([FullSpace(1, 3), hull], game, spaces_path)
         code, payload = run_cli(
-            capsys, "solve", "restricted", str(rps_file), "--space-1", str(space_path)
+            capsys, "solve", "restricted", str(rps_file), "--spaces", str(spaces_path)
         )
         assert code == 0
         assert payload["value"] == pytest.approx(1 / 6, abs=1e-9)
@@ -109,6 +108,14 @@ class TestSolve:
         assert payload["joint_policy"][1]["s0"] == pytest.approx(
             [1 / 3, 0.5, 1 / 6], abs=1e-9
         )
+
+    def test_restricted_nonconvex_space_exit_3(self, tmp_path, rps_file):
+        spaces_path = tmp_path / "spaces.json"
+        save_spaces([DeterministicOnly(1, 3), FullSpace(1, 3)], rps(), spaces_path)
+        code = main(
+            ["solve", "restricted", str(rps_file), "--spaces", str(spaces_path)]
+        )
+        assert code == 3
 
 
 class TestCheck:
@@ -151,6 +158,25 @@ class TestCheck:
         hull = ConvexHullGlobal((Policy([[0.5, 0.5, 0]]),))
         spaces_path = tmp_path / "spaces.json"
         save_spaces([hull, FullSpace(1, 3)], game, spaces_path)
+        policy_path = tmp_path / "uniform.json"
+        uniform = [1 / 3, 1 / 3, 1 / 3]
+        policy_path.write_text(json.dumps([{"s0": uniform}, {"s0": uniform}]))
+        code = main(
+            [
+                "check",
+                "--game", str(rps_file),
+                "--policy", str(policy_path),
+                "--spaces", str(spaces_path),
+            ]
+        )
+        assert code == 2
+
+
+    def test_spaces_shape_mismatch_exit_2(self, tmp_path, rps_file):
+        spaces_path = tmp_path / "spaces.json"
+        spaces_path.write_text(json.dumps(
+            [{"variant": "full", "states": 5, "actions": 7}, {"variant": "full"}]
+        ))
         policy_path = tmp_path / "uniform.json"
         uniform = [1 / 3, 1 / 3, 1 / 3]
         policy_path.write_text(json.dumps([{"s0": uniform}, {"s0": uniform}]))
@@ -244,18 +270,46 @@ class TestLearn:
                 assert sum(row) == pytest.approx(1.0, abs=1e-12)
 
     def test_non_hull_space_exit_3(self, tmp_path, rps_file):
-        spaces_path = tmp_path / "space.json"
-        spaces_path.write_text(json.dumps({"variant": "state_uniform"}))
+        spaces_path = tmp_path / "spaces.json"
+        spaces_path.write_text(
+            json.dumps([{"variant": "state_uniform"}, {"variant": "full"}])
+        )
         code = main(
             [
                 "learn",
                 "--game", str(rps_file),
                 "--iters", "100",
                 "--seed", "0",
-                "--space-0", str(spaces_path),
+                "--spaces", str(spaces_path),
             ]
         )
         assert code == 3
+
+    def test_spaces_match_direct_self_play(
+        self, capsys, tmp_path, rps_file, rps_column_hull
+    ):
+        game = rps()
+        spaces_path = tmp_path / "spaces.json"
+        save_spaces([FullSpace(1, 3), rps_column_hull], game, spaces_path)
+        code, payload = run_cli(
+            capsys,
+            "learn",
+            "--game", str(rps_file),
+            "--iters", "3000",
+            "--seed", "5",
+            "--spaces", str(spaces_path),
+        )
+        assert code == 0
+        log = self_play(game, [PlayerSpec(), PlayerSpec(space=rps_column_hull)], 3000, 5)
+        assert payload["final_policies"] == [
+            [float(x) for x in log.player_rows(i)[-1].explicit] for i in range(2)
+        ]
+        assert payload["avg_rewards"] == [
+            log.player_rows(i)[-1].avg_reward for i in range(2)
+        ]
+        assert payload["final_joint"] == joint_policy_to_list(
+            final_joint_policy(game, log), game.states
+        )
 
 
 class TestReproduce:
@@ -299,6 +353,24 @@ class TestReproduce:
         for filename, digest in self.CERTIFICATION_DIGESTS[name].items():
             data = (tmp_path / name / filename).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, filename
+
+    def test_all_runs_every_experiment(self, capsys, tmp_path):
+        code, payload = run_cli(
+            capsys,
+            "reproduce", "all",
+            "--iters", "2000",
+            "--seeds", "1",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert [entry["experiment"] for entry in payload] == list(EXPERIMENT_NAMES)
+        for entry in payload:
+            assert entry["outdir"] == str(tmp_path / entry["experiment"])
+            assert (tmp_path / entry["experiment"] / "summary.json").exists()
+        for name, digests in self.CERTIFICATION_DIGESTS.items():
+            for filename, digest in digests.items():
+                data = (tmp_path / name / filename).read_bytes()
+                assert hashlib.sha256(data).hexdigest() == digest, filename
 
     def test_small_learning_run_files(self, capsys, tmp_path):
         out = tmp_path / "rps"

@@ -160,6 +160,13 @@ class TestClassify:
         game = random_game(rng, no_control=True)
         assert classify(game).is_no_control
 
+    def test_three_player_single_controller(self):
+        rng = np.random.default_rng(5)
+        game = random_game(rng, action_counts=(2, 3, 2), controller=1)
+        c = classify(game)
+        assert not c.is_no_control
+        assert c.is_single_controller == (False, True, False)
+
 
 class TestFileFormat:
     def test_round_trip_exact(self, tmp_path):

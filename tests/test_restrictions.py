@@ -275,6 +275,18 @@ class TestSerialization:
         data = space_to_dict(ALL_SPACES["fixed"], ("s0", "s1"))
         assert data["pins"] == [["s0", 1, 0.5], ["s1", 0, 0.25]]
 
+    @pytest.mark.parametrize(
+        "variant", ["full", "state_uniform", "deterministic_only", "fixed_coordinates"]
+    )
+    def test_shape_fields_must_match_the_player(self, variant):
+        record = {"variant": variant, "pins": []}
+        space = space_from_dict(record, ("s0", "s1"), 3)
+        assert (space.n_states, space.n_actions) == (2, 3)
+        with pytest.raises(MalformedInputError):
+            space_from_dict({**record, "states": 5, "actions": 7}, ("s0", "s1"), 3)
+        with pytest.raises(MalformedInputError):
+            space_from_dict({**record, "actions": 2}, ("s0", "s1"), 3)
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(MalformedInputError):
             space_from_dict({"variant": "mystery"}, ("s0",), 2)

@@ -42,6 +42,7 @@ from sgl.values import mdp_policy_value, induce_mdp, policy_value
 from util import (
     grid_minimax_value,
     hull_grid_max,
+    pure_policy_values,
     random_game,
     random_global_hull,
     random_joint_policy,
@@ -231,6 +232,24 @@ class TestRestrictedBestResponse:
         opponent = Policy([[1 / 3, 0.5, 1 / 6]])
         br = restricted_best_response(rps_game, 0, [opponent], DeterministicOnly(1, 3))
         assert br.value == pytest.approx(1 / 6, abs=1e-12)
+
+    @pytest.mark.parametrize("average", [False, True])
+    def test_deterministic_multistate_matches_pure_enumeration(self, average):
+        # Route (b) over the unit vectors against all |A|^|S| pure policies.
+        rng = np.random.default_rng(83 if average else 79)
+        for n_states in (2, 3, 4):
+            game = random_game(
+                rng, n_states=n_states, action_counts=(3, 2), average=average
+            )
+            opponent = [random_policy(rng, n_states, 2)]
+            br = restricted_best_response(
+                game, 0, opponent, DeterministicOnly(n_states, 3)
+            )
+            oracle = pure_policy_values(game, 0, opponent)
+            assert set(br.policy.probs.ravel().tolist()) == {0.0, 1.0}
+            choice = tuple(int(a) for a in br.policy.probs.argmax(axis=1))
+            assert br.value == pytest.approx(max(oracle.values()), abs=1e-12)
+            assert oracle[choice] == pytest.approx(br.value, abs=1e-12)
 
     def test_average_reward_statewise(self):
         rng = np.random.default_rng(47)
@@ -431,6 +450,13 @@ class TestImplicitRoute:
         with pytest.raises(UnsupportedOperationError):
             restricted_equilibrium_via_implicit(
                 bos_game, [FullSpace(1, 2), FullSpace(1, 2)]
+            )
+
+    def test_rejects_nonconvex_space(self, rps_game):
+        # Mixing the pure actions would leave the deterministic space.
+        with pytest.raises(UnsupportedOperationError):
+            restricted_equilibrium_via_implicit(
+                rps_game, [DeterministicOnly(1, 3), FullSpace(1, 3)]
             )
 
 

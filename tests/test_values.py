@@ -27,10 +27,9 @@ from sgl.values import (
     policy_value_average,
     policy_value_discounted,
     policy_values,
-    simulate_average_reward,
     stationary_distribution,
 )
-from util import random_game, random_joint_policy, random_policy
+from util import random_game, random_joint_policy, random_policy, simulate_average_reward
 
 
 def two_state_cycle(formulation) -> StochasticGame:

@@ -21,6 +21,7 @@ from sgl.games import (
     StochasticGame,
 )
 from sgl.restrictions import ConvexHullGlobal, ConvexHullStatewise, simplex_grid
+from sgl.values import chain_and_rewards
 
 
 def random_game(
@@ -206,6 +207,54 @@ def reference_sweep_rows(game, spaces, resolution: float) -> list[tuple]:
     return rows
 
 
+def _marginal_mdp(
+    game: StochasticGame, i: int, others: list[Policy]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Player i's (S, A, S) transitions and (S, A) rewards with the opponents
+    marginalized out, by numpy einsum rather than the library's value code."""
+    n_s = game.n_states
+    shaped_t = game.transition.reshape((n_s, *game.action_counts, n_s))
+    shaped_r = game.rewards[i].reshape((n_s, *game.action_counts))
+    letters = "abcdefgh"[: game.n_players]
+    factors = [p.probs for p in others]
+    opp = [letters[j] for j in range(game.n_players) if j != i]
+    mine = letters[i]
+    spec = ",".join(f"s{x}" for x in opp)
+    t = np.einsum(f"s{letters}t,{spec}->s{mine}t", shaped_t, *factors)
+    r = np.einsum(f"s{letters},{spec}->s{mine}", shaped_r, *factors)
+    return t, r
+
+
+def pure_policy_values(
+    game: StochasticGame, i: int, others: list[Policy]
+) -> dict[tuple[int, ...], float]:
+    """Initial-state value of every pure stationary policy of player i.
+
+    Enumerates all |A|^|S| per-state action choices and solves each chain
+    exactly with numpy: the Bellman system when discounted, the stationary
+    distribution when average-reward (the chains must be irreducible, as
+    ``random_game``'s full-support transitions make them).
+    """
+    n_s = game.n_states
+    t, r = _marginal_mdp(game, i, others)
+    choices = list(itertools.product(range(game.action_counts[i]), repeat=n_s))
+    rows = np.arange(n_s)
+    chain = np.stack([t[rows, list(c)] for c in choices])
+    reward = np.stack([r[rows, list(c)] for c in choices])
+    if isinstance(game.formulation, Discounted):
+        system = np.eye(n_s) - game.formulation.gamma * chain
+        solved = np.linalg.solve(system, reward[:, :, np.newaxis])
+        values = solved[:, game.initial_index, 0]
+    else:
+        # pi (P - I) = 0 with the last equation replaced by sum(pi) = 1.
+        system = np.transpose(chain, (0, 2, 1)) - np.eye(n_s)
+        system[:, -1, :] = 1.0
+        rhs = np.zeros((len(choices), n_s, 1))
+        rhs[:, -1, 0] = 1.0
+        values = np.einsum("bs,bs->b", np.linalg.solve(system, rhs)[:, :, 0], reward)
+    return dict(zip(choices, values.tolist()))
+
+
 def hull_grid_max(
     game: StochasticGame,
     i: int,
@@ -221,15 +270,7 @@ def hull_grid_max(
     """
     gamma = game.formulation.gamma
     n_s = game.n_states
-    shaped_t = game.transition.reshape((n_s, *game.action_counts, n_s))
-    shaped_r = game.rewards[i].reshape((n_s, *game.action_counts))
-    letters = "abcdefgh"[: game.n_players]
-    factors = [p.probs for p in others]
-    opp = [letters[j] for j in range(game.n_players) if j != i]
-    mine = letters[i]
-    spec = ",".join(f"s{x}" for x in opp)
-    t = np.einsum(f"s{letters}t,{spec}->s{mine}t", shaped_t, *factors)
-    r = np.einsum(f"s{letters},{spec}->s{mine}", shaped_r, *factors)
+    t, r = _marginal_mdp(game, i, others)
     weights = np.asarray(simplex_grid(hull.k, step))
     generators = np.stack([g.probs for g in hull.generators])
     probs = np.einsum("bk,ksa->bsa", weights, generators)
@@ -280,3 +321,47 @@ def reference_stabilization_iteration(
         else:
             break
     return stable_from
+
+
+def simulate_average_reward(
+    game: StochasticGame,
+    joint: JointPolicy,
+    steps: int,
+    seed: int,
+    start_state: int | None = None,
+) -> np.ndarray:
+    """Monte-Carlo long-run average reward per player along one trajectory.
+
+    An independent oracle for `policy_value_average`: it walks the chain
+    P_pi step by step and averages the per-state expected rewards, rather
+    than solving for the stationary distribution.
+    """
+    p, r = chain_and_rewards(game, joint)
+    rng = np.random.default_rng(seed)
+    cumulative = [row.tolist() for row in np.cumsum(p, axis=1)]
+    reward_rows = [r[:, s].tolist() for s in range(game.n_states)]
+    totals = [0.0] * game.n_players
+    n = game.n_players
+    s = game.initial_index if start_state is None else start_state
+    visits = [0] * game.n_states
+    chunk = 10**6
+    remaining = steps
+    while remaining > 0:
+        block = min(chunk, remaining)
+        draws = rng.random(block).tolist()
+        for u in draws:
+            visits[s] += 1
+            row = cumulative[s]
+            nxt = len(row) - 1
+            for idx, threshold in enumerate(row):
+                if u < threshold:
+                    nxt = idx
+                    break
+            s = nxt
+        remaining -= block
+    for state, count in enumerate(visits):
+        if count:
+            rr = reward_rows[state]
+            for i in range(n):
+                totals[i] += rr[i] * count
+    return np.asarray(totals) / steps
