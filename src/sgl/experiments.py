@@ -22,7 +22,7 @@ random: the extra pair adds (2,0)/(1,1)/(0,2) with probabilities
 over the five full allotments.  Under this reading the restricted game's
 minimax value is exactly 0.  ``blotto_interpretation_oracle`` also solves
 the uniform-over-splits reading (extra split drawn from (1/3, 1/3, 1/3)),
-and its value is 0 as well, up to rounding, so the recorded
+and its value is 0 as well, up to the rounding of 1/3, so the recorded
 ``interpretation_oracle`` values do not tell the two readings apart: the
 hull follows the independent-uniform reading by choice, not because the
 cross-check rules the other one out.
@@ -131,8 +131,9 @@ def blotto_interpretation_oracle() -> dict:
     """Minimax values of the restricted Blotto under both readings of the hull.
 
     Independent-uniform extra armies give value exactly 0; drawing the extra
-    split uniformly from the three splits also gives 0, up to rounding
-    (about -5.6e-17), so the two values do not distinguish the readings.
+    split uniformly from the three splits also gives 0, up to the rounding
+    of 1/3 in its generators (the stored game's exact value is about
+    -2.8e-17), so the two values do not distinguish the readings.
     """
     game = blotto_4_3()
     readings = {}

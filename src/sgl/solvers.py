@@ -1,12 +1,16 @@
 """Equilibrium computation and certification.
 
-Matrix-game minimax is solved by linear programming, refined to the
-lexicographically-least optimal vertex (sequential LPs) and then polished
-by solving the active-constraint system directly.  What the code checks is
-that the row and column securities of the returned strategies agree within
-LP_REGRET_TOL, so both strategies have pure-deviation regret within it.
-Neither the value nor the strategy entries are exact: ROADMAP D6 records a
-value off by 5e-11 and a strategy entry of -7.5e-11.
+Matrix-game minimax solves one LP with HiGHS: the row strategy is its
+primal, the column strategy its dual.  Both are then re-solved exactly (the
+payoffs times one power of two are integers, and fraction-free elimination
+on each strategy's support and tight columns gives rationals) and checked
+exactly: both lie on the simplex and the row security equals the column
+security.  The value and entries returned are the correctly rounded exact
+ones for the game as stored, so none is negative.  Ties go to the
+lexicographically least optimal strategy: an exact test decides whether
+each side's optimal set is a single point, and only a side whose set is
+wider takes sequential lexicographic LPs, whose vertex is re-solved and
+checked the same way.
 
 Restricted best responses take one route per input:
 
@@ -46,7 +50,9 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -83,9 +89,9 @@ from .values import (
     policy_values,
 )
 
-LP_REGRET_TOL = 1e-9
 _LEX_SLACK = 1e-10
-_TIGHT_TOL = 1e-6
+_SUPPORT_TOL = 1e-9
+_MAX_FACE_SUBSETS = 4096
 
 
 @dataclass(frozen=True)
@@ -171,34 +177,40 @@ def _zero_sum_matrix(game: StochasticGame) -> np.ndarray:
     return game.payoff_matrix(0)
 
 
-def _security_lp(m: np.ndarray, *, maximize_rows: bool):
-    """LP for one side of the minimax problem.
+def _security_constraints(mat: np.ndarray):
+    """Constraints of the row player's security LP over (x, v), in linprog form.
 
-    Row side: max v subject to x^T M >= v columnwise, x on the simplex.
-    Column side is the same program on -M^T.  Returns feasibility data for
-    follow-up lexicographic passes: (strategy, value, A_ub, b_ub).
+    max v subject to x^T M >= v columnwise, x on the simplex; the column
+    player's program is the same on -M^T.  Returns (A_ub, b_ub, A_eq, bounds).
     """
-    mat = m if maximize_rows else -m.T
     k, other = mat.shape
-    c = np.zeros(k + 1)
-    c[-1] = -1.0
     a_ub = np.hstack([-mat.T, np.ones((other, 1))])
-    b_ub = np.zeros(other)
     a_eq = np.zeros((1, k + 1))
     a_eq[0, :k] = 1.0
-    bounds = [(0.0, None)] * k + [(None, None)]
+    return a_ub, np.zeros(other), a_eq, [(0.0, None)] * k + [(None, None)]
+
+
+def _minimax_lp(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """One HiGHS solve of the row LP: (row strategy, column strategy, value).
+
+    The row strategy is the primal; the column strategy is the dual of the
+    security constraints, an optimal vertex of the column player's LP.
+    """
+    a_ub, b_ub, a_eq, bounds = _security_constraints(m)
+    c = np.zeros(m.shape[0] + 1)
+    c[-1] = -1.0
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=bounds,
                   method="highs")
     if not res.success:
         raise ArithmeticError(f"minimax LP failed: {res.message}")
-    return np.asarray(res.x[:k]), float(res.x[-1]), a_ub, b_ub, a_eq
+    return np.asarray(res.x[:-1]), -np.asarray(res.ineqlin.marginals), float(res.x[-1])
 
 
-def _lexmin_strategy(
-    mat_rows: int, v_star: float, a_ub: np.ndarray, b_ub: np.ndarray, a_eq: np.ndarray
-) -> np.ndarray:
-    """Lexicographically-least optimal vertex via sequential coordinate LPs."""
-    k = mat_rows
+def _lexmin_strategy(mat: np.ndarray, v_star: float) -> np.ndarray:
+    """Lexicographically-least optimal strategy of the row player of ``mat``
+    (value ``v_star``), via sequential coordinate LPs."""
+    k = mat.shape[0]
+    a_ub, b_ub, a_eq, bounds = _security_constraints(mat)
     rows = [a_ub]
     rhs = [b_ub]
     # Pin optimality: v >= v_star - slack.
@@ -206,7 +218,6 @@ def _lexmin_strategy(
     pin_v[0, -1] = -1.0
     rows.append(pin_v)
     rhs.append(np.array([-(v_star - _LEX_SLACK)]))
-    bounds = [(0.0, None)] * k + [(None, None)]
     x = None
     for coord in range(k):
         c = np.zeros(k + 1)
@@ -232,38 +243,159 @@ def _lexmin_strategy(
     return x[:k]
 
 
-def _polish_vertex(m: np.ndarray, x: np.ndarray, *, maximize_rows: bool) -> np.ndarray:
-    """Re-solve the active constraints of an LP vertex for machine precision."""
-    mat = m if maximize_rows else -m.T
-    k = mat.shape[0]
-    payoff = x @ mat
-    v = payoff.min()
-    tight = np.where(payoff - v <= _TIGHT_TOL)[0]
-    support = np.where(x > _TIGHT_TOL)[0]
-    if support.size == 0:
-        return x
-    rows = []
-    rhs = []
-    for j in tight:
-        row = np.zeros(support.size + 1)
-        row[:-1] = mat[support, j]
-        row[-1] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-    rows.append(np.concatenate([np.ones(support.size), [0.0]]))
-    rhs.append(1.0)
-    sol, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(rhs), rcond=None)
-    candidate = np.zeros(k)
-    candidate[support] = sol[:-1]
-    candidate = np.clip(candidate, 0.0, None)
-    total = candidate.sum()
-    if total <= 0.5:
-        return x
-    candidate /= total
-    # Keep the polish only if it did not lose feasible optimality.
-    if (candidate @ mat).min() >= payoff.min() - 1e-11:
-        return candidate
-    return x
+# An exact strategy is (numerators, common positive denominator); a value is
+# a Fraction in the units of the integer matrix.
+
+
+def _integer_matrix(m: np.ndarray) -> tuple[list[list[int]], int]:
+    """M times one power of two, as Python integers: (rows, that power).
+
+    Every float is a dyadic rational, so the scaling is exact.
+    """
+    ratios = [[e.as_integer_ratio() for e in row] for row in m.tolist()]
+    scale = max(d for row in ratios for _, d in row)
+    return [[n * (scale // d) for n, d in row] for row in ratios], scale
+
+
+def _eliminate(rows: list[list[int]], n: int):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) on the first n columns.
+
+    Each column's pivot is the first remaining row, in the given order,
+    with a nonzero entry there, so the pivot rows are the earliest rows of
+    full rank; every division is exact.  Returns (rows, pivot columns, last
+    pivot): the pivot rows come first, each holding the last pivot in its
+    pivot column and zero in the other pivot columns.
+    """
+    rows = [list(row) for row in rows]
+    pivots: list[int] = []
+    prev = 1
+    for col in range(n):
+        top = len(pivots)
+        pick = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if pick is None:
+            continue
+        rows.insert(top, rows.pop(pick))
+        pivot_row = rows[top]
+        pivot = pivot_row[col]
+        for r, row in enumerate(rows):
+            if r != top:
+                f = row[col]
+                rows[r] = [(pivot * e - f * p) // prev for e, p in zip(row, pivot_row)]
+        prev = pivot
+        pivots.append(col)
+    return rows, pivots, prev
+
+
+def _exact_strategy(
+    a: list[list[int]], x: np.ndarray, payoff: np.ndarray, value: Fraction | None
+) -> tuple[list[int], int] | None:
+    """Exact re-solve of an optimal vertex x of the row player of ``a``.
+
+    The unknowns are x on its support (entries above _SUPPORT_TOL) and,
+    when ``value`` is None, the value.  The equations are the simplex sum,
+    then "payoff equals the value" for the columns from the tightest
+    ``payoff`` (the float x^T a) up, as many as are independent.  Returns
+    (numerators, positive common denominator), or None when those
+    equations have rank below the number of unknowns.
+    """
+    support = [i for i in range(len(a)) if x[i] > _SUPPORT_TOL]
+    order = np.argsort(payoff, kind="stable").tolist()
+    if value is None:
+        rows = [[1] * len(support) + [0, 1]]
+        rows += [[a[i][j] for i in support] + [-1, 0] for j in order]
+    else:
+        p, q = value.numerator, value.denominator
+        rows = [[1] * len(support) + [1]]
+        rows += [[q * a[i][j] for i in support] + [p] for j in order]
+    n = len(rows[0]) - 1
+    rows, pivots, det = _eliminate(rows, n)
+    if len(pivots) < n:
+        return None
+    sign = 1 if det > 0 else -1
+    full = [0] * len(a)
+    for i, row in zip(support, rows):
+        full[i] = sign * row[n]
+    return full, sign * det
+
+
+def _certify(a: list[list[int]], row, col):
+    """Exact certificate of an optimal pair of the integer game ``a``.
+
+    Both strategies must lie on the simplex, and the row security
+    min_j (x^T a)_j must equal the column security max_i (a y)_i; weak
+    duality then makes both optimal.  Returns (value, columns tight against
+    x, rows tight against y), or None.
+    """
+    (xn, xd), (yn, yd) = row, col
+    if min(xn) < 0 or min(yn) < 0 or sum(xn) != xd or sum(yn) != yd:
+        return None
+    row_pay = [sum(p * e for p, e in zip(xn, column) if p) for column in zip(*a)]
+    col_pay = [sum(q * e for q, e in zip(yn, r) if q) for r in a]
+    low, high = min(row_pay), max(col_pay)
+    if low * yd != high * xd:
+        return None
+    return (
+        Fraction(low, xd),
+        [j for j, p in enumerate(row_pay) if p == low],
+        [i for i, q in enumerate(col_pay) if q == high],
+    )
+
+
+def _certified_pair(m, a, b, x, y, value=None):
+    """Exact re-solve of float optimal vertices (x, y) and their certificate.
+
+    ``b`` is the integer -a^T; ``value`` is the exact value when known.
+    Returns (row, column, value, columns tight against x, rows tight
+    against y), or None.
+    """
+    row = _exact_strategy(a, x, x @ m, value)
+    col = _exact_strategy(b, y, -(m @ y), None if value is None else -value)
+    if row is None or col is None:
+        return None
+    cert = _certify(a, row, col)
+    return None if cert is None else (row, col, *cert)
+
+
+def _is_point(p, support, tight_rows, other_support, tight_cols) -> bool:
+    """Whether the optimal set of the row player of ``p`` is a single point.
+
+    Exact, for a certified optimal pair (x, z) with x on rows of ``p``:
+    ``support`` is x's, ``tight_rows`` are the rows tight against z,
+    ``other_support`` is z's and ``tight_cols`` are the columns tight
+    against x.  A direction d keeps x optimal iff d is zero off the tight
+    rows, sums to 0 and keeps (x^T p)_j equal to the value on z's support
+    (complementary slackness), d_i >= 0 where x_i = 0, and (d^T p)_j >= 0
+    on the other tight columns.  The set is a point when the equalities
+    alone have full column rank; otherwise when no extreme ray of that cone
+    exists, found among the null vectors of the equalities plus
+    rank-deficiency-minus-one of the inequalities (up to
+    _MAX_FACE_SUBSETS of them; beyond that, the answer is no).
+    """
+    n = len(tight_rows)
+    base = [[p[i][j] for i in tight_rows] for j in other_support] + [[1] * n]
+    rank = len(_eliminate(base, n)[1])
+    if rank == n:
+        return True
+    faces = [[int(i == k) for i in tight_rows] for k in tight_rows if k not in support]
+    faces += [[p[i][j] for i in tight_rows] for j in tight_cols if j not in other_support]
+    if len(_eliminate(base + faces, n)[1]) < n:
+        return False  # a line of optimal directions
+    size = n - rank - 1
+    if math.comb(len(faces), size) > _MAX_FACE_SUBSETS:
+        return False
+    for subset in itertools.combinations(faces, size):
+        rows, pivots, det = _eliminate(base + list(subset), n)
+        if len(pivots) != n - 1:
+            continue
+        free = next(c for c in range(n) if c not in pivots)
+        ray = [0] * n
+        ray[free] = det
+        for r, c in enumerate(pivots):
+            ray[c] = -rows[r][free]
+        dots = [sum(f * e for f, e in zip(face, ray)) for face in faces]
+        if min(dots) >= 0 or max(dots) <= 0:
+            return False
+    return True
 
 
 def minimax_zero_sum_matrix(
@@ -271,30 +403,47 @@ def minimax_zero_sum_matrix(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Value and an optimal strategy pair for a zero-sum matrix game.
 
-    Returns (value to the row player, row strategy, column strategy); both
-    strategies have pure-deviation regret within LP_REGRET_TOL, and ties
-    among optimal vertices resolve to the lexicographically least one.
+    Returns (value to the row player, row strategy, column strategy).  One
+    HiGHS LP gives an optimal vertex pair (primal and dual); it is re-solved
+    exactly in integers and certified exactly: both strategies lie on the
+    simplex and the row security equals the column security.  The returned
+    entries and value are the correctly rounded exact ones, so no entry is
+    negative.  Ties among optimal strategies resolve to the
+    lexicographically least one: a side whose optimal set is provably a
+    single point keeps it, and any other side is re-solved by sequential
+    lexicographic LPs, then re-solved and certified exactly in the same
+    way.  Raises ArithmeticError rather than return an unchecked pair.
     The value follows the game's reward criterion: the one-shot payoff
     under averaging, scaled by 1/(1-gamma) under discounting.
     """
     m = _zero_sum_matrix(game)
-    _, v_row, a_ub_r, b_ub_r, a_eq_r = _security_lp(m, maximize_rows=True)
-    _, v_col, a_ub_c, b_ub_c, a_eq_c = _security_lp(m, maximize_rows=False)
-    if abs(v_row + v_col) > 1e-7:
-        raise ArithmeticError(
-            f"row and column LP values disagree: {v_row} vs {-v_col}"
+    a, scale = _integer_matrix(m)
+    b = [[-e for e in column] for column in zip(*a)]
+    x, y, v_lp = _minimax_lp(m)
+    pair = _certified_pair(m, a, b, x, y)
+    if pair is not None:
+        row, col, v, tight_cols, tight_rows = pair
+        support_x = [i for i, p in enumerate(row[0]) if p]
+        support_y = [j for j, q in enumerate(col[0]) if q]
+        row_wide = not _is_point(a, support_x, tight_rows, support_y, tight_cols)
+        col_wide = not _is_point(b, support_y, tight_cols, support_x, tight_rows)
+        if row_wide or col_wide:
+            v_float = float(v / scale)
+            if row_wide:
+                x = _lexmin_strategy(m, v_float)
+            if col_wide:
+                y = _lexmin_strategy(-m.T, -v_float)
+            pair = _certified_pair(m, a, b, x, y, v)
+    if pair is None:
+        pair = _certified_pair(
+            m, a, b, _lexmin_strategy(m, v_lp), _lexmin_strategy(-m.T, -v_lp)
         )
-    row = _lexmin_strategy(m.shape[0], v_row, a_ub_r, b_ub_r, a_eq_r)
-    col = _lexmin_strategy(m.shape[1], v_col, a_ub_c, b_ub_c, a_eq_c)
-    row = _polish_vertex(m, row, maximize_rows=True)
-    col = _polish_vertex(m, col, maximize_rows=False)
-    value = float((row @ m).min())
-    col_value = float((m @ col).max())
-    if abs(value - col_value) > LP_REGRET_TOL:
-        raise ArithmeticError(
-            f"polished securities disagree: row {value} vs column {col_value}"
-        )
-    return value * _value_scale(game), row, col
+    if pair is None:
+        raise ArithmeticError("the minimax LP's solution failed its exact certificate")
+    (xn, xd), (yn, yd), v = pair[:3]
+    row = np.array([p / xd for p in xn])
+    col = np.array([q / yd for q in yn])
+    return float(v / scale) * _value_scale(game), row, col
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Equilibrium solvers against hand-derived and brute-force oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from sgl import solvers
 from sgl.games import (
@@ -48,6 +51,7 @@ from util import (
     random_joint_policy,
     random_policy,
     random_statewise_hull,
+    reference_minimax,
     reference_sweep_rows,
 )
 
@@ -110,6 +114,109 @@ class TestMinimax:
             value, _, _ = minimax_zero_sum_matrix(game)
             oracle = grid_minimax_value(m, resolution=1e-3)
             assert abs(value - oracle) <= 2e-3
+
+
+def _integer_games() -> list[np.ndarray]:
+    """A degenerate integer game, then 24 drawn from default_rng(3): 3-8 actions
+    each side, payoffs in -3..3 (several have an optimal set wider than a point)."""
+    rng = np.random.default_rng(3)
+    games = [np.array([[2, -2, -1], [1, 1, -2], [1, 1, 3], [1, 3, 3], [-3, -3, 0]], float)]
+    for _ in range(24):
+        m, n = rng.integers(3, 9, size=2)
+        games.append(rng.integers(-3, 4, size=(m, n)).astype(float))
+    return games
+
+
+def _lp_value(m: np.ndarray) -> float:
+    """The game's value from one row LP, apart from the library."""
+    k, other = m.shape
+    c = np.zeros(k + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=np.hstack([-m.T, np.ones((other, 1))]), b_ub=np.zeros(other),
+                  A_eq=[[1.0] * k + [0.0]], b_eq=[1.0],
+                  bounds=[(0.0, None)] * k + [(None, None)], method="highs")
+    return float(res.x[-1])
+
+
+@pytest.fixture
+def linprog_calls(monkeypatch):
+    """Counts the LPs that the solvers module hands to scipy."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "linprog", counting)
+    return calls
+
+
+class TestExactMinimax:
+    def test_degenerate_game_exact(self):
+        m = _integer_games()[0]
+        value, row, col = minimax_zero_sum_matrix(matrix_game([m, -m]))
+        assert row.tolist() == [1 / 3, 0.0, 0.0, 2 / 3, 0.0]
+        assert value == float(Fraction(4, 3))
+        assert (col >= 0).all()
+
+    def test_uniform_games_sign_clean(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            m = rng.uniform(-1.0, 1.0, size=tuple(rng.integers(3, 9, size=2)))
+            value, row, col = minimax_zero_sum_matrix(matrix_game([m, -m]))
+            assert (row >= 0).all() and (col >= 0).all()
+            assert abs((row @ m).min() - value) <= 1e-12
+            assert abs((m @ col).max() - value) <= 1e-12
+            assert abs(value - _lp_value(m)) <= 1e-9
+
+    def test_matches_reference_pipeline_on_integer_games(self):
+        # The tie-break must pick the same lexicographically least vertex
+        # as the full lexmin pipeline, wide optimal sets included.
+        for m in _integer_games():
+            value, row, col = minimax_zero_sum_matrix(matrix_game([m, -m]))
+            ref_value, ref_row, ref_col = reference_minimax(m)
+            assert value == pytest.approx(ref_value, abs=1e-9)
+            assert np.allclose(row, ref_row, rtol=0.0, atol=1e-9)
+            assert np.allclose(col, ref_col, rtol=0.0, atol=1e-9)
+
+    def test_completely_mixed_game_takes_one_lp(self, linprog_calls):
+        # The recipe of a planted game: x^T A = v 1^T and A y = v 1.
+        rng = np.random.default_rng(7)
+        x, y = rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(6))
+        v = float(rng.uniform(-0.5, 0.5))
+        one = np.ones(6)
+        b = rng.uniform(-1.0, 1.0, size=(6, 6))
+        a = (np.eye(6) - np.outer(one, x)) @ b @ (np.eye(6) - np.outer(y, one)) + v
+        value, row, col = minimax_zero_sum_matrix(matrix_game([a, -a]))
+        assert len(linprog_calls) == 1
+        assert value == pytest.approx(v, abs=1e-12)
+        assert np.allclose(row, x, atol=1e-12) and np.allclose(col, y, atol=1e-12)
+
+    def test_blotto_lexmin_only_on_the_wide_side(self, blotto_game, linprog_calls):
+        # The row optimum is unique; the column optima form a segment.
+        minimax_zero_sum_matrix(blotto_game)
+        assert len(linprog_calls) <= 1 + 4
+
+    def test_tampered_lp_never_passes_unchecked(self, monkeypatch):
+        rng = np.random.default_rng(11)
+
+        def tampered(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            if res.success:
+                res.x = res.x + 1e-7 * rng.uniform(-1.0, 1.0, size=res.x.shape)
+            return res
+
+        monkeypatch.setattr(solvers, "linprog", tampered)
+        games = _integer_games()[:8] + [rng.uniform(-1, 1, size=(5, 6)) for _ in range(8)]
+        for m in games:
+            try:
+                value, row, col = minimax_zero_sum_matrix(matrix_game([m, -m]))
+            except ArithmeticError:
+                continue
+            assert (row >= 0).all() and (col >= 0).all()
+            assert abs(row.sum() - 1.0) <= 1e-15 and abs(col.sum() - 1.0) <= 1e-15
+            assert abs((row @ m).min() - value) <= 1e-12
+            assert abs((m @ col).max() - value) <= 1e-12
 
 
 class TestSupportEnumeration:
@@ -445,6 +552,22 @@ class TestImplicitRoute:
         assert sol.value == pytest.approx(value, abs=1e-12)
         assert np.allclose(sol.explicit_joint[0].probs[0], row, atol=1e-12)
         assert np.allclose(sol.explicit_joint[1].probs[0], col, atol=1e-12)
+
+    def test_quarter_lattice_hulls_solve(self):
+        # Integer games with lattice generators have degenerate implicit
+        # games; every weight must come back sign-clean and certified.
+        rng = np.random.default_rng(3)
+        for _ in range(12):
+            m, n = rng.integers(3, 9, size=2)
+            a = rng.integers(-3, 4, size=(m, n)).astype(float)
+            k = int(rng.integers(2, 5))
+            gens = [rng.multinomial(4, np.ones(m) / m) / 4.0 for _ in range(k)]
+            hull = ConvexHullGlobal(tuple(Policy(g[np.newaxis, :]) for g in gens))
+            sol = restricted_equilibrium_via_implicit(
+                matrix_game([a, -a]), [hull, FullSpace(1, int(n))]
+            )
+            assert sol.certificate.verdict
+            assert all((w >= 0).all() for w in sol.weights)
 
     def test_rejects_general_sum(self, bos_game):
         with pytest.raises(UnsupportedOperationError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
 
 from sgl.games import (
     Average,
@@ -157,6 +158,87 @@ def grid_minimax_value(m: np.ndarray, resolution: float = 1e-3) -> float:
             best = points[int(np.argmax(values))]
         units = next_units
     return best_value
+
+
+# ---------------------------------------------------------------------------
+# Reference minimax: two security LPs, full lexmin and a vertex polish
+# ---------------------------------------------------------------------------
+
+_REFERENCE_LEX_SLACK = 1e-10
+_REFERENCE_TIGHT_TOL = 1e-6
+
+
+def _reference_security_lp(mat: np.ndarray):
+    """max v subject to x^T mat >= v columnwise, x on the simplex."""
+    k, other = mat.shape
+    c = np.zeros(k + 1)
+    c[-1] = -1.0
+    a_ub = np.hstack([-mat.T, np.ones((other, 1))])
+    a_eq = np.zeros((1, k + 1))
+    a_eq[0, :k] = 1.0
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(other), A_eq=a_eq, b_eq=[1.0],
+                  bounds=[(0.0, None)] * k + [(None, None)], method="highs")
+    assert res.success, res.message
+    return float(res.x[-1]), a_ub, a_eq
+
+
+def _reference_lexmin(mat: np.ndarray, v_star: float, a_ub, a_eq) -> np.ndarray:
+    """Sequential coordinate LPs over the optimal set, each pinned with a slack."""
+    k = mat.shape[0]
+    rows = [a_ub]
+    rhs = [np.zeros(a_ub.shape[0])]
+    pin_v = np.zeros((1, k + 1))
+    pin_v[0, -1] = -1.0
+    rows.append(pin_v)
+    rhs.append(np.array([-(v_star - _REFERENCE_LEX_SLACK)]))
+    x = None
+    for coord in range(k):
+        c = np.zeros(k + 1)
+        c[coord] = 1.0
+        res = linprog(c, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs), A_eq=a_eq,
+                      b_eq=[1.0], bounds=[(0.0, None)] * k + [(None, None)],
+                      method="highs")
+        if not res.success:
+            break
+        x = np.asarray(res.x)
+        pin = np.zeros((1, k + 1))
+        pin[0, coord] = 1.0
+        rows.append(pin)
+        rhs.append(np.array([x[coord] + _REFERENCE_LEX_SLACK]))
+    assert x is not None
+    return x[:k]
+
+
+def _reference_polish(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Least-squares re-solve of the active constraints, kept if no worse."""
+    payoff = x @ mat
+    tight = np.where(payoff - payoff.min() <= _REFERENCE_TIGHT_TOL)[0]
+    support = np.where(x > _REFERENCE_TIGHT_TOL)[0]
+    rows = [np.concatenate([mat[support, j], [-1.0]]) for j in tight]
+    rows.append(np.concatenate([np.ones(support.size), [0.0]]))
+    rhs = np.zeros(len(rows))
+    rhs[-1] = 1.0
+    sol, *_ = np.linalg.lstsq(np.asarray(rows), rhs, rcond=None)
+    candidate = np.zeros(mat.shape[0])
+    candidate[support] = sol[:-1]
+    candidate = np.clip(candidate, 0.0, None)
+    if candidate.sum() <= 0.5:
+        return x
+    candidate /= candidate.sum()
+    return candidate if (candidate @ mat).min() >= payoff.min() - 1e-11 else x
+
+
+def reference_minimax(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(value, row, column) of the zero-sum matrix game ``m`` by a float pipeline:
+    both security LPs, the lexicographically least optimal vertex of each side
+    by sequential LPs, then a vertex polish.  Entries can be off by about
+    1e-10, negative ones included."""
+    m = np.asarray(m, dtype=float)
+    v_row, a_ub_r, a_eq_r = _reference_security_lp(m)
+    v_col, a_ub_c, a_eq_c = _reference_security_lp(-m.T)
+    row = _reference_polish(m, _reference_lexmin(m, v_row, a_ub_r, a_eq_r))
+    col = _reference_polish(-m.T, _reference_lexmin(-m.T, v_col, a_ub_c, a_eq_c))
+    return float((row @ m).min()), row, col
 
 
 # ---------------------------------------------------------------------------
