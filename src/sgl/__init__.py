@@ -13,7 +13,6 @@ from .games import (
     FormulationMismatchError,
     JointPolicy,
     MalformedInputError,
-    MixedStrategy,
     Policy,
     RewardFormulation,
     StochasticGame,

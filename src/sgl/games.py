@@ -12,8 +12,7 @@ Row-major order is also the on-disk convention, so files and in-memory
 tables agree without remapping.
 
 Tolerances: STRUCTURAL_TOL guards structural identities (rows summing to
-one, exact payoff equalities), VALUE_TOL guards solved linear systems, and
-CROSS_TOL guards comparisons between two independent numerical routes.
+one, exact payoff equalities) and VALUE_TOL guards solved linear systems.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import numpy as np
 
 STRUCTURAL_TOL = 1e-12
 VALUE_TOL = 1e-10
-CROSS_TOL = 1e-8
 LOAD_TOL = 1e-9
 
 
@@ -75,9 +73,6 @@ RewardFormulation = Discounted | Average
 # Policies
 # ---------------------------------------------------------------------------
 
-#: A mixed strategy is a 1-D probability vector over one player's actions.
-MixedStrategy = np.ndarray
-
 
 def check_strategy(probs: np.ndarray, tol: float = STRUCTURAL_TOL) -> None:
     """Raise unless ``probs`` is a probability vector within ``tol``."""
@@ -117,9 +112,6 @@ class Policy:
     @property
     def n_actions(self) -> int:
         return self.probs.shape[1]
-
-    def strategy(self, s: int) -> MixedStrategy:
-        return self.probs[s]
 
     @staticmethod
     def uniform(n_states: int, n_actions: int) -> "Policy":

@@ -1,16 +1,21 @@
 """Equilibrium computation and certification.
 
-Matrix-game minimax solves one LP with HiGHS: the row strategy is its
-primal, the column strategy its dual.  Both are then re-solved exactly (the
-payoffs times one power of two are integers, and fraction-free elimination
-on each strategy's support and tight columns gives rationals) and checked
-exactly: both lie on the simplex and the row security equals the column
-security.  The value and entries returned are the correctly rounded exact
-ones for the game as stored, so none is negative.  Ties go to the
-lexicographically least optimal strategy: an exact test decides whether
-each side's optimal set is a single point, and only a side whose set is
-wider takes sequential lexicographic LPs, whose vertex is re-solved and
-checked the same way.
+Both matrix-game solvers, minimax and bimatrix support enumeration, share
+one exact core.  The payoffs times one power of two are integers;
+fraction-free elimination solves a strategy's indifference system on a
+given support in rationals, and one Nash certificate checks a pair
+exactly: both lie on the simplex and each support lies inside that
+player's best-response set.  Entries and values returned are the correctly
+rounded exact ones for the game as stored, so none is negative.
+
+Minimax solves one LP with HiGHS (the row strategy is its primal, the
+column strategy its dual) and reads each support and equation order off
+those floats before the exact re-solve.  Ties go to the lexicographically
+least optimal strategy: an exact test decides whether each side's optimal
+set is a single point, and only a side whose set is wider takes sequential
+lexicographic LPs, whose vertex is re-solved and checked the same way.
+Support enumeration runs the exact re-solve and the certificate on every
+equal-cardinality support pair.
 
 Restricted best responses take one route per input:
 
@@ -92,6 +97,7 @@ from .values import (
 _LEX_SLACK = 1e-10
 _SUPPORT_TOL = 1e-9
 _MAX_FACE_SUBSETS = 4096
+_MAX_SUPPORT_ACTIONS = 5
 
 
 @dataclass(frozen=True)
@@ -287,19 +293,20 @@ def _eliminate(rows: list[list[int]], n: int):
 
 
 def _exact_strategy(
-    a: list[list[int]], x: np.ndarray, payoff: np.ndarray, value: Fraction | None
+    a: list[list[int]],
+    support: Sequence[int],
+    order: Sequence[int],
+    value: Fraction | None,
 ) -> tuple[list[int], int] | None:
-    """Exact re-solve of an optimal vertex x of the row player of ``a``.
+    """Exact solution x, on ``support``, of an indifference system of ``a``.
 
-    The unknowns are x on its support (entries above _SUPPORT_TOL) and,
-    when ``value`` is None, the value.  The equations are the simplex sum,
-    then "payoff equals the value" for the columns from the tightest
-    ``payoff`` (the float x^T a) up, as many as are independent.  Returns
-    (numerators, positive common denominator), or None when those
-    equations have rank below the number of unknowns.
+    x is a strategy over the rows of ``a``.  The unknowns are x on
+    ``support`` and, when ``value`` is None, the value.  The equations are
+    the simplex sum, then (x^T a)_j = value for the columns j in ``order``,
+    earliest first, as many as are independent.  Returns (numerators,
+    positive common denominator), or None when those equations have rank
+    below the number of unknowns.
     """
-    support = [i for i in range(len(a)) if x[i] > _SUPPORT_TOL]
-    order = np.argsort(payoff, kind="stable").tolist()
     if value is None:
         rows = [[1] * len(support) + [0, 1]]
         rows += [[a[i][j] for i in support] + [-1, 0] for j in order]
@@ -318,41 +325,55 @@ def _exact_strategy(
     return full, sign * det
 
 
-def _certify(a: list[list[int]], row, col):
-    """Exact certificate of an optimal pair of the integer game ``a``.
+def _certify(a: list[list[int]], b: list[list[int]], row, col):
+    """Exact Nash certificate of a strategy pair of the integer game (a, b).
 
-    Both strategies must lie on the simplex, and the row security
-    min_j (x^T a)_j must equal the column security max_i (a y)_i; weak
-    duality then makes both optimal.  Returns (value, columns tight against
-    x, rows tight against y), or None.
+    Each player's payoffs have its own actions as rows: ``a`` is the row
+    player's, ``b`` the column player's transposed (a zero-sum game has
+    b = -a^T).  Both strategies must lie on the simplex, and each support
+    must lie inside that player's best-response set against the other
+    strategy.  In a zero-sum game this holds exactly when the row security
+    equals the column security.  Returns (the row player's value, its
+    best-response rows, the column player's best-response columns), or None.
     """
     (xn, xd), (yn, yd) = row, col
     if min(xn) < 0 or min(yn) < 0 or sum(xn) != xd or sum(yn) != yd:
         return None
-    row_pay = [sum(p * e for p, e in zip(xn, column) if p) for column in zip(*a)]
-    col_pay = [sum(q * e for q, e in zip(yn, r) if q) for r in a]
-    low, high = min(row_pay), max(col_pay)
-    if low * yd != high * xd:
+    row_pay = [sum(q * e for q, e in zip(yn, r) if q) for r in a]
+    col_pay = [sum(p * e for p, e in zip(xn, r) if p) for r in b]
+    u, w = max(row_pay), max(col_pay)
+    if any(p and pay < u for p, pay in zip(xn, row_pay)):
+        return None
+    if any(q and pay < w for q, pay in zip(yn, col_pay)):
         return None
     return (
-        Fraction(low, xd),
-        [j for j, p in enumerate(row_pay) if p == low],
-        [i for i, q in enumerate(col_pay) if q == high],
+        Fraction(u, yd),
+        [i for i, pay in enumerate(row_pay) if pay == u],
+        [j for j, pay in enumerate(col_pay) if pay == w],
     )
+
+
+def _lp_system(x: np.ndarray, payoff: np.ndarray) -> tuple[list[int], list[int]]:
+    """Support and equation order of a float LP vertex x: its entries above
+    _SUPPORT_TOL, and the columns from the tightest ``payoff`` up."""
+    support = np.flatnonzero(x > _SUPPORT_TOL).tolist()
+    return support, np.argsort(payoff, kind="stable").tolist()
 
 
 def _certified_pair(m, a, b, x, y, value=None):
     """Exact re-solve of float optimal vertices (x, y) and their certificate.
 
     ``b`` is the integer -a^T; ``value`` is the exact value when known.
-    Returns (row, column, value, columns tight against x, rows tight
-    against y), or None.
+    Returns (row, column, value, rows tight against y, columns tight
+    against x), or None.
     """
-    row = _exact_strategy(a, x, x @ m, value)
-    col = _exact_strategy(b, y, -(m @ y), None if value is None else -value)
+    row = _exact_strategy(a, *_lp_system(x, x @ m), value)
+    col = _exact_strategy(
+        b, *_lp_system(y, -(m @ y)), None if value is None else -value
+    )
     if row is None or col is None:
         return None
-    cert = _certify(a, row, col)
+    cert = _certify(a, b, row, col)
     return None if cert is None else (row, col, *cert)
 
 
@@ -422,7 +443,7 @@ def minimax_zero_sum_matrix(
     x, y, v_lp = _minimax_lp(m)
     pair = _certified_pair(m, a, b, x, y)
     if pair is not None:
-        row, col, v, tight_cols, tight_rows = pair
+        row, col, v, tight_rows, tight_cols = pair
         support_x = [i for i, p in enumerate(row[0]) if p]
         support_y = [j for j, q in enumerate(col[0]) if q]
         row_wide = not _is_point(a, support_x, tight_rows, support_y, tight_cols)
@@ -451,88 +472,56 @@ def minimax_zero_sum_matrix(
 # ---------------------------------------------------------------------------
 
 
-def support_enumeration_bimatrix(
-    game: StochasticGame, max_actions: int = 5
-) -> SupportEnumerationResult:
+def support_enumeration_bimatrix(game: StochasticGame) -> SupportEnumerationResult:
     """All Nash equilibria of a small bimatrix game via support enumeration.
 
-    Considers equal-cardinality support pairs, solves the indifference
-    systems, and keeps solutions that survive the best-response check.
-    Games showing support ties (an unused action exactly indifferent, or a
-    support coordinate at zero) are flagged degenerate; for such games a
-    continuum of equilibria may exist beyond the listed ones.
+    Considers equal-cardinality support pairs (von Stengel, *Computing
+    equilibria for two-person games*, 2002).  For each pair the column
+    mixture that makes the row support indifferent is solved first, and the
+    pair is dropped as soon as an entry is negative; then the row mixture,
+    and the pair is kept when the exact Nash certificate holds.  The
+    indifference systems and the certificate are solved exactly for the game
+    as stored, with the same core as minimax, so the listed equilibria are
+    exact and their entries correctly rounded.  A game is flagged degenerate
+    on an exact zero inside a support or an exact tie (a best-response set
+    larger than the support); for such games a continuum of equilibria may
+    exist beyond the listed ones.  Games with more than _MAX_SUPPORT_ACTIONS
+    actions for a player are refused.
     """
     if game.n_players != 2 or not game.is_matrix_game:
         raise UnsupportedOperationError("support enumeration needs a 2-player matrix game")
-    a = game.payoff_matrix(0)
-    b = game.payoff_matrix(1)
-    m, n = a.shape
-    if m > max_actions or n > max_actions:
+    m, n = game.action_counts
+    if m > _MAX_SUPPORT_ACTIONS or n > _MAX_SUPPORT_ACTIONS:
         raise UnsupportedOperationError(
-            f"action counts {(m, n)} exceed the bound {max_actions}"
+            f"action counts {(m, n)} exceed the bound {_MAX_SUPPORT_ACTIONS}"
         )
-    tol = 1e-9
-    found: list[tuple[np.ndarray, np.ndarray]] = []
+    # Each player's payoffs with its own actions as rows, and their
+    # transposes, over which the opponent's mixture is solved.
+    a = _integer_matrix(game.payoff_matrix(0))[0]
+    b = _integer_matrix(game.payoff_matrix(1).T)[0]
+    a_t, b_t = [list(c) for c in zip(*a)], [list(c) for c in zip(*b)]
+    found = []
     degenerate = False
-
-    def solve_support(payoff: np.ndarray, rows, cols):
-        """Opponent mixture over ``cols`` equalizing ``rows`` of ``payoff``."""
-        k = len(rows)
-        system = np.zeros((k + 1, k + 1))
-        system[:k, :k] = payoff[np.ix_(rows, cols)]
-        system[:k, k] = -1.0
-        system[k, :k] = 1.0
-        rhs = np.zeros(k + 1)
-        rhs[k] = 1.0
-        try:
-            sol = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        return sol[:k], sol[k]
-
     for k in range(1, min(m, n) + 1):
         for rows in itertools.combinations(range(m), k):
             for cols in itertools.combinations(range(n), k):
-                col_sol = solve_support(a, list(rows), list(cols))
-                if col_sol is None:
+                col = _exact_strategy(a_t, cols, rows, None)
+                if col is None or min(col[0]) < 0:
                     continue
-                y_s, u = col_sol
-                row_sol = solve_support(b.T, list(cols), list(rows))
-                if row_sol is None:
+                row = _exact_strategy(b_t, rows, cols, None)
+                if row is None or min(row[0]) < 0:
                     continue
-                x_s, w = row_sol
-                if np.any(y_s < -tol) or np.any(x_s < -tol):
-                    continue
-                if k > 1 and (np.any(y_s <= tol) or np.any(x_s <= tol)):
+                if 0 in [row[0][i] for i in rows] + [col[0][j] for j in cols]:
                     degenerate = True
                     continue
-                x = np.zeros(m)
-                x[list(rows)] = np.clip(x_s, 0.0, None)
-                y = np.zeros(n)
-                y[list(cols)] = np.clip(y_s, 0.0, None)
-                x /= x.sum()
-                y /= y.sum()
-                row_payoffs = a @ y
-                col_payoffs = x @ b
-                if row_payoffs.max() > u + tol or col_payoffs.max() > w + tol:
+                cert = _certify(a, b, row, col)
+                if cert is None:
                     continue
-                off_rows = [i for i in range(m) if i not in rows]
-                off_cols = [j for j in range(n) if j not in cols]
-                if any(row_payoffs[i] > u - tol for i in off_rows) or any(
-                    col_payoffs[j] > w - tol for j in off_cols
-                ):
-                    degenerate = True
-                duplicate = any(
-                    np.max(np.abs(x - px)) <= 1e-8 and np.max(np.abs(y - py)) <= 1e-8
-                    for px, py in found
-                )
-                if duplicate:
-                    degenerate = True
-                    continue
-                found.append((x, y))
+                degenerate |= len(cert[1]) > k or len(cert[2]) > k
+                found.append((row, col))
     equilibria = [
-        JointPolicy((Policy(x[np.newaxis, :]), Policy(y[np.newaxis, :])))
-        for x, y in found
+        JointPolicy((Policy([[p / xd for p in xn]]), Policy([[q / yd for q in yn]])))
+        for (xn, xd), (yn, yd) in found
     ]
     return SupportEnumerationResult(equilibria=equilibria, degenerate=degenerate)
 
@@ -566,17 +555,16 @@ def _matrix_best_response(
 
 
 def _policy_iteration_discounted(
-    mdp: InducedMDP, generators: list[np.ndarray]
+    gamma: float, meta_r: list[np.ndarray], meta_p: list[np.ndarray]
 ) -> tuple[list[int], np.ndarray]:
     """Exact policy iteration over per-state generator choices.
 
-    Switches only on strict improvement and breaks ties toward the lowest
-    index, so the iteration terminates at a simultaneous per-state optimum.
+    ``meta_r[s]`` and ``meta_p[s]`` hold each generator's reward and
+    transition row at state s.  Switches only on strict improvement and
+    breaks ties toward the lowest index, so the iteration terminates at a
+    simultaneous per-state optimum.
     """
-    gamma = mdp.formulation.gamma
-    s_count = mdp.n_states
-    meta_r = [g @ mdp.reward[s] for s, g in enumerate(generators)]
-    meta_p = [g @ mdp.transition[s] for s, g in enumerate(generators)]
+    s_count = len(meta_r)
     choice = [0] * s_count
     for _ in range(200 * sum(len(r) for r in meta_r) + 50):
         p = np.vstack([meta_p[s][choice[s]] for s in range(s_count)])
@@ -594,17 +582,14 @@ def _policy_iteration_discounted(
     raise ArithmeticError("policy iteration failed to terminate")
 
 
-def _gain_bias_lp(
-    mdp: InducedMDP, generators: list[np.ndarray]
-) -> tuple[list[int], float]:
-    """Average-reward optimum over per-state generator choices (unichain LP).
+def _gain_bias_lp(meta_r: list[np.ndarray], meta_p: list[np.ndarray]) -> list[int]:
+    """Average-reward optimal per-state generator choice (unichain LP).
 
     Minimizes the gain g subject to g + h(s) >= r(s, k) + P(s, k) h for all
-    meta-actions k, with one bias coordinate pinned to zero.
+    meta-actions k, with one bias coordinate pinned to zero, then picks the
+    lowest-index maximizer of r(s, k) + P(s, k) h at each state.
     """
-    s_count = mdp.n_states
-    meta_r = [g @ mdp.reward[s] for s, g in enumerate(generators)]
-    meta_p = [g @ mdp.transition[s] for s, g in enumerate(generators)]
+    s_count = len(meta_r)
     # Variables: g, h_0 .. h_{S-2} (h_{S-1} = 0).
     n_vars = s_count  # 1 gain + (S - 1) bias coordinates
     rows = []
@@ -627,7 +612,6 @@ def _gain_bias_lp(
     )
     if not res.success:
         raise ArithmeticError(f"average-reward LP failed: {res.message}")
-    gain = float(res.x[0])
     h = np.zeros(s_count)
     h[: s_count - 1] = res.x[1:]
     choice = []
@@ -635,7 +619,7 @@ def _gain_bias_lp(
         q = meta_r[s] + meta_p[s] @ h
         best = float(q.max())
         choice.append(min(k for k in range(q.shape[0]) if q[k] >= best - 1e-8))
-    return choice, gain
+    return choice
 
 
 def _statewise_best_response(
@@ -645,17 +629,19 @@ def _statewise_best_response(
 ) -> BestResponseResult:
     """Route (b): optimal per-state generator choice in the induced MDP."""
     generators = [space.generators_at(s) for s in range(mdp.n_states)]
-    if isinstance(mdp.formulation, Discounted):
-        choice, v = _policy_iteration_discounted(mdp, generators)
-        value = float(v[mdp.initial_index])
+    meta_r = [g @ mdp.reward[s] for s, g in enumerate(generators)]
+    meta_p = [g @ mdp.transition[s] for s, g in enumerate(generators)]
+    discounted = isinstance(mdp.formulation, Discounted)
+    if discounted:
+        choice, v = _policy_iteration_discounted(mdp.formulation.gamma, meta_r, meta_p)
     else:
-        choice, value = _gain_bias_lp(mdp, generators)
-        probs = np.vstack([generators[s][choice[s]] for s in range(mdp.n_states)])
-        value = float(mdp_policy_value(mdp, probs)[mdp.initial_index])
+        choice = _gain_bias_lp(meta_r, meta_p)
     probs = np.vstack([generators[s][choice[s]] for s in range(mdp.n_states)])
+    if not discounted:
+        v = mdp_policy_value(mdp, probs)
     return BestResponseResult(
         policy=Policy(probs),
-        value=value,
+        value=float(v[mdp.initial_index]),
         description=f"per-state generator choice {choice}",
     )
 
@@ -724,7 +710,6 @@ def _weight_best_response(
     game: StochasticGame,
     mdp: InducedMDP,
     hull: ConvexHullGlobal,
-    grid_step: float = _GRID_STEP,
 ) -> BestResponseResult:
     """Route (c): search the shared-weight simplex; value need not be concave.
 
@@ -745,15 +730,15 @@ def _weight_best_response(
         w = np.ones(1)
         value = float(value_of(w[np.newaxis])[0])
         return BestResponseResult(hull.policy_of_weights(w), value)
-    grid = simplex_grid(k, grid_step)
+    grid = simplex_grid(k, _GRID_STEP)
     values = value_of(grid)
     best_at = int(np.argmax(values))
     # Largest change per step between grid neighbours bounds what refinement
     # could still uncover.
     step_gap = np.max(np.abs(np.diff(grid, axis=0)), axis=1)
-    adjacent = (step_gap > 0) & (step_gap <= 2.0 * grid_step + 1e-12)
+    adjacent = (step_gap > 0) & (step_gap <= 2.0 * _GRID_STEP + 1e-12)
     slopes = np.abs(np.diff(values))[adjacent] / step_gap[adjacent]
-    tolerance = float(slopes.max()) * grid_step if slopes.size else 0.0
+    tolerance = float(slopes.max()) * _GRID_STEP if slopes.size else 0.0
     w = grid[best_at].copy()
     best_value = values[best_at]
     for _ in range(3):
@@ -813,7 +798,6 @@ def check_equilibrium(
     joint: JointPolicy,
     spaces: Sequence[RestrictedPolicySpace],
     epsilon: float,
-    membership_tol: float = MEMBERSHIP_TOL,
 ) -> EquilibriumCertificate:
     """Certify whether ``joint`` is an epsilon-equilibrium within the spaces.
 
@@ -824,7 +808,7 @@ def check_equilibrium(
     if len(spaces) != game.n_players:
         raise MalformedInputError("need one restricted space per player")
     for i, space in enumerate(spaces):
-        if not space.contains(joint[i], tol=membership_tol):
+        if not space.contains(joint[i], tol=MEMBERSHIP_TOL):
             raise MalformedInputError(
                 f"player {i} policy lies outside its restricted space"
             )

@@ -52,6 +52,7 @@ from util import (
     random_policy,
     random_statewise_hull,
     reference_minimax,
+    reference_support_enumeration,
     reference_sweep_rows,
 )
 
@@ -265,6 +266,61 @@ class TestSupportEnumeration:
         m = np.zeros((6, 2))
         with pytest.raises(UnsupportedOperationError):
             support_enumeration_bimatrix(matrix_game([m, -m]))
+
+    @pytest.mark.parametrize("kind", ["integer", "uniform"])
+    def test_matches_reference_pipeline(self, kind):
+        # 400 games of 2-5 actions a side: payoffs in -3..3 (many degenerate)
+        # or uniform on (-1, 1).
+        rng = np.random.default_rng(17)
+        for _ in range(400):
+            shape = tuple(rng.integers(2, 6, size=2))
+            if kind == "integer":
+                a, b = (rng.integers(-3, 4, size=shape).astype(float) for _ in "ab")
+            else:
+                a, b = (rng.uniform(-1.0, 1.0, size=shape) for _ in "ab")
+            result = support_enumeration_bimatrix(matrix_game([a, b]))
+            ref, ref_degenerate = reference_support_enumeration(a, b)
+            assert result.degenerate == ref_degenerate
+            assert len(result.equilibria) == len(ref)
+            for eq, (x, y) in zip(result.equilibria, ref):
+                assert np.allclose(eq[0].probs[0], x, rtol=0.0, atol=1e-9)
+                assert np.allclose(eq[1].probs[0], y, rtol=0.0, atol=1e-9)
+
+    def test_near_tie_is_not_an_equilibrium(self):
+        # Row 2 pays c = 2/3 - 2^-40 whatever the column does.  On rows {0, 2}
+        # and both columns, x = (2/7, 0, 5/7) and y_0 = c/2; row 1 then pays
+        # 1 - c/2, more than c by 1.5 * 2^-40, so that profile is no
+        # equilibrium, though a 1e-9 tolerance would keep it.
+        c = 2 / 3 - 2.0**-40
+        a = np.array([[2.0, 0.0], [0.0, 1.0], [c, c]])
+        b = np.array([[1.0, 0.0], [0.0, 2.0], [0.3, 0.7]])
+        result = support_enumeration_bimatrix(matrix_game([a, b]))
+        assert not result.degenerate
+        assert [(eq[0].probs[0].tolist(), eq[1].probs[0].tolist())
+                for eq in result.equilibria] == [
+            ([1.0, 0.0, 0.0], [1.0, 0.0]),
+            ([0.0, 1.0, 0.0], [0.0, 1.0]),
+            ([2 / 3, 1 / 3, 0.0], [1 / 3, 2 / 3]),
+        ]
+
+    def test_planted_zero_sum_matches_minimax(self):
+        # x^T A = v 1^T and A y = v 1 with x, y completely mixed: the single
+        # equilibrium is the same exact pair that minimax certifies.
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            x, y = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+            one = np.ones(n)
+            left, right = np.eye(n) - np.outer(one, x), np.eye(n) - np.outer(y, one)
+            b = rng.uniform(-1.0, 1.0, size=(n, n))
+            a = left @ b @ right + float(rng.uniform(-0.5, 0.5))
+            game = matrix_game([a, -a])
+            result = support_enumeration_bimatrix(game)
+            _, row, col = minimax_zero_sum_matrix(game)
+            assert len(result.equilibria) == 1 and not result.degenerate
+            eq = result.equilibria[0]
+            assert eq[0].probs[0].tolist() == row.tolist()
+            assert eq[1].probs[0].tolist() == col.tolist()
 
 
 class TestRestrictedBestResponse:

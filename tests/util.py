@@ -242,6 +242,86 @@ def reference_minimax(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# Reference support enumeration: float indifference systems behind tolerances
+# ---------------------------------------------------------------------------
+
+
+def _reference_indifference(payoff: np.ndarray, rows, cols):
+    """Opponent mixture over ``cols`` equalizing ``rows`` of ``payoff``, and the
+    common payoff, by one float solve; None when the system is singular."""
+    k = len(rows)
+    system = np.zeros((k + 1, k + 1))
+    system[:k, :k] = payoff[np.ix_(rows, cols)]
+    system[:k, k] = -1.0
+    system[k, :k] = 1.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    try:
+        sol = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return sol[:k], sol[k]
+
+
+def reference_support_enumeration(
+    a: np.ndarray, b: np.ndarray
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], bool]:
+    """(equilibria as (row, column) arrays, degenerate flag) of the bimatrix
+    game (a, b) by a float pipeline: each equal-cardinality support pair's
+    indifference systems are solved in floats, clipped, renormalised and
+    kept when the best-response check passes within 1e-9; profiles within
+    1e-8 of an earlier one count as duplicates.  Near ties can admit a
+    profile that is not an equilibrium of the stored game."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = a.shape
+    tol = 1e-9
+    found: list[tuple[np.ndarray, np.ndarray]] = []
+    degenerate = False
+    for k in range(1, min(m, n) + 1):
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.combinations(range(n), k):
+                col_sol = _reference_indifference(a, list(rows), list(cols))
+                if col_sol is None:
+                    continue
+                y_s, u = col_sol
+                row_sol = _reference_indifference(b.T, list(cols), list(rows))
+                if row_sol is None:
+                    continue
+                x_s, w = row_sol
+                if np.any(y_s < -tol) or np.any(x_s < -tol):
+                    continue
+                if k > 1 and (np.any(y_s <= tol) or np.any(x_s <= tol)):
+                    degenerate = True
+                    continue
+                x = np.zeros(m)
+                x[list(rows)] = np.clip(x_s, 0.0, None)
+                y = np.zeros(n)
+                y[list(cols)] = np.clip(y_s, 0.0, None)
+                x /= x.sum()
+                y /= y.sum()
+                row_payoffs = a @ y
+                col_payoffs = x @ b
+                if row_payoffs.max() > u + tol or col_payoffs.max() > w + tol:
+                    continue
+                off_rows = [i for i in range(m) if i not in rows]
+                off_cols = [j for j in range(n) if j not in cols]
+                if any(row_payoffs[i] > u - tol for i in off_rows) or any(
+                    col_payoffs[j] > w - tol for j in off_cols
+                ):
+                    degenerate = True
+                duplicate = any(
+                    np.max(np.abs(x - px)) <= 1e-8 and np.max(np.abs(y - py)) <= 1e-8
+                    for px, py in found
+                )
+                if duplicate:
+                    degenerate = True
+                    continue
+                found.append((x, y))
+    return found, degenerate
+
+
+# ---------------------------------------------------------------------------
 # References for the batched evaluators
 # ---------------------------------------------------------------------------
 
