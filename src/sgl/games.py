@@ -75,13 +75,17 @@ RewardFormulation = Discounted | Average
 
 
 def check_strategy(probs: np.ndarray, tol: float = STRUCTURAL_TOL) -> None:
-    """Raise unless ``probs`` is a probability vector within ``tol``."""
+    """Raise unless ``probs`` is a probability vector within ``tol``.
+
+    Both tests are written so that NaN fails them, so a NaN or infinite
+    entry is rejected too.
+    """
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1:
         raise MalformedInputError("mixed strategy must be a 1-D vector")
-    if np.any(probs < -tol):
-        raise MalformedInputError(f"negative strategy entry in {probs}")
-    if abs(probs.sum() - 1.0) > tol:
+    if not np.all(probs >= -tol):
+        raise MalformedInputError(f"negative or NaN strategy entry in {probs}")
+    if not abs(probs.sum() - 1.0) <= tol:
         raise MalformedInputError(f"strategy does not sum to 1: {probs}")
 
 
@@ -231,6 +235,18 @@ class StochasticGame:
         if not isinstance(self.formulation, Average):
             raise FormulationMismatchError("operation requires an average-reward game")
 
+    def require_finite(self) -> None:
+        """Raise unless every reward and transition entry is finite.
+
+        A game is built unchecked so that ``validate`` can list everything
+        wrong with it; ``matrix_game`` and the exact matrix solvers call
+        this instead.
+        """
+        if not np.all(np.isfinite(self.rewards)):
+            raise MalformedInputError("non-finite reward entries")
+        if not np.all(np.isfinite(self.transition)):
+            raise MalformedInputError("non-finite transition entries")
+
     def payoff_matrix(self, player: int) -> np.ndarray:
         """For a 2-player matrix game, player's payoffs as an (|A_1|, |A_2|) array."""
         if not self.is_matrix_game or self.n_players != 2:
@@ -265,6 +281,8 @@ def validate(game: StochasticGame) -> list[str]:
         problems.append(f"initial state {game.initial_state!r} not in state list")
     if not np.all(np.isfinite(game.rewards)):
         problems.append("non-finite reward entries")
+    if not np.all(np.isfinite(game.transition)):
+        problems.append("non-finite transition entries")
     if np.any(game.transition < -STRUCTURAL_TOL):
         problems.append("negative transition probabilities")
     sums = game.transition.sum(axis=2)
@@ -353,7 +371,7 @@ def matrix_game(
     j = int(np.prod(shape))
     transition = np.ones((1, j, 1))
     rewards = np.stack([t.reshape(1, j) for t in tensors])
-    return StochasticGame(
+    game = StochasticGame(
         states=(state_name,),
         action_sets=tuple(tuple(a) for a in action_names),
         transition=transition,
@@ -361,6 +379,8 @@ def matrix_game(
         initial_state=state_name,
         formulation=formulation,
     )
+    game.require_finite()
+    return game
 
 
 ROCK_PAPER_SCISSORS_ROW = np.array(

@@ -29,10 +29,12 @@ Restricted best responses take one route per input:
 (c) multi-state games with a ``ConvexHullGlobal`` space (``StateUniform``
     and ``Singleton`` build these) tie the weights across states, making
     the value generally non-concave in the weights; these are searched by
-    a dense grid over the weight simplex, evaluated in one batched solve,
-    then polished by a batched zoom over each coordinate pair.  The result
-    carries a Lipschitz-style tolerance estimate from adjacent grid values,
-    which is not a proof, instead of an exactness claim.
+    a dense grid over the weight simplex, evaluated in batched solves of at
+    most ``_BATCH`` policies, then polished by a batched zoom over each
+    coordinate pair.  Many opponent profiles are answered in lockstep, each
+    step's solves shared by every query.  The result carries a
+    Lipschitz-style tolerance estimate from adjacent grid values, which is
+    not a proof, instead of an exactness claim.
 
 Multi-state games with a ``DeterministicOnly`` space take route (b) over the
 unit vectors (``FullSpace``): an optimal pure stationary policy always
@@ -58,7 +60,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -90,6 +92,7 @@ from .values import (
     induce_mdp,
     mdp_policy_value,
     mdp_policy_values,
+    mdp_stack_values,
     policy_value,
     policy_values,
 )
@@ -178,6 +181,7 @@ class SweepResult:
 def _zero_sum_matrix(game: StochasticGame) -> np.ndarray:
     if game.n_players != 2 or not game.is_matrix_game:
         raise UnsupportedOperationError("minimax needs a 2-player matrix game")
+    game.require_finite()
     if not classify(game).is_zero_sum:
         raise UnsupportedOperationError("minimax needs a zero-sum game")
     return game.payoff_matrix(0)
@@ -490,6 +494,7 @@ def support_enumeration_bimatrix(game: StochasticGame) -> SupportEnumerationResu
     """
     if game.n_players != 2 or not game.is_matrix_game:
         raise UnsupportedOperationError("support enumeration needs a 2-player matrix game")
+    game.require_finite()
     m, n = game.action_counts
     if m > _MAX_SUPPORT_ACTIONS or n > _MAX_SUPPORT_ACTIONS:
         raise UnsupportedOperationError(
@@ -649,118 +654,218 @@ def _statewise_best_response(
 # Policies per batched solve in route (c) and the existence sweep; bounds the
 # working memory whatever the grid or lattice size.
 _BATCH = 2048
+# Grid values route (c) holds at once: queries are taken in groups whose
+# grids fit, so memory stays bounded whatever the number of queries.
+_GRID_VALUES = 64 * _BATCH
 _GRID_STEP = 0.01
 _ZOOM_POINTS = 33
 _ZOOM_LEVELS = 12
 _ZOOM_WIDTH = 1e-13
 _ZOOM_FRACTIONS = np.linspace(0.0, 1.0, _ZOOM_POINTS)
+# The neighbours of each zoom point, which bracket the next level.
+_BRACKETS = np.array(
+    [[max(m - 1, 0), min(m + 1, _ZOOM_POINTS - 1)] for m in range(_ZOOM_POINTS)]
+)
 
 
-def _weight_values(
-    mdp: InducedMDP, stacked: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Initial-state values of the hull policies for a (B, k) array of weights,
-    _BATCH weight vectors per solve."""
-    flat = stacked.reshape(stacked.shape[0], -1)
-    values = np.empty(weights.shape[0])
-    for start in range(0, weights.shape[0], _BATCH):
-        chunk = weights[start:start + _BATCH]
-        probs = (chunk @ flat).reshape((chunk.shape[0], *stacked.shape[1:]))
-        # Blends of valid rows can drift at machine scale; renormalize exactly.
-        np.clip(probs, 0.0, None, out=probs)
-        probs /= probs.sum(axis=2, keepdims=True)
-        values[start:start + _BATCH] = mdp_policy_values(mdp, probs)[:, mdp.initial_index]
-    return values
+def _hull_values(
+    hull: ConvexHullGlobal, mdps: Sequence[InducedMDP]
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The evaluator of route (c)'s queries, one induced MDP each.
 
-
-def _pair_zoom(
-    value_of, w: np.ndarray, i: int, j: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate splits of the mass on coordinates i, j and their values.
-
-    Returns the two endpoints (all mass on j, all mass on i) followed by the
-    best split found by a batched zoom: each level evaluates _ZOOM_POINTS
-    evenly spaced splits across [lo, hi] in one call and narrows to the
-    neighbours of the best one, until the bracket is narrower than
-    _ZOOM_WIDTH or _ZOOM_LEVELS levels have run.
+    It maps (owner (B,), weights (B, k)) to the initial-state value of the
+    blend ``weights[b]`` in ``mdps[owner[b]]``.  Rows are split into equal
+    chunks of at most _BATCH, one batched solve each.  Equal chunks never
+    leave a single row, whose product with the generators numpy computes on
+    another BLAS path with other rounding, so a row's value does not depend
+    on the rows solved with it.
     """
-    mass = w[i] + w[j]
-    lo, hi = 0.0, mass
-    candidates = np.repeat(w[np.newaxis, :], _ZOOM_POINTS, axis=0)
+    stacked = np.stack([g.probs for g in hull.generators])
+    flat = stacked.reshape(stacked.shape[0], -1)
+    transition = np.stack([m.transition for m in mdps])
+    reward = np.stack([m.reward for m in mdps])
+    formulation, initial = mdps[0].formulation, mdps[0].initial_index
+
+    def value_of(owner: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        n = weights.shape[0]
+        chunks = -(-n // _BATCH)
+        values = np.empty(n)
+        for c in range(chunks):
+            rows = slice(n * c // chunks, n * (c + 1) // chunks)
+            chunk = weights[rows]
+            probs = (chunk @ flat).reshape((chunk.shape[0], *stacked.shape[1:]))
+            # Blends of valid rows can drift at machine scale; renormalize exactly.
+            np.clip(probs, 0.0, None, out=probs)
+            probs /= probs.sum(axis=2, keepdims=True)
+            if len(mdps) == 1:
+                # One query: its MDP as it is, with no per-row copies; the
+                # arithmetic is the same either way.
+                values[rows] = mdp_policy_values(mdps[0], probs)[:, initial]
+            else:
+                at = owner[rows]
+                values[rows] = mdp_stack_values(
+                    transition[at], reward[at], formulation, probs
+                )[:, initial]
+        return values
+
+    return value_of
+
+
+def _pair_zooms(
+    value_of, owner: np.ndarray, w: np.ndarray, i: int, j: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Candidate splits of the mass on coordinates i, j, for every row of w.
+
+    Returns an iterator over three (splits, values) pairs of (Q,) arrays:
+    the endpoint with all mass on j, the endpoint with all mass on i, then
+    the best split a zoom found; row q's values are in query ``owner[q]``.
+    Each level evaluates _ZOOM_POINTS evenly spaced splits across every
+    zooming row's [lo, hi] together and narrows each bracket to the
+    neighbours of its best split; a row stops zooming once its bracket is
+    narrower than _ZOOM_WIDTH, and all stop after _ZOOM_LEVELS levels.
+    """
+    mass = w[:, i] + w[:, j]
+    best_t, best_val = np.zeros_like(mass), np.full_like(mass, -np.inf)
     ends = None
-    best_t, best_val = 0.0, -np.inf
+    # The rows still zooming and their best splits so far, compacted as rows
+    # drop out; brackets and masses are (Z, 1) columns, and ``base`` holds
+    # each row's offset into a flattened (Z, _ZOOM_POINTS) level.
+    rows, row_t, row_val = np.arange(mass.size), best_t.copy(), best_val.copy()
+    lo, hi = np.zeros((mass.size, 1)), mass[:, None]
+    span = hi
+    candidates = np.repeat(w[:, None, :], _ZOOM_POINTS, axis=1)
+    owners = np.repeat(owner, _ZOOM_POINTS)
+    base = rows * _ZOOM_POINTS
     for _ in range(_ZOOM_LEVELS):
         t = lo + (hi - lo) * _ZOOM_FRACTIONS
-        candidates[:, i] = t
-        candidates[:, j] = mass - t
-        vals = value_of(candidates)
+        candidates[:, :, i] = t
+        np.subtract(span, t, out=candidates[:, :, j])
+        vals = value_of(owners, candidates.reshape(-1, w.shape[1]))
+        level = vals.reshape(t.shape)
         if ends is None:
-            ends = (vals[0], vals[-1])
-        at = int(np.argmax(vals))
-        if vals[at] > best_val:
-            best_t, best_val = float(t[at]), float(vals[at])
-        lo = t[max(at - 1, 0)]
-        hi = t[min(at + 1, _ZOOM_POINTS - 1)]
-        if hi - lo < _ZOOM_WIDTH:
-            break
-    return np.array([0.0, mass, best_t]), np.array([ends[0], ends[1], best_val])
+            ends = level[:, [0, -1]]
+        at = level.argmax(axis=1)
+        top = vals.take(base + at)
+        better = top > row_val
+        np.copyto(row_t, t.take(base + at), where=better)
+        np.copyto(row_val, top, where=better)
+        bracket = t.take(base[:, None] + _BRACKETS[at])
+        lo, hi = bracket[:, :1], bracket[:, 1:]
+        narrow = bracket[:, 1] - bracket[:, 0] < _ZOOM_WIDTH
+        done = np.count_nonzero(narrow)
+        if done:
+            best_t[rows], best_val[rows] = row_t, row_val
+            if done == rows.size:
+                break
+            going = ~narrow
+            rows, row_t, row_val = rows[going], row_t[going], row_val[going]
+            lo, hi, span, candidates = lo[going], hi[going], span[going], candidates[going]
+            owners = owners[np.repeat(going, _ZOOM_POINTS)]
+            base = np.arange(rows.size) * _ZOOM_POINTS
+    else:
+        best_t[rows], best_val[rows] = row_t, row_val
+    return zip((np.zeros_like(mass), mass, best_t), (ends[:, 0], ends[:, 1], best_val))
 
 
-def _weight_best_response(
-    game: StochasticGame,
-    mdp: InducedMDP,
-    hull: ConvexHullGlobal,
-) -> BestResponseResult:
+def _weight_best_responses(
+    mdps: Sequence[InducedMDP], hull: ConvexHullGlobal
+) -> list[BestResponseResult]:
     """Route (c): search the shared-weight simplex; value need not be concave.
 
-    The whole simplex grid is evaluated in one batched solve; the best grid
-    point is then polished by a batched zoom over each coordinate pair,
-    accepting a split only when it beats the incumbent by more than 1e-13.
-    The returned tolerance is a Lipschitz-style estimate, not a proof: the
+    All queries run in lockstep, one induced MDP each.  The simplex grid is
+    evaluated for a group of queries at once, in batched solves of at most
+    _BATCH policies (the k = 3 grid of one query takes three).  Each
+    query's best grid point is then polished by a zoom over each coordinate
+    pair, every query's zoom sharing the same solves; a split is accepted
+    only when it beats the incumbent by more than 1e-13, and a query stops
+    after the first of at most 3 passes over the pairs that improves
+    nothing.  Each query's result is bit-identical to asking it alone.  The
+    returned tolerance is a Lipschitz-style estimate, not a proof: the
     largest value change per step between adjacent grid points, times the
     step.
     """
+    value_of = _hull_values(hull, mdps)
     k = hull.k
-    stacked = np.stack([g.probs for g in hull.generators])
-
-    def value_of(weights: np.ndarray) -> np.ndarray:
-        return _weight_values(mdp, stacked, weights)
-
     if k == 1:
         w = np.ones(1)
-        value = float(value_of(w[np.newaxis])[0])
-        return BestResponseResult(hull.policy_of_weights(w), value)
+        values = value_of(np.arange(len(mdps)), np.ones((len(mdps), 1)))
+        return [BestResponseResult(hull.policy_of_weights(w), float(v)) for v in values]
     grid = simplex_grid(k, _GRID_STEP)
-    values = value_of(grid)
-    best_at = int(np.argmax(values))
     # Largest change per step between grid neighbours bounds what refinement
     # could still uncover.
     step_gap = np.max(np.abs(np.diff(grid, axis=0)), axis=1)
     adjacent = (step_gap > 0) & (step_gap <= 2.0 * _GRID_STEP + 1e-12)
-    slopes = np.abs(np.diff(values))[adjacent] / step_gap[adjacent]
-    tolerance = float(slopes.max()) * _GRID_STEP if slopes.size else 0.0
-    w = grid[best_at].copy()
-    best_value = values[best_at]
-    for _ in range(3):
-        improved = False
-        for i, j in itertools.combinations(range(k), 2):
-            mass = w[i] + w[j]
-            if mass <= 1e-14:
-                continue
-            for t_candidate, val_c in zip(*_pair_zoom(value_of, w, i, j)):
-                if val_c > best_value + 1e-13:
-                    w[i] = t_candidate
-                    w[j] = mass - t_candidate
-                    best_value = val_c
-                    improved = True
-        if not improved:
-            break
-    return BestResponseResult(
-        policy=hull.policy_of_weights(w),
-        value=float(best_value),
-        description=f"shared weights {np.round(w, 6).tolist()} over {k} generators",
-        tolerance=float(tolerance),
-    )
+    per_group = max(1, _GRID_VALUES // grid.shape[0])
+    results = []
+    for start in range(0, len(mdps), per_group):
+        owner = np.arange(start, min(start + per_group, len(mdps)))
+        values = value_of(
+            np.repeat(owner, grid.shape[0]), np.tile(grid, (owner.size, 1))
+        ).reshape(owner.size, grid.shape[0])
+        slopes = np.abs(np.diff(values, axis=1))[:, adjacent] / step_gap[adjacent]
+        tolerance = (
+            slopes.max(axis=1) * _GRID_STEP if slopes.size else np.zeros(owner.size)
+        )
+        best_at = np.argmax(values, axis=1)
+        w = grid[best_at]
+        best = values[np.arange(owner.size), best_at]
+        going = np.ones(owner.size, dtype=bool)
+        for _ in range(3):
+            improved = np.zeros(owner.size, dtype=bool)
+            for i, j in itertools.combinations(range(k), 2):
+                mass = w[:, i] + w[:, j]
+                live = np.flatnonzero(going & ~(mass <= 1e-14))
+                if not live.size:
+                    continue
+                # Endpoint j, endpoint i, then the zoom's best, each against
+                # the incumbent it may just have replaced.
+                for t, val in _pair_zooms(value_of, owner[live], w[live], i, j):
+                    take = val > best[live] + 1e-13
+                    if take.any():
+                        rows = live[take]
+                        w[rows, i] = t[take]
+                        w[rows, j] = mass[rows] - t[take]
+                        best[rows] = val[take]
+                        improved[rows] = True
+            going &= improved
+            if not going.any():
+                break
+        results.extend(
+            BestResponseResult(
+                policy=hull.policy_of_weights(w[q]),
+                value=float(best[q]),
+                description=f"shared weights {np.round(w[q], 6).tolist()} over {k} generators",
+                tolerance=float(tolerance[q]),
+            )
+            for q in range(owner.size)
+        )
+    return results
+
+
+def _best_responses(
+    game: StochasticGame,
+    i: int,
+    profiles: Sequence[Sequence[Policy]],
+    space: RestrictedPolicySpace,
+) -> list[BestResponseResult]:
+    """Player i's best response within ``space`` against each opponent profile.
+
+    Each profile lists the fixed policies of the other players in player
+    order.  The route is picked once for all of them; route (c) answers
+    them together in lockstep, the others one induced MDP at a time.
+    """
+    mdps = [induce_mdp(game, i, others) for others in profiles]
+    if space.n_states != game.n_states or space.n_actions != game.action_counts[i]:
+        raise MalformedInputError("space shape does not match the player")
+    if game.is_matrix_game:
+        return [_matrix_best_response(game, mdp, space) for mdp in mdps]
+    if isinstance(space, DeterministicOnly):
+        space = FullSpace(space.n_states, space.n_actions)
+    if isinstance(space, ConvexHullStatewise):
+        return [_statewise_best_response(game, mdp, space) for mdp in mdps]
+    if isinstance(space, ConvexHullGlobal):
+        return _weight_best_responses(mdps, space)
+    raise UnsupportedOperationError(f"unsupported space {type(space).__name__}")
 
 
 def restricted_best_response(
@@ -770,18 +875,7 @@ def restricted_best_response(
     space: RestrictedPolicySpace,
 ) -> BestResponseResult:
     """Optimal policy for player i within ``space``, against fixed opponents."""
-    mdp = induce_mdp(game, i, others)
-    if space.n_states != game.n_states or space.n_actions != game.action_counts[i]:
-        raise MalformedInputError("space shape does not match the player")
-    if game.is_matrix_game:
-        return _matrix_best_response(game, mdp, space)
-    if isinstance(space, DeterministicOnly):
-        space = FullSpace(space.n_states, space.n_actions)
-    if isinstance(space, ConvexHullStatewise):
-        return _statewise_best_response(game, mdp, space)
-    if isinstance(space, ConvexHullGlobal):
-        return _weight_best_response(game, mdp, space)
-    raise UnsupportedOperationError(f"unsupported space {type(space).__name__}")
+    return _best_responses(game, i, [others], space)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -904,7 +998,9 @@ def sweep_existence(
     smallest maximal gap is reported together with a refinement bound: the
     largest gap change between adjacent lattice points.  A minimum that
     stays above the bound is evidence that refinement would not uncover an
-    epsilon-equilibrium.
+    epsilon-equilibrium.  Best responses are computed before the lattice is
+    walked, once per player in one ``_best_responses`` call over all of
+    that player's opponent keys (the lattice points of the other players).
     """
     if len(spaces) != game.n_players:
         raise MalformedInputError("need one restricted space per player")
@@ -915,7 +1011,15 @@ def sweep_existence(
         )
     grids = [space.param_points(resolution) for space in spaces]
     sizes = tuple(len(g) for g in grids)
-    br_cache: list[dict[tuple[int, ...], float]] = [dict() for _ in spaces]
+    # Each player's best-response value against every opponent lattice key,
+    # flattened in row-major order over the other players' grids.
+    br_values = []
+    for i in range(game.n_players):
+        keys = itertools.product(*(grids[j] for j in range(len(spaces)) if j != i))
+        profiles = [[policy for _, policy in key] for key in keys]
+        br_values.append(
+            np.array([br.value for br in _best_responses(game, i, profiles, spaces[i])])
+        )
     param_widths = [max(1, len(grids[i][0][0])) for i in range(len(spaces))]
     header = tuple(
         [f"p{i}_param{d}" for i in range(len(spaces)) for d in range(param_widths[i])]
@@ -943,16 +1047,12 @@ def sweep_existence(
         responses = np.empty_like(current)
         for i in range(game.n_players):
             rest = [j for j in range(len(spaces)) if j != i]
-            if rest:
-                keys = list(zip(*(point_idx[j] for j in rest)))
-            else:
-                keys = [()] * (stop - start)
-            for key in dict.fromkeys(keys):
-                if key not in br_cache[i]:
-                    others = [grids[j][k][1] for j, k in zip(rest, key)]
-                    br = restricted_best_response(game, i, others, spaces[i])
-                    br_cache[i][key] = br.value
-            responses[:, i] = [br_cache[i][key] for key in keys]
+            keys = (
+                np.ravel_multi_index([lattice_idx[j] for j in rest], [sizes[j] for j in rest])
+                if rest
+                else 0
+            )
+            responses[:, i] = br_values[i][keys]
         gaps = np.maximum(responses - current, 0.0)
         gap_lattice[start:stop] = gaps.max(axis=1)
         param_columns = [
@@ -1097,8 +1197,11 @@ def certificate_to_dict(cert: EquilibriumCertificate, game: StochasticGame) -> d
 
 
 def sweep_to_csv(result: SweepResult, path) -> None:
+    """Write the sweep as CSV: the header, then each row's floats as ``repr``.
+
+    A float's ``repr`` never needs quoting, so rows are joined directly, in
+    the bytes ``csv.writer`` would produce.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(result.header)
-        for row in result.rows:
-            writer.writerow([repr(float(x)) for x in row])
+        csv.writer(fh).writerow(result.header)
+        fh.writelines(",".join(map(repr, map(float, row))) + "\r\n" for row in result.rows)

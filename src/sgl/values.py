@@ -9,6 +9,7 @@ and every returned table is residual-checked against VALUE_TOL.
 Every evaluator works on a batch: ``policy_values`` and ``mdp_policy_values``
 take a leading batch axis and make one solve over the (B, |S|, |S|) stack,
 and the single-policy functions are their batch-of-one case.
+``mdp_stack_values`` does the same with one MDP per batch member.
 
 The ergodicity check used to gate average-reward evaluation is the
 support-union test: the state graph with an edge s -> s' whenever *some*
@@ -300,10 +301,34 @@ def mdp_policy_values(mdp: InducedMDP, probs: np.ndarray) -> np.ndarray:
         raise MalformedInputError("policy stack shape mismatch with the MDP")
     p = np.einsum("bsa,sat->bst", probs, mdp.transition)
     r = np.einsum("bsa,sa->bs", probs, mdp.reward)[:, np.newaxis, :]
-    if isinstance(mdp.formulation, Discounted):
-        return _discounted_values(p, r, mdp.formulation.gamma)[:, 0, :]
-    gains = _average_gains(p, r)
-    return np.repeat(gains, mdp.n_states, axis=1)
+    return _chain_state_values(p, r, mdp.formulation)
+
+
+def mdp_stack_values(
+    transition: np.ndarray,
+    reward: np.ndarray,
+    formulation: Discounted | Average,
+    probs: np.ndarray,
+) -> np.ndarray:
+    """State values (B, |S|) of policy b in MDP b, for a stack of MDPs.
+
+    ``transition`` (B, |S|, |A|, |S|) and ``reward`` (B, |S|, |A|) hold one
+    MDP per policy of the (B, |S|, |A|) stack ``probs``, all under one
+    formulation.  One linear solve covers the whole stack, and each member's
+    values are bit-identical to ``mdp_policy_values`` on its own MDP.
+    """
+    p = np.einsum("bsa,bsat->bst", probs, transition)
+    r = np.einsum("bsa,bsa->bs", probs, reward)[:, np.newaxis, :]
+    return _chain_state_values(p, r, formulation)
+
+
+def _chain_state_values(
+    p: np.ndarray, r: np.ndarray, formulation: Discounted | Average
+) -> np.ndarray:
+    """State values (B, |S|) of single-reward chains; gains broadcast over states."""
+    if isinstance(formulation, Discounted):
+        return _discounted_values(p, r, formulation.gamma)[:, 0, :]
+    return np.repeat(_average_gains(p, r), p.shape[-1], axis=1)
 
 
 def mdp_policy_value(mdp: InducedMDP, probs: np.ndarray) -> np.ndarray:

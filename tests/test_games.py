@@ -66,6 +66,21 @@ class TestValidate:
         )
         assert any("finite" in p for p in validate(broken))
 
+    def test_nonfinite_transition_reported(self, rps_game):
+        t = np.array(rps_game.transition)
+        t[0, 2, 0] = np.nan
+        broken = StochasticGame(
+            rps_game.states,
+            rps_game.action_sets,
+            t,
+            rps_game.rewards,
+            rps_game.initial_state,
+            rps_game.formulation,
+        )
+        assert "non-finite transition entries" in validate(broken)
+        with pytest.raises(MalformedInputError, match="non-finite transition"):
+            broken.require_finite()
+
     def test_initial_state_must_exist(self, rps_game):
         broken = StochasticGame(
             rps_game.states,
@@ -198,6 +213,12 @@ class TestFileFormat:
         with pytest.raises(MalformedInputError):
             game_from_dict(data)
 
+    def test_nan_probability_rejected(self, rps_game):
+        data = game_to_dict(rps_game)
+        data["transitions"]["s0"]["0,0"] = {"s0": float("nan")}
+        with pytest.raises(MalformedInputError, match="non-finite transition"):
+            game_from_dict(data)
+
     def test_near_one_probability_tolerated(self, rps_game):
         data = game_to_dict(rps_game)
         data["transitions"]["s0"]["0,0"] = {"s0": 1.0 + 5e-10}
@@ -240,6 +261,12 @@ class TestPolicies:
             Policy([[0.5, 0.6]])
         with pytest.raises(MalformedInputError):
             Policy([[-0.1, 1.1]])
+
+    @pytest.mark.parametrize("row", [[np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0],
+                                     [np.nan, np.nan]])
+    def test_non_finite_policy_rows_rejected(self, row):
+        with pytest.raises(MalformedInputError):
+            Policy([row])
 
     def test_policy_round_trip(self, fact5):
         rng = np.random.default_rng(1)

@@ -54,6 +54,7 @@ from util import (
     reference_minimax,
     reference_support_enumeration,
     reference_sweep_rows,
+    reference_weight_best_response,
 )
 
 
@@ -218,6 +219,34 @@ class TestExactMinimax:
             assert abs(row.sum() - 1.0) <= 1e-15 and abs(col.sum() - 1.0) <= 1e-15
             assert abs((row @ m).min() - value) <= 1e-12
             assert abs((m @ col).max() - value) <= 1e-12
+
+
+class TestNonFiniteRewards:
+    """A game built directly with an infinite payoff reaches the matrix
+    solvers unchecked; both must name the fault, not fail on it."""
+
+    @staticmethod
+    def _game(m):
+        return StochasticGame(("s0",), (("a0", "a1"), ("b0", "b1")), np.ones((1, 4, 1)),
+                              np.stack([m.reshape(1, 4), -m.reshape(1, 4)]), "s0",
+                              Average())
+
+    def test_support_enumeration(self):
+        game = self._game(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        with pytest.raises(MalformedInputError, match="non-finite reward entries"):
+            support_enumeration_bimatrix(game)
+
+    def test_minimax(self):
+        game = self._game(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        with pytest.raises(MalformedInputError, match="non-finite reward entries"):
+            minimax_zero_sum_matrix(game)
+
+    def test_matrix_game_rejects_at_build(self):
+        m = np.array([[np.inf, 0.0], [0.0, 1.0]])
+        with pytest.raises(MalformedInputError, match="non-finite reward entries"):
+            matrix_game([m, np.zeros((2, 2))])
+        with pytest.raises(MalformedInputError, match="non-finite reward entries"):
+            matrix_game([np.array([[np.nan, 0.0], [0.0, 1.0]]), -m])
 
 
 class TestSupportEnumeration:
@@ -477,6 +506,92 @@ class TestRestrictedBestResponse:
             assert mdp_policy_value(mdp, other.probs)[0] <= br.value + 1e-10
 
 
+class TestLockstepRouteC:
+    """Route (c) answers many opponent profiles in lockstep; every answer must
+    be bit-identical to asking it alone and to the one-query reference."""
+
+    @staticmethod
+    def _key(br):
+        return (br.value, br.tolerance, br.description, br.policy.probs.tobytes())
+
+    def _check(self, game, hull, profiles):
+        together = solvers._best_responses(game, 0, profiles, hull)
+        alone = [restricted_best_response(game, 0, others, hull) for others in profiles]
+        assert [self._key(br) for br in together] == [self._key(br) for br in alone]
+        for br, others in zip(together, profiles):
+            value, tolerance, w = reference_weight_best_response(game, 0, others, hull)
+            assert (br.value, br.tolerance) == (value, tolerance)
+            assert br.policy.probs.tobytes() == hull.policy_of_weights(w).probs.tobytes()
+        return together
+
+    @pytest.mark.parametrize("batch", [16, 2048])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("average", [False, True], ids=["discounted", "average"])
+    def test_together_matches_alone_and_reference(self, monkeypatch, batch, k, average):
+        monkeypatch.setattr(solvers, "_BATCH", batch)
+        if batch == 16:
+            # Solves then split a query's grid and its zoom levels, and the
+            # queries' grids are taken one or two queries at a time.
+            monkeypatch.setattr(solvers, "_GRID_VALUES", 50)
+        if batch == 16 or k == 4:
+            # A coarser grid keeps the test fast: 1,771 points for k = 4
+            # instead of 176,851.
+            monkeypatch.setattr(solvers, "_GRID_STEP", 0.05)
+        rng = np.random.default_rng(80 + k + 10 * average)
+        game = random_game(rng, n_states=4, action_counts=(3, 2), average=average)
+        hull = random_global_hull(rng, 4, 3, k=k)
+        profiles = [[random_policy(rng, 4, 2)] for _ in range(5)]
+        self._check(game, hull, profiles)
+
+    def test_row_values_do_not_depend_on_chunking(self, monkeypatch):
+        # With 16 policies per solve, 17, 33 and 49 rows must not leave a
+        # one-row chunk, which numpy would blend on another BLAS path.
+        monkeypatch.setattr(solvers, "_BATCH", 16)
+        rng = np.random.default_rng(87)
+        game = random_game(rng, n_states=4, action_counts=(3, 2))
+        hull = random_global_hull(rng, 4, 3, k=3)
+        mdps = [induce_mdp(game, 0, [random_policy(rng, 4, 2)]) for _ in range(2)]
+        value_of = solvers._hull_values(hull, mdps)
+        weights = rng.dirichlet(np.ones(3), size=49)
+        owner = rng.integers(0, 2, size=49)
+        pairs = value_of(np.repeat(owner, 2), np.repeat(weights, 2, axis=0))
+        for n in (17, 33, 49):
+            assert value_of(owner[:n], weights[:n]).tobytes() == pairs[:2 * n:2].tobytes()
+
+    def test_massless_pair_and_early_stop(self, monkeypatch):
+        # Against an opponent that always plays its action 0, the pure
+        # generator g0 earns 10 per step and wins outright: that query's grid
+        # optimum is the vertex (1, 0, 0), its pair (1, 2) has no mass, and
+        # its first pass improves nothing, so it stops while queries against
+        # opponents that mostly play action 1 go on to later passes.
+        rng = np.random.default_rng(98)
+        game = random_game(rng, n_states=4, action_counts=(3, 2))
+        rewards = np.array(game.rewards)
+        rewards[0, :, 0] = 10.0  # flat joint action 0 = (action 0, action 0)
+        game = StochasticGame(game.states, game.action_sets, game.transition,
+                              rewards, game.initial_state, game.formulation)
+        pure = Policy(np.tile([1.0, 0.0, 0.0], (4, 1)))
+        hull = ConvexHullGlobal((pure, random_policy(rng, 4, 3), random_policy(rng, 4, 3)))
+        profiles = [[Policy.pure(4, 2, [0, 0, 0, 0])]]
+        profiles += [[Policy(rng.dirichlet([0.1, 5.0], size=4))] for _ in range(3)]
+        zoomed = []
+        real = solvers._pair_zooms
+
+        def spy(value_of, owner, w, i, j):
+            zoomed.append(owner.tolist())
+            return real(value_of, owner, w, i, j)
+
+        monkeypatch.setattr(solvers, "_pair_zooms", spy)
+        solvers._best_responses(game, 0, profiles, hull)
+        monkeypatch.setattr(solvers, "_pair_zooms", real)
+        together = self._check(game, hull, profiles)
+        assert together[0].description == "shared weights [1.0, 0.0, 0.0] over 3 generators"
+        # Query 0 zooms pairs (0, 1) and (0, 2) of pass 1 only; some other
+        # query zooms in a later pass.
+        assert sum(0 in call for call in zoomed) == 2
+        assert any(sum(q in call for call in zoomed) > 3 for q in (1, 2, 3))
+
+
 class TestCheckEquilibrium:
     def test_rps_uniform_passes(self, rps_game):
         cert = check_equilibrium(
@@ -694,6 +809,29 @@ class TestSweep:
         assert len(rows) == 10
         recovered = [float(r[-1]) for r in rows[1:]]
         assert min(recovered) == pytest.approx(result.min_max_gap, abs=0)
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path, fact5):
+        import csv as csv_mod
+        import dataclasses
+
+        from sgl.solvers import sweep_to_csv
+
+        spaces = [StateUniform(3, 2), StateUniform(3, 2)]
+        result = sweep_existence(fact5, spaces, resolution=0.25, epsilon=1e-8)
+        # Signed zeros, small exponents and zero gaps beside the real rows.
+        extra = [(-0.0, 1e-05, 0.0, 0.0, 0.0), (0.5, 2.5e-07, 1e-05, -0.0, 1e-05),
+                 (1.0, 0.1, 1e300, 5e-324, 1e300)]
+        result = dataclasses.replace(result, rows=list(result.rows) + extra)
+        path = tmp_path / "sweep.csv"
+        sweep_to_csv(result, path)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            writer = csv_mod.writer(fh)
+            writer.writerow(result.header)
+            for row in result.rows:
+                writer.writerow([repr(float(x)) for x in row])
+        assert path.read_bytes() == reference.read_bytes()
+        assert b"-0.0,1e-05,0.0" in path.read_bytes()
 
 
 class TestBestResponseConvexity:

@@ -369,6 +369,80 @@ def reference_sweep_rows(game, spaces, resolution: float) -> list[tuple]:
     return rows
 
 
+def reference_weight_best_response(game, i, others, hull):
+    """Route (c) for one opponent profile, one step and one query at a time.
+
+    The per-query search that the lockstep route replaced: the grid, then
+    up to 3 passes of a zoom over each coordinate pair, every evaluation a
+    ``mdp_policy_values`` call on the query's own induced MDP over all of
+    that step's weights.  It reads the search constants from ``solvers`` at
+    call time, so a monkeypatched constant applies to both.  Returns
+    (value, tolerance, weights).
+    """
+    from sgl import solvers
+    from sgl.values import induce_mdp, mdp_policy_values
+
+    mdp = induce_mdp(game, i, others)
+    stacked = np.stack([g.probs for g in hull.generators])
+    flat = stacked.reshape(stacked.shape[0], -1)
+
+    def value_of(weights):
+        probs = (weights @ flat).reshape((weights.shape[0], *stacked.shape[1:]))
+        np.clip(probs, 0.0, None, out=probs)
+        probs /= probs.sum(axis=2, keepdims=True)
+        return mdp_policy_values(mdp, probs)[:, mdp.initial_index]
+
+    def pair_zoom(w, i, j):
+        mass = w[i] + w[j]
+        lo, hi = 0.0, mass
+        candidates = np.repeat(w[np.newaxis, :], solvers._ZOOM_POINTS, axis=0)
+        ends = None
+        best_t, best_val = 0.0, -np.inf
+        for _ in range(solvers._ZOOM_LEVELS):
+            t = lo + (hi - lo) * solvers._ZOOM_FRACTIONS
+            candidates[:, i] = t
+            candidates[:, j] = mass - t
+            vals = value_of(candidates)
+            if ends is None:
+                ends = (vals[0], vals[-1])
+            at = int(np.argmax(vals))
+            if vals[at] > best_val:
+                best_t, best_val = float(t[at]), float(vals[at])
+            lo = t[max(at - 1, 0)]
+            hi = t[min(at + 1, solvers._ZOOM_POINTS - 1)]
+            if hi - lo < solvers._ZOOM_WIDTH:
+                break
+        return [(0.0, ends[0]), (mass, ends[1]), (best_t, best_val)]
+
+    k = hull.k
+    if k == 1:
+        return float(value_of(np.ones((1, 1)))[0]), 0.0, np.ones(1)
+    grid = simplex_grid(k, solvers._GRID_STEP)
+    values = value_of(grid)
+    step_gap = np.max(np.abs(np.diff(grid, axis=0)), axis=1)
+    adjacent = (step_gap > 0) & (step_gap <= 2.0 * solvers._GRID_STEP + 1e-12)
+    slopes = np.abs(np.diff(values))[adjacent] / step_gap[adjacent]
+    tolerance = float(slopes.max()) * solvers._GRID_STEP if slopes.size else 0.0
+    best_at = int(np.argmax(values))
+    w = grid[best_at].copy()
+    best_value = values[best_at]
+    for _ in range(3):
+        improved = False
+        for a, b in itertools.combinations(range(k), 2):
+            mass = w[a] + w[b]
+            if mass <= 1e-14:
+                continue
+            for t_candidate, val_c in pair_zoom(w, a, b):
+                if val_c > best_value + 1e-13:
+                    w[a] = t_candidate
+                    w[b] = mass - t_candidate
+                    best_value = val_c
+                    improved = True
+        if not improved:
+            break
+    return float(best_value), tolerance, w
+
+
 def _marginal_mdp(
     game: StochasticGame, i: int, others: list[Policy]
 ) -> tuple[np.ndarray, np.ndarray]:
