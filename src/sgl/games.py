@@ -242,16 +242,25 @@ class StochasticGame:
         wrong with it; ``matrix_game`` and the exact matrix solvers call
         this instead.
         """
-        if not np.all(np.isfinite(self.rewards)):
-            raise MalformedInputError("non-finite reward entries")
-        if not np.all(np.isfinite(self.transition)):
-            raise MalformedInputError("non-finite transition entries")
+        problems = _non_finite(self)
+        if problems:
+            raise MalformedInputError(problems[0])
 
     def payoff_matrix(self, player: int) -> np.ndarray:
         """For a 2-player matrix game, player's payoffs as an (|A_1|, |A_2|) array."""
         if not self.is_matrix_game or self.n_players != 2:
             raise UnsupportedOperationError("payoff_matrix needs a 2-player matrix game")
         return self.rewards[player, 0].reshape(self.action_counts)
+
+
+def _non_finite(game: StochasticGame) -> list[str]:
+    """The problems ``validate`` reports for non-finite rewards or transitions."""
+    problems = []
+    if not np.all(np.isfinite(game.rewards)):
+        problems.append("non-finite reward entries")
+    if not np.all(np.isfinite(game.transition)):
+        problems.append("non-finite transition entries")
+    return problems
 
 
 def validate(game: StochasticGame) -> list[str]:
@@ -279,10 +288,7 @@ def validate(game: StochasticGame) -> list[str]:
         return problems
     if game.initial_state not in game.states:
         problems.append(f"initial state {game.initial_state!r} not in state list")
-    if not np.all(np.isfinite(game.rewards)):
-        problems.append("non-finite reward entries")
-    if not np.all(np.isfinite(game.transition)):
-        problems.append("non-finite transition entries")
+    problems.extend(_non_finite(game))
     if np.any(game.transition < -STRUCTURAL_TOL):
         problems.append("negative transition probabilities")
     sums = game.transition.sum(axis=2)

@@ -56,11 +56,12 @@ across runs and evaluation orders.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -92,7 +93,7 @@ from .values import (
     induce_mdp,
     mdp_policy_value,
     mdp_policy_values,
-    mdp_stack_values,
+    mdp_run_values,
     policy_value,
     policy_values,
 )
@@ -655,17 +656,35 @@ def _statewise_best_response(
 # working memory whatever the grid or lattice size.
 _BATCH = 2048
 # Grid values route (c) holds at once: queries are taken in groups whose
-# grids fit, so memory stays bounded whatever the number of queries.
+# grids fit, and whose induced MDPs together are no larger than one batch's
+# Markov matrices, so memory stays bounded whatever the number of queries.
 _GRID_VALUES = 64 * _BATCH
 _GRID_STEP = 0.01
 _ZOOM_POINTS = 33
 _ZOOM_LEVELS = 12
 _ZOOM_WIDTH = 1e-13
 _ZOOM_FRACTIONS = np.linspace(0.0, 1.0, _ZOOM_POINTS)
-# The neighbours of each zoom point, which bracket the next level.
-_BRACKETS = np.array(
-    [[max(m - 1, 0), min(m + 1, _ZOOM_POINTS - 1)] for m in range(_ZOOM_POINTS)]
+# The steps from each zoom point to its neighbours, which bracket the next level.
+_BRACKET_STEPS = np.array(
+    [[max(m - 1, 0) - m, min(m + 1, _ZOOM_POINTS - 1) - m] for m in range(_ZOOM_POINTS)]
 )
+
+
+@functools.lru_cache(maxsize=16)
+def _weight_grid(k: int, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Route (c)'s simplex grid, built once per (k, step), with its neighbours.
+
+    Returns the grid, the indices d of the consecutive grid points d, d + 1
+    that are neighbours (at most two steps apart in every coordinate), and
+    the largest coordinate change between each such pair.
+    """
+    grid = simplex_grid(k, step)
+    step_gap = np.max(np.abs(np.diff(grid, axis=0)), axis=1)
+    adjacent = np.flatnonzero((step_gap > 0) & (step_gap <= 2.0 * step + 1e-12))
+    gaps = step_gap[adjacent]
+    adjacent.setflags(write=False)
+    gaps.setflags(write=False)
+    return grid, adjacent, gaps
 
 
 def _hull_values(
@@ -673,40 +692,36 @@ def _hull_values(
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The evaluator of route (c)'s queries, one induced MDP each.
 
-    It maps (owner (B,), weights (B, k)) to the initial-state value of the
-    blend ``weights[b]`` in ``mdps[owner[b]]``.  Rows are split into equal
-    chunks of at most _BATCH, one batched solve each.  Equal chunks never
-    leave a single row, whose product with the generators numpy computes on
-    another BLAS path with other rounding, so a row's value does not depend
-    on the rows solved with it.
+    It maps (owner (Q,), weights (Q, R, k)) to the (Q, R) initial-state
+    values of the blends ``weights[q]`` in ``mdps[owner[q]]``, each query's
+    run of rows evaluated in its own MDP.  The Q * R rows are split into
+    equal chunks of at most _BATCH, one batched solve each.  Equal chunks
+    never leave a single row, whose product with the generators numpy
+    computes on another BLAS path with other rounding, so a row's value
+    does not depend on the rows solved with it.
     """
     stacked = np.stack([g.probs for g in hull.generators])
     flat = stacked.reshape(stacked.shape[0], -1)
-    transition = np.stack([m.transition for m in mdps])
-    reward = np.stack([m.reward for m in mdps])
-    formulation, initial = mdps[0].formulation, mdps[0].initial_index
+    initial = mdps[0].initial_index
 
     def value_of(owner: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        n = weights.shape[0]
+        per = weights.shape[1]
+        rows = weights.reshape(-1, weights.shape[2])
+        n = rows.shape[0]
         chunks = -(-n // _BATCH)
         values = np.empty(n)
         for c in range(chunks):
-            rows = slice(n * c // chunks, n * (c + 1) // chunks)
-            chunk = weights[rows]
+            start, stop = n * c // chunks, n * (c + 1) // chunks
+            chunk = rows[start:stop]
             probs = (chunk @ flat).reshape((chunk.shape[0], *stacked.shape[1:]))
             # Blends of valid rows can drift at machine scale; renormalize exactly.
-            np.clip(probs, 0.0, None, out=probs)
+            np.maximum(probs, 0.0, out=probs)
             probs /= probs.sum(axis=2, keepdims=True)
-            if len(mdps) == 1:
-                # One query: its MDP as it is, with no per-row copies; the
-                # arithmetic is the same either way.
-                values[rows] = mdp_policy_values(mdps[0], probs)[:, initial]
-            else:
-                at = owner[rows]
-                values[rows] = mdp_stack_values(
-                    transition[at], reward[at], formulation, probs
-                )[:, initial]
-        return values
+            first, last = start // per, (stop - 1) // per
+            runs = [mdps[q] for q in owner[first:last + 1].tolist()]
+            cuts = range((first + 1) * per - start, stop - start, per)
+            values[start:stop] = mdp_run_values(runs, cuts, probs)[:, initial]
+        return values.reshape(weights.shape[:2])
 
     return value_of
 
@@ -728,30 +743,31 @@ def _pair_zooms(
     best_t, best_val = np.zeros_like(mass), np.full_like(mass, -np.inf)
     ends = None
     # The rows still zooming and their best splits so far, compacted as rows
-    # drop out; brackets and masses are (Z, 1) columns, and ``base`` holds
-    # each row's offset into a flattened (Z, _ZOOM_POINTS) level.
+    # drop out; bracket starts, bracket widths and masses are (Z, 1)
+    # columns, and ``base`` holds each row's offset into a flattened
+    # (Z, _ZOOM_POINTS) level.
     rows, row_t, row_val = np.arange(mass.size), best_t.copy(), best_val.copy()
-    lo, hi = np.zeros((mass.size, 1)), mass[:, None]
-    span = hi
+    lo, span = np.zeros((mass.size, 1)), mass[:, None]
+    width = span - lo
     candidates = np.repeat(w[:, None, :], _ZOOM_POINTS, axis=1)
-    owners = np.repeat(owner, _ZOOM_POINTS)
     base = rows * _ZOOM_POINTS
     for _ in range(_ZOOM_LEVELS):
-        t = lo + (hi - lo) * _ZOOM_FRACTIONS
+        t = lo + width * _ZOOM_FRACTIONS
         candidates[:, :, i] = t
         np.subtract(span, t, out=candidates[:, :, j])
-        vals = value_of(owners, candidates.reshape(-1, w.shape[1]))
-        level = vals.reshape(t.shape)
+        level = value_of(owner, candidates)
         if ends is None:
             ends = level[:, [0, -1]]
         at = level.argmax(axis=1)
-        top = vals.take(base + at)
+        hit = base + at
+        top = level.take(hit)
         better = top > row_val
-        np.copyto(row_t, t.take(base + at), where=better)
+        np.copyto(row_t, t.take(hit), where=better)
         np.copyto(row_val, top, where=better)
-        bracket = t.take(base[:, None] + _BRACKETS[at])
-        lo, hi = bracket[:, :1], bracket[:, 1:]
-        narrow = bracket[:, 1] - bracket[:, 0] < _ZOOM_WIDTH
+        bracket = t.take(hit[:, None] + _BRACKET_STEPS[at])
+        lo = bracket[:, :1]
+        width = bracket[:, 1:] - lo
+        narrow = width[:, 0] < _ZOOM_WIDTH
         done = np.count_nonzero(narrow)
         if done:
             best_t[rows], best_val[rows] = row_t, row_val
@@ -759,8 +775,8 @@ def _pair_zooms(
                 break
             going = ~narrow
             rows, row_t, row_val = rows[going], row_t[going], row_val[going]
-            lo, hi, span, candidates = lo[going], hi[going], span[going], candidates[going]
-            owners = owners[np.repeat(going, _ZOOM_POINTS)]
+            lo, width, span, candidates = lo[going], width[going], span[going], candidates[going]
+            owner = owner[going]
             base = np.arange(rows.size) * _ZOOM_POINTS
     else:
         best_t[rows], best_val[rows] = row_t, row_val
@@ -768,13 +784,14 @@ def _pair_zooms(
 
 
 def _weight_best_responses(
-    mdps: Sequence[InducedMDP], hull: ConvexHullGlobal
+    mdps: Iterable[InducedMDP], hull: ConvexHullGlobal
 ) -> list[BestResponseResult]:
     """Route (c): search the shared-weight simplex; value need not be concave.
 
-    All queries run in lockstep, one induced MDP each.  The simplex grid is
-    evaluated for a group of queries at once, in batched solves of at most
-    _BATCH policies (the k = 3 grid of one query takes three).  Each
+    All queries run in lockstep, one induced MDP each, taken from ``mdps``
+    a group at a time.  The simplex grid is evaluated for a whole group at
+    once, in batched solves of at most _BATCH policies (the k = 3 grid of
+    one query takes three), each query's rows in its own MDP.  Each
     query's best grid point is then polished by a zoom over each coordinate
     pair, every query's zoom sharing the same solves; a split is accepted
     only when it beats the incumbent by more than 1e-13, and a query stops
@@ -784,31 +801,28 @@ def _weight_best_responses(
     largest value change per step between adjacent grid points, times the
     step.
     """
-    value_of = _hull_values(hull, mdps)
     k = hull.k
-    if k == 1:
-        w = np.ones(1)
-        values = value_of(np.arange(len(mdps)), np.ones((len(mdps), 1)))
-        return [BestResponseResult(hull.policy_of_weights(w), float(v)) for v in values]
-    grid = simplex_grid(k, _GRID_STEP)
-    # Largest change per step between grid neighbours bounds what refinement
-    # could still uncover.
-    step_gap = np.max(np.abs(np.diff(grid, axis=0)), axis=1)
-    adjacent = (step_gap > 0) & (step_gap <= 2.0 * _GRID_STEP + 1e-12)
-    per_group = max(1, _GRID_VALUES // grid.shape[0])
+    grid, adjacent, gaps = _weight_grid(k, _GRID_STEP)
+    per_group = max(1, min(_GRID_VALUES // grid.shape[0], _BATCH // hull.n_actions))
+    mdps = iter(mdps)
     results = []
-    for start in range(0, len(mdps), per_group):
-        owner = np.arange(start, min(start + per_group, len(mdps)))
-        values = value_of(
-            np.repeat(owner, grid.shape[0]), np.tile(grid, (owner.size, 1))
-        ).reshape(owner.size, grid.shape[0])
-        slopes = np.abs(np.diff(values, axis=1))[:, adjacent] / step_gap[adjacent]
-        tolerance = (
-            slopes.max(axis=1) * _GRID_STEP if slopes.size else np.zeros(owner.size)
-        )
+    while group := list(itertools.islice(mdps, per_group)):
+        value_of = _hull_values(hull, group)
+        owner = np.arange(len(group))
+        if k == 1:
+            values = value_of(owner, np.ones((owner.size, 1, 1)))[:, 0]
+            results.extend(
+                BestResponseResult(hull.policy_of_weights(grid[0]), float(v)) for v in values
+            )
+            continue
+        values = value_of(owner, np.broadcast_to(grid, (owner.size, *grid.shape)))
+        # Largest change per step between grid neighbours bounds what
+        # refinement could still uncover.
+        slopes = np.abs(np.diff(values, axis=1))[:, adjacent] / gaps
+        tolerance = slopes.max(axis=1) * _GRID_STEP
         best_at = np.argmax(values, axis=1)
         w = grid[best_at]
-        best = values[np.arange(owner.size), best_at]
+        best = values[owner, best_at]
         going = np.ones(owner.size, dtype=bool)
         for _ in range(3):
             improved = np.zeros(owner.size, dtype=bool)
@@ -819,7 +833,7 @@ def _weight_best_responses(
                     continue
                 # Endpoint j, endpoint i, then the zoom's best, each against
                 # the incumbent it may just have replaced.
-                for t, val in _pair_zooms(value_of, owner[live], w[live], i, j):
+                for t, val in _pair_zooms(value_of, live, w[live], i, j):
                     take = val > best[live] + 1e-13
                     if take.any():
                         rows = live[take]
@@ -837,7 +851,7 @@ def _weight_best_responses(
                 description=f"shared weights {np.round(w[q], 6).tolist()} over {k} generators",
                 tolerance=float(tolerance[q]),
             )
-            for q in range(owner.size)
+            for q in owner
         )
     return results
 
@@ -854,9 +868,10 @@ def _best_responses(
     order.  The route is picked once for all of them; route (c) answers
     them together in lockstep, the others one induced MDP at a time.
     """
-    mdps = [induce_mdp(game, i, others) for others in profiles]
     if space.n_states != game.n_states or space.n_actions != game.action_counts[i]:
         raise MalformedInputError("space shape does not match the player")
+    # Induced lazily, so route (c) holds only one group of MDPs at a time.
+    mdps = (induce_mdp(game, i, others) for others in profiles)
     if game.is_matrix_game:
         return [_matrix_best_response(game, mdp, space) for mdp in mdps]
     if isinstance(space, DeterministicOnly):

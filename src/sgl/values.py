@@ -9,7 +9,7 @@ and every returned table is residual-checked against VALUE_TOL.
 Every evaluator works on a batch: ``policy_values`` and ``mdp_policy_values``
 take a leading batch axis and make one solve over the (B, |S|, |S|) stack,
 and the single-policy functions are their batch-of-one case.
-``mdp_stack_values`` does the same with one MDP per batch member.
+``mdp_run_values`` does the same for a stack cut into runs, one MDP each.
 
 The ergodicity check used to gate average-reward evaluation is the
 support-union test: the state graph with an edge s -> s' whenever *some*
@@ -296,39 +296,33 @@ def mdp_policy_values(mdp: InducedMDP, probs: np.ndarray) -> np.ndarray:
     One linear solve covers the whole stack.  Average-reward MDPs return
     each gain broadcast over states so callers can index by state uniformly.
     """
+    return mdp_run_values([mdp], [], probs)
+
+
+def mdp_run_values(
+    mdps: Sequence[InducedMDP], cuts: Sequence[int], probs: np.ndarray
+) -> np.ndarray:
+    """State values (B, |S|) of a policy stack cut into runs, one MDP each.
+
+    ``cuts`` lists the rows where each run after the first starts, so run r
+    spans rows cuts[r - 1] (or 0) to cuts[r] (or B) and is evaluated in
+    ``mdps[r]``; the MDPs share states, actions and formulation.  Each run
+    is contracted with its own MDP's arrays, so no MDP is copied per row,
+    and one linear solve then covers the whole stack.
+    """
     probs = np.asarray(probs, dtype=float)
+    mdp = mdps[0]
     if probs.ndim != 3 or probs.shape[1:] != (mdp.n_states, mdp.n_actions):
         raise MalformedInputError("policy stack shape mismatch with the MDP")
-    p = np.einsum("bsa,sat->bst", probs, mdp.transition)
-    r = np.einsum("bsa,sa->bs", probs, mdp.reward)[:, np.newaxis, :]
-    return _chain_state_values(p, r, mdp.formulation)
-
-
-def mdp_stack_values(
-    transition: np.ndarray,
-    reward: np.ndarray,
-    formulation: Discounted | Average,
-    probs: np.ndarray,
-) -> np.ndarray:
-    """State values (B, |S|) of policy b in MDP b, for a stack of MDPs.
-
-    ``transition`` (B, |S|, |A|, |S|) and ``reward`` (B, |S|, |A|) hold one
-    MDP per policy of the (B, |S|, |A|) stack ``probs``, all under one
-    formulation.  One linear solve covers the whole stack, and each member's
-    values are bit-identical to ``mdp_policy_values`` on its own MDP.
-    """
-    p = np.einsum("bsa,bsat->bst", probs, transition)
-    r = np.einsum("bsa,bsa->bs", probs, reward)[:, np.newaxis, :]
-    return _chain_state_values(p, r, formulation)
-
-
-def _chain_state_values(
-    p: np.ndarray, r: np.ndarray, formulation: Discounted | Average
-) -> np.ndarray:
-    """State values (B, |S|) of single-reward chains; gains broadcast over states."""
-    if isinstance(formulation, Discounted):
-        return _discounted_values(p, r, formulation.gamma)[:, 0, :]
-    return np.repeat(_average_gains(p, r), p.shape[-1], axis=1)
+    p = np.empty((probs.shape[0], mdp.n_states, mdp.n_states))
+    r = np.empty((probs.shape[0], mdp.n_states))
+    bounds = [0, *cuts, probs.shape[0]]
+    for run_mdp, start, stop in zip(mdps, bounds[:-1], bounds[1:]):
+        np.einsum("bsa,sat->bst", probs[start:stop], run_mdp.transition, out=p[start:stop])
+        np.einsum("bsa,sa->bs", probs[start:stop], run_mdp.reward, out=r[start:stop])
+    if isinstance(mdp.formulation, Discounted):
+        return _discounted_values(p, r[:, np.newaxis, :], mdp.formulation.gamma)[:, 0, :]
+    return np.repeat(_average_gains(p, r[:, np.newaxis, :]), mdp.n_states, axis=1)
 
 
 def mdp_policy_value(mdp: InducedMDP, probs: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Equilibrium solvers against hand-derived and brute-force oracles."""
 
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -544,19 +545,26 @@ class TestLockstepRouteC:
         self._check(game, hull, profiles)
 
     def test_row_values_do_not_depend_on_chunking(self, monkeypatch):
-        # With 16 policies per solve, 17, 33 and 49 rows must not leave a
-        # one-row chunk, which numpy would blend on another BLAS path.
+        # With 16 policies per solve, chunks split queries' runs anywhere and
+        # runs of one row occur; no chunk may hold a single row, which numpy
+        # would blend on another BLAS path.  Each row must match its value
+        # in a solve of that row twice over.
         monkeypatch.setattr(solvers, "_BATCH", 16)
         rng = np.random.default_rng(87)
         game = random_game(rng, n_states=4, action_counts=(3, 2))
         hull = random_global_hull(rng, 4, 3, k=3)
         mdps = [induce_mdp(game, 0, [random_policy(rng, 4, 2)]) for _ in range(2)]
         value_of = solvers._hull_values(hull, mdps)
-        weights = rng.dirichlet(np.ones(3), size=49)
-        owner = rng.integers(0, 2, size=49)
-        pairs = value_of(np.repeat(owner, 2), np.repeat(weights, 2, axis=0))
-        for n in (17, 33, 49):
-            assert value_of(owner[:n], weights[:n]).tobytes() == pairs[:2 * n:2].tobytes()
+        weights = rng.dirichlet(np.ones(3), size=(3, 49))
+
+        def alone(q, w):
+            return value_of(np.array([q]), np.stack([w, w])[np.newaxis])[0, 0]
+
+        for owner in ([0, 1], [1, 0, 1], [1]):
+            for n in (1, 8, 17, 33, 49):
+                got = value_of(np.array(owner), weights[:len(owner), :n])
+                want = [[alone(q, w) for w in weights[r, :n]] for r, q in enumerate(owner)]
+                assert got.tobytes() == np.array(want).tobytes()
 
     def test_massless_pair_and_early_stop(self, monkeypatch):
         # Against an opponent that always plays its action 0, the pure
@@ -590,6 +598,49 @@ class TestLockstepRouteC:
         # query zooms in a later pass.
         assert sum(0 in call for call in zoomed) == 2
         assert any(sum(q in call for call in zoomed) > 3 for q in (1, 2, 3))
+
+
+    def test_many_states_hold_bounded_memory(self, monkeypatch):
+        # Route (c) takes its queries in groups and contracts each query's
+        # run of rows with that query's own MDP: no solve holds more than
+        # _BATCH policies, and at most two groups of _BATCH // |A| induced
+        # MDPs are alive at once, however many queries there are.
+        monkeypatch.setattr(solvers, "_BATCH", 32)
+        rng = np.random.default_rng(91)
+        game = random_game(rng, n_states=12, action_counts=(3, 2))
+        hull = random_global_hull(rng, 12, 3, k=2)
+        profiles = [[random_policy(rng, 12, 2)] for _ in range(40)]
+        alive, peak, solved = set(), [0], []
+        real_induce, real_run = solvers.induce_mdp, solvers.mdp_run_values
+
+        def induce(*args):
+            mdp = real_induce(*args)
+            alive.add(id(mdp))
+            peak[0] = max(peak[0], len(alive))
+            weakref.finalize(mdp, alive.discard, id(mdp))
+            return mdp
+
+        def run_values(mdps, cuts, probs):
+            solved.append(len(probs))
+            return real_run(mdps, cuts, probs)
+
+        monkeypatch.setattr(solvers, "induce_mdp", induce)
+        monkeypatch.setattr(solvers, "mdp_run_values", run_values)
+        solvers._best_responses(game, 0, profiles, hull)
+        assert max(solved) <= 32
+        assert 32 // 3 < peak[0] <= 2 * (32 // 3)
+        monkeypatch.setattr(solvers, "induce_mdp", real_induce)
+        monkeypatch.setattr(solvers, "mdp_run_values", real_run)
+        self._check(game, hull, profiles)
+
+    def test_many_state_sweep_matches_pointwise_loop(self, monkeypatch):
+        # Eleven opponent keys per player in groups of 16 // 2 = 8 queries.
+        monkeypatch.setattr(solvers, "_BATCH", 16)
+        rng = np.random.default_rng(92)
+        game = random_game(rng, n_states=12, action_counts=(2, 2))
+        spaces = [StateUniform(12, 2), StateUniform(12, 2)]
+        result = sweep_existence(game, spaces, resolution=0.1, epsilon=1e-8)
+        assert result.rows == reference_sweep_rows(game, spaces, 0.1)
 
 
 class TestCheckEquilibrium:
