@@ -10,7 +10,6 @@ from .games import (
     Average,
     Discounted,
     ErgodicityError,
-    FormulationMismatchError,
     JointPolicy,
     MalformedInputError,
     Policy,
@@ -31,10 +30,7 @@ from .values import (
     InducedMDP,
     check_ergodic,
     induce_mdp,
-    matrix_value,
     policy_value,
-    policy_value_average,
-    policy_value_discounted,
     policy_values,
 )
 from .restrictions import (
@@ -50,7 +46,6 @@ from .restrictions import (
     TauMapping,
     broken_actuator,
     build_implicit,
-    convexity_probe,
     epsilon_exploration,
     map_policy,
 )

@@ -96,6 +96,10 @@ class ReproductionSpec:
             raise MalformedInputError(
                 f"unknown experiment {self.name!r}; choose from {EXPERIMENT_NAMES}"
             )
+        if self.n_seeds < 1 or self.workers < 1:
+            raise MalformedInputError(
+                f"n_seeds ({self.n_seeds}) and workers ({self.workers}) must be at least 1"
+            )
         object.__setattr__(self, "outdir", Path(self.outdir))
 
 

@@ -17,9 +17,10 @@ one, exact payoff equalities) and VALUE_TOL guards solved linear systems.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -39,10 +40,6 @@ class UnsupportedOperationError(ValueError):
 
 class ErgodicityError(ValueError):
     """Average-reward computation on a chain without a single recurrent class."""
-
-
-class FormulationMismatchError(UnsupportedOperationError):
-    """An operation requiring one reward criterion was given the other."""
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +222,6 @@ class StochasticGame:
     def joint_actions(self) -> Iterator[tuple[int, ...]]:
         """All joint action tuples, in flat (row-major) index order."""
         return itertools.product(*(range(k) for k in self.action_counts))
-
-    def require_discounted(self) -> float:
-        if not isinstance(self.formulation, Discounted):
-            raise FormulationMismatchError("operation requires a discounted game")
-        return self.formulation.gamma
-
-    def require_average(self) -> None:
-        if not isinstance(self.formulation, Average):
-            raise FormulationMismatchError("operation requires an average-reward game")
 
     def require_finite(self) -> None:
         """Raise unless every reward and transition entry is finite.
@@ -504,6 +492,39 @@ def fact5_game(
 # ---------------------------------------------------------------------------
 
 
+def parses(what: str):
+    """Make a parser of JSON data raise MalformedInputError on a missing key or
+    a value of the wrong type.
+
+    Every statement of such a parser reads outside input, so a KeyError,
+    TypeError, ValueError or AttributeError raised in it means the input is
+    malformed, not that the program is at fault.
+    """
+
+    def decorate(parse):
+        @functools.wraps(parse)
+        def checked(*args):
+            try:
+                return parse(*args)
+            except MalformedInputError:
+                raise
+            except KeyError as exc:
+                raise MalformedInputError(f"{what} lacks the key {exc}") from exc
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise MalformedInputError(f"malformed {what}: {exc}") from exc
+
+        return checked
+
+    return decorate
+
+
+def _number(value) -> float:
+    """A JSON number as a float; a string, boolean or null is malformed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MalformedInputError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _joint_key(actions: Sequence[int]) -> str:
     return ",".join(str(int(a)) for a in actions)
 
@@ -557,18 +578,16 @@ def game_to_dict(game: StochasticGame) -> dict:
     }
 
 
+@parses("game")
 def game_from_dict(data: dict) -> StochasticGame:
     """Parse the on-disk schema; raises MalformedInputError on any violation."""
-    try:
-        n = int(data["players"])
-        states = [str(s) for s in data["states"]]
-        actions = [[str(a) for a in acts] for acts in data["actions"]]
-        initial = str(data["initial_state"])
-        raw_formulation = data["formulation"]
-        raw_transitions = data["transitions"]
-        raw_rewards = data["rewards"]
-    except (KeyError, TypeError) as exc:
-        raise MalformedInputError(f"missing or malformed game field: {exc}") from exc
+    n = int(data["players"])
+    states = [str(s) for s in data["states"]]
+    actions = [[str(a) for a in acts] for acts in data["actions"]]
+    initial = str(data["initial_state"])
+    raw_formulation = data["formulation"]
+    raw_transitions = data["transitions"]
+    raw_rewards = data["rewards"]
     if len(actions) != n:
         raise MalformedInputError("actions list length disagrees with player count")
     if len(raw_rewards) != n:
@@ -578,7 +597,7 @@ def game_from_dict(data: dict) -> StochasticGame:
     if raw_formulation == "average":
         formulation: RewardFormulation = Average()
     elif isinstance(raw_formulation, dict) and "discounted" in raw_formulation:
-        formulation = Discounted(float(raw_formulation["discounted"]))
+        formulation = Discounted(_number(raw_formulation["discounted"]))
     else:
         raise MalformedInputError(f"unrecognized formulation {raw_formulation!r}")
     counts = [len(a) for a in actions]
@@ -600,7 +619,7 @@ def game_from_dict(data: dict) -> StochasticGame:
             for target, p in dist.items():
                 if target not in state_index:
                     raise MalformedInputError(f"transition to unknown state {target!r}")
-                p = float(p)
+                p = _number(p)
                 if p < -LOAD_TOL:
                     raise MalformedInputError(f"negative probability in {state_name}/{key}")
                 transition[s, j, state_index[target]] = p
@@ -624,7 +643,7 @@ def game_from_dict(data: dict) -> StochasticGame:
             s = state_index[state_name]
             for key, value in per_state.items():
                 j = _parse_joint_key(key, counts)
-                rewards[i, s, j] = float(value)
+                rewards[i, s, j] = _number(value)
         expected = {(state_index[sn], _parse_joint_key(k, counts))
                     for sn, d in per_player.items() for k in d}
         if len(expected) != n_states * n_joint:
@@ -668,6 +687,7 @@ def policy_to_dict(policy: Policy, states: Sequence[str]) -> dict:
     return {states[s]: [float(p) for p in policy.probs[s]] for s in range(policy.n_states)}
 
 
+@parses("policy")
 def policy_from_dict(data: dict, states: Sequence[str], n_actions: int) -> Policy:
     probs = np.zeros((len(states), n_actions))
     missing = set(states) - set(data)
@@ -676,7 +696,7 @@ def policy_from_dict(data: dict, states: Sequence[str], n_actions: int) -> Polic
     for name, row in data.items():
         if name not in states:
             raise MalformedInputError(f"policy for unknown state {name!r}")
-        row = np.asarray(row, dtype=float)
+        row = np.array([_number(x) for x in row])
         if row.shape != (n_actions,):
             raise MalformedInputError(f"policy row for {name!r} has wrong length")
         if np.any(row < -LOAD_TOL) or abs(row.sum() - 1.0) > LOAD_TOL:
@@ -689,6 +709,7 @@ def joint_policy_to_list(joint: JointPolicy, states: Sequence[str]) -> list[dict
     return [policy_to_dict(p, states) for p in joint.policies]
 
 
+@parses("joint policy")
 def joint_policy_from_list(data: Sequence[dict], game: StochasticGame) -> JointPolicy:
     if len(data) != game.n_players:
         raise MalformedInputError("joint policy must list one policy per player")

@@ -1,7 +1,9 @@
 """Restricted policy spaces and implicit games.
 
-A restricted policy space is a non-empty, membership-testable subset of one
-player's policy polytope.  Three classes hold every variant:
+A restricted policy space is a non-empty subset of one player's policy
+polytope.  The solvers see it only through a membership test, its extreme
+points (``vertices``), random members, and a parameter lattice for grid
+sweeps.  Three classes hold every variant:
 
 * ``ConvexHullStatewise``: per-state generator strategies blended with
   independent per-state weights, so it is closed under per-state blending
@@ -24,8 +26,7 @@ The other named variants are constructor functions returning a hull:
 * ``Singleton(policy)``: the global hull of one generator.
 
 A state whose generators include every unit vector is the whole simplex,
-so membership there needs no LP and projection is the sort-based simplex
-projection.
+so membership there needs no LP.
 
 Spaces read from and write to JSON objects tagged by ``variant``.  Each
 space keeps the tag it was built under and writes it back: the classes
@@ -62,27 +63,12 @@ from .games import (
     StochasticGame,
     STRUCTURAL_TOL,
     UnsupportedOperationError,
+    parses,
     validate,
 )
 
 MEMBERSHIP_TOL = 1e-9
 MAX_ENUMERATION = 10**6  # pure-policy enumeration guard
-MAX_HULL_GENERATORS = 12  # exact active-set projection enumerates supports
-
-
-def project_to_simplex(v: np.ndarray, total: float = 1.0) -> np.ndarray:
-    """Euclidean projection of v onto {x >= 0, sum x = total} (exact sort method)."""
-    v = np.asarray(v, dtype=float)
-    if total < 0:
-        raise ValueError("simplex mass must be nonnegative")
-    if total == 0.0:
-        return np.zeros_like(v)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    ind = np.arange(1, v.size + 1)
-    rho = int(np.count_nonzero(u - css / ind > 0))
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
 
 
 @functools.lru_cache(maxsize=16)
@@ -143,52 +129,6 @@ def _recover_weights_lp(
     return float(res.fun), np.asarray(res.x[:k])
 
 
-def _project_onto_hull(targets: np.ndarray, generators: np.ndarray) -> np.ndarray:
-    """argmin_w |G^T w - p|_2 over the weight simplex, by exact support enumeration.
-
-    Every KKT point of the quadratic sits on some support, so trying all
-    supports and keeping the feasible minimizer is exact for the small
-    generator counts used here.
-    """
-    k, _ = generators.shape
-    if k > MAX_HULL_GENERATORS:
-        raise UnsupportedOperationError(
-            f"exact hull projection supports at most {MAX_HULL_GENERATORS} generators"
-        )
-    gram = generators @ generators.T
-    lin = generators @ targets
-    best_obj, best_w = np.inf, None
-    for size in range(1, k + 1):
-        for support in itertools.combinations(range(k), size):
-            idx = list(support)
-            kkt = np.zeros((size + 1, size + 1))
-            kkt[:size, :size] = 2.0 * gram[np.ix_(idx, idx)]
-            kkt[:size, size] = 1.0
-            kkt[size, :size] = 1.0
-            rhs = np.zeros(size + 1)
-            rhs[:size] = 2.0 * lin[idx]
-            rhs[size] = 1.0
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            w_support = sol[:size]
-            if np.any(w_support < -1e-11):
-                continue
-            w = np.zeros(k)
-            w[idx] = np.clip(w_support, 0.0, None)
-            total = w.sum()
-            if total <= 0:
-                continue
-            w /= total
-            obj = float(np.sum((generators.T @ w - targets) ** 2))
-            if obj < best_obj - 1e-15:
-                best_obj, best_w = obj, w
-    if best_w is None:
-        raise ArithmeticError("hull projection found no feasible support")
-    return best_w
-
-
 # ---------------------------------------------------------------------------
 # Space variants
 # ---------------------------------------------------------------------------
@@ -197,10 +137,10 @@ def _project_onto_hull(targets: np.ndarray, generators: np.ndarray) -> np.ndarra
 class RestrictedPolicySpace:
     """Interface shared by every restriction variant.
 
-    Concrete spaces know their policy shape, answer membership queries,
-    project (when convex), expose extreme points, and expose a low-
-    dimensional parameterization used by grid sweeps.  ``variant`` is the
-    file-format tag the space was built under.
+    Concrete spaces know their policy shape and whether they are convex,
+    answer membership queries, draw random members, expose extreme points,
+    and expose a low-dimensional parameterization used by grid sweeps.
+    ``variant`` is the file-format tag the space was built under.
     """
 
     n_states: int
@@ -209,13 +149,6 @@ class RestrictedPolicySpace:
     variant: str
 
     def contains(self, policy: Policy, tol: float = MEMBERSHIP_TOL) -> bool:
-        raise NotImplementedError
-
-    def project(self, policy: Policy) -> Policy:
-        raise NotImplementedError
-
-    def witness(self) -> Policy:
-        """Any member, as evidence of non-emptiness."""
         raise NotImplementedError
 
     def random_member(self, rng: np.random.Generator) -> Policy:
@@ -291,14 +224,6 @@ class ConvexHullGlobal(RestrictedPolicySpace):
     def contains(self, policy: Policy, tol: float = MEMBERSHIP_TOL) -> bool:
         gap, _ = self.recover_weights(policy)
         return gap <= tol
-
-    def project(self, policy: Policy) -> Policy:
-        self._check_shape(policy)
-        w = _project_onto_hull(policy.probs.ravel(), self._stacked())
-        return self.policy_of_weights(w)
-
-    def witness(self) -> Policy:
-        return self.generators[0]
 
     def random_member(self, rng: np.random.Generator) -> Policy:
         return self.policy_of_weights(rng.dirichlet(np.ones(self.k)))
@@ -376,22 +301,6 @@ class ConvexHullStatewise(RestrictedPolicySpace):
                 return False
         return True
 
-    def project(self, policy: Policy) -> Policy:
-        self._check_shape(policy)
-        rows = []
-        for s, stacked in enumerate(self._stacks):
-            if self._whole[s]:
-                rows.append(project_to_simplex(policy.probs[s]))
-            else:
-                rows.append(stacked.T @ _project_onto_hull(policy.probs[s], stacked))
-        probs = np.vstack(rows)
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum(axis=1, keepdims=True)
-        return Policy(probs)
-
-    def witness(self) -> Policy:
-        return Policy(np.vstack([per_state[0] for per_state in self.generators]))
-
     def random_member(self, rng: np.random.Generator) -> Policy:
         rows = []
         for stacked in self._stacks:
@@ -442,12 +351,6 @@ class DeterministicOnly(RestrictedPolicySpace):
         self._check_shape(policy)
         near_one = np.abs(policy.probs.max(axis=1) - 1.0) <= tol
         return bool(np.all(near_one))
-
-    def project(self, policy: Policy) -> Policy:
-        raise UnsupportedOperationError("cannot project onto a non-convex space")
-
-    def witness(self) -> Policy:
-        return Policy.pure(self.n_states, self.n_actions, [0] * self.n_states)
 
     def random_member(self, rng: np.random.Generator) -> Policy:
         choices = rng.integers(0, self.n_actions, size=self.n_states)
@@ -530,25 +433,6 @@ def StateUniform(n_states: int, n_actions: int) -> ConvexHullGlobal:
 def Singleton(policy: Policy) -> ConvexHullGlobal:
     """Exactly one admissible policy: the global hull of one generator."""
     return _tagged(ConvexHullGlobal((policy,)), "singleton")
-
-
-# ---------------------------------------------------------------------------
-# Operations over spaces
-# ---------------------------------------------------------------------------
-
-
-def convexity_probe(
-    space: RestrictedPolicySpace, trials: int = 200, seed: int = 0
-) -> bool:
-    """Sample member pairs and check the midpoint; False on any counterexample."""
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        a = space.random_member(rng)
-        b = space.random_member(rng)
-        mid = Policy(0.5 * a.probs + 0.5 * b.probs)
-        if not space.contains(mid, tol=MEMBERSHIP_TOL):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +655,7 @@ def space_to_dict(space: RestrictedPolicySpace, states: Sequence[str]) -> dict:
     return record
 
 
+@parses("space")
 def space_from_dict(
     data: dict, states: Sequence[str], n_actions: int
 ) -> RestrictedPolicySpace:
@@ -815,6 +700,8 @@ def space_from_dict(
             state_name, action, prob = entry
             if state_name not in states:
                 raise MalformedInputError(f"pin for unknown state {state_name!r}")
+            if action != int(action):
+                raise MalformedInputError(f"pin action {action!r} is not an integer")
             pins.append((list(states).index(state_name), int(action), float(prob)))
         return FixedCoordinates(n_states, n_actions, tuple(pins))
     if variant == "deterministic_only":

@@ -1019,6 +1019,8 @@ def sweep_existence(
     """
     if len(spaces) != game.n_players:
         raise MalformedInputError("need one restricted space per player")
+    if not 0.0 < resolution <= 1.0:
+        raise MalformedInputError(f"sweep resolution {resolution} outside (0, 1]")
     dims = [space.param_dim() for space in spaces]
     if sum(dims) > 4:
         raise UnsupportedOperationError(

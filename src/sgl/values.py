@@ -6,10 +6,15 @@ d (P_pi - I) = 0, sum(d) = 1 directly.  Both are direct dense solves rather
 than fixed-point iteration, so results are reproducible to solver precision
 and every returned table is residual-checked against VALUE_TOL.
 
-Every evaluator works on a batch: ``policy_values`` and ``mdp_policy_values``
-take a leading batch axis and make one solve over the (B, |S|, |S|) stack,
-and the single-policy functions are their batch-of-one case.
+There is one evaluator family, and every member works on a batch:
+``policy_values`` (a game's values at its initial state) and
+``mdp_policy_values`` (an induced MDP's per-state values) take a leading
+batch axis and make one solve over the (B, |S|, |S|) stack, and
+``policy_value`` and ``mdp_policy_value`` are their batch-of-one case.
 ``mdp_run_values`` does the same for a stack cut into runs, one MDP each.
+A residual that is above VALUE_TOL or not a number, or a non-finite
+average gain, raises ArithmeticError, so non-finite data never comes back
+as a value.
 
 The ergodicity check used to gate average-reward evaluation is the
 support-union test: the state graph with an edge s -> s' whenever *some*
@@ -38,25 +43,18 @@ from .games import (
     MalformedInputError,
     Policy,
     StochasticGame,
-    UnsupportedOperationError,
     VALUE_TOL,
 )
 
 
-def joint_action_weights(game: StochasticGame, joint: JointPolicy) -> np.ndarray:
-    """Probability of each flat joint action per state, shape (|S|, prod|A_i|)."""
-    return _joint_weight_stack(game, _single_stacks(game, joint))[0]
+def _chain_stack(
+    game: StochasticGame, stacks: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Markov matrices (B, |S|, |S|) and expected rewards (B, n, |S|).
 
-
-def _single_stacks(game: StochasticGame, joint: JointPolicy) -> list[np.ndarray]:
-    """A joint policy as a batch of one: one (1, |S|, |A_i|) stack per player."""
-    if len(joint) != game.n_players:
-        raise MalformedInputError("joint policy has wrong player count")
-    return [pol.probs[np.newaxis] for pol in joint.policies]
-
-
-def _joint_weight_stack(game: StochasticGame, stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """Joint-action probabilities per policy and state, shape (B, |S|, prod|A_i|)."""
+    Member b of the batch is the joint policy made of every player's b-th
+    policy; its joint-action probabilities are built player by player.
+    """
     if len(stacks) != game.n_players:
         raise MalformedInputError("need one policy stack per player")
     stacks = [np.asarray(probs, dtype=float) for probs in stacks]
@@ -64,59 +62,30 @@ def _joint_weight_stack(game: StochasticGame, stacks: Sequence[np.ndarray]) -> n
     for i, probs in enumerate(stacks):
         if probs.shape != (batch, game.n_states, game.action_counts[i]):
             raise MalformedInputError(f"policy {i} shape mismatch with game")
-    weights = np.ones((batch, game.n_states, 1))
+    w = np.ones((batch, game.n_states, 1))
     for probs in stacks:
         # Row-major flat index grows fastest in the last player, matching kron order.
-        weights = np.einsum("bsj,bsk->bsjk", weights, probs).reshape(
-            batch, game.n_states, -1
-        )
-    return weights
-
-
-def _chain_stack(
-    game: StochasticGame, stacks: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Markov matrices (B, |S|, |S|) and expected rewards (B, n, |S|)."""
-    w = _joint_weight_stack(game, stacks)
+        w = np.einsum("bsj,bsk->bsjk", w, probs).reshape(batch, game.n_states, -1)
     p = np.einsum("bsj,sjt->bst", w, game.transition)
     r = np.einsum("bsj,isj->bis", w, game.rewards)
     return p, r
-
-
-def chain_and_rewards(
-    game: StochasticGame, joint: JointPolicy
-) -> tuple[np.ndarray, np.ndarray]:
-    """Markov matrix P_pi (|S| x |S|) and expected rewards r_pi (n x |S|)."""
-    p, r = _chain_stack(game, _single_stacks(game, joint))
-    return p[0], r[0]
 
 
 def _discounted_values(p: np.ndarray, r: np.ndarray, gamma: float) -> np.ndarray:
     """Solve V = r + gamma P V for a stack of chains; (B, m, |S|) from r's shape.
 
     One solve covers the whole stack, and the Bellman residual is checked for
-    every member: a residual above VALUE_TOL (which would indicate a
-    defective solve) raises ArithmeticError.
+    every member: a residual above VALUE_TOL or NaN (a defective solve or
+    non-finite data) raises ArithmeticError.
     """
     n = p.shape[-1]
     values = np.swapaxes(
         np.linalg.solve(np.eye(n) - gamma * p, np.swapaxes(r, 1, 2)), 1, 2
     )
     residual = np.max(np.abs(values - (r + gamma * values @ np.swapaxes(p, 1, 2))))
-    if residual > VALUE_TOL:
+    if not residual <= VALUE_TOL:
         raise ArithmeticError(f"Bellman residual {residual} above tolerance")
     return values
-
-
-def policy_value_discounted(game: StochasticGame, joint: JointPolicy) -> np.ndarray:
-    """V_i(s) for every player and state; shape (n, |S|).
-
-    The table is the unique Bellman fixed point; a residual above VALUE_TOL
-    (which would indicate a defective solve) raises ArithmeticError.
-    """
-    gamma = game.require_discounted()
-    p, r = chain_and_rewards(game, joint)
-    return _discounted_values(p[np.newaxis], r[np.newaxis], gamma)[0]
 
 
 def _require_unichain(support: np.ndarray) -> None:
@@ -155,27 +124,21 @@ def _stationary_stack(p: np.ndarray) -> np.ndarray:
     b[:, -1, 0] = 1.0
     d = np.linalg.solve(a, b)[..., 0]
     residual = np.abs(d - (d[:, np.newaxis, :] @ p)[:, 0, :]).sum(axis=1)
-    if np.any(residual > VALUE_TOL) or np.any(d < -VALUE_TOL):
+    if not (np.all(residual <= VALUE_TOL) and np.all(d >= -VALUE_TOL)):
         raise ErgodicityError(f"stationary solve failed (residual {residual.max()})")
     d = np.clip(d, 0.0, None)
     return d / d.sum(axis=1, keepdims=True)
 
 
-def stationary_distribution(p: np.ndarray) -> np.ndarray:
-    """Stationary d with d P = d, sum(d) = 1, for a unichain chain."""
-    return _stationary_stack(p[np.newaxis])[0]
-
-
 def _average_gains(p: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Long-run average rewards (B, m) of a stack of unichain chains."""
-    d = _stationary_stack(p)
-    return (r @ d[:, :, np.newaxis])[:, :, 0]
+    """Long-run average rewards (B, m) of a stack of unichain chains.
 
-
-def policy_value_average(game: StochasticGame, joint: JointPolicy) -> np.ndarray:
-    """Long-run average reward per player (state-independent), shape (n,)."""
-    game.require_average()
-    return policy_values(game, _single_stacks(game, joint))[0]
+    A non-finite reward reaches the gains only, so they are checked too.
+    """
+    gains = (r @ _stationary_stack(p)[:, :, np.newaxis])[:, :, 0]
+    if not np.all(np.isfinite(gains)):
+        raise ArithmeticError("non-finite average gain")
+    return gains
 
 
 def policy_values(game: StochasticGame, stacks: Sequence[np.ndarray]) -> np.ndarray:
@@ -196,7 +159,7 @@ def policy_values(game: StochasticGame, stacks: Sequence[np.ndarray]) -> np.ndar
 
 def policy_value(game: StochasticGame, joint: JointPolicy) -> np.ndarray:
     """Per-player value of the joint policy at the initial state, shape (n,)."""
-    return policy_values(game, _single_stacks(game, joint))[0]
+    return policy_values(game, [pol.probs[np.newaxis] for pol in joint.policies])[0]
 
 
 def check_ergodic(game: StochasticGame) -> bool:
@@ -235,16 +198,6 @@ class InducedMDP:
     def n_actions(self) -> int:
         return len(self.actions)
 
-    def as_game(self) -> StochasticGame:
-        """The same MDP wrapped as a one-player stochastic game."""
-        return StochasticGame(
-            states=self.states,
-            action_sets=(self.actions,),
-            transition=self.transition,
-            rewards=self.reward[np.newaxis, :, :],
-            initial_state=self.states[self.initial_index],
-            formulation=self.formulation,
-        )
 
 
 def induce_mdp(
@@ -332,25 +285,3 @@ def mdp_policy_value(mdp: InducedMDP, probs: np.ndarray) -> np.ndarray:
     states) so callers can index by state uniformly.
     """
     return mdp_policy_values(mdp, np.asarray(probs)[np.newaxis])[0]
-
-
-# ---------------------------------------------------------------------------
-# Matrix-game values
-# ---------------------------------------------------------------------------
-
-
-def matrix_value(game: StochasticGame, joint: JointPolicy) -> np.ndarray:
-    """Per-player value of a single-state game, multilinear in the strategies.
-
-    The one-shot expected payoff sum_a R_i(a) prod_j pi_j(a_j), scaled by
-    1 / (1 - gamma) under discounting and left unscaled under averaging.
-    """
-    if not game.is_matrix_game:
-        raise UnsupportedOperationError(
-            f"matrix value requires a single state, game has {game.n_states}"
-        )
-    w = joint_action_weights(game, joint)[0]
-    base = game.rewards[:, 0, :] @ w
-    if isinstance(game.formulation, Discounted):
-        return base / (1.0 - game.formulation.gamma)
-    return base

@@ -15,7 +15,7 @@ import pytest
 
 import sgl
 from sgl.cli import main
-from sgl.experiments import EXPERIMENT_NAMES
+from sgl.experiments import EXPERIMENT_NAMES, ReproductionSpec
 from sgl.games import (
     bach_stravinsky,
     blotto_4_3,
@@ -26,7 +26,7 @@ from sgl.games import (
     save_game,
 )
 from sgl.restrictions import save_spaces, ConvexHullGlobal, DeterministicOnly, FullSpace
-from sgl.games import Policy, joint_policy_to_list
+from sgl.games import MalformedInputError, Policy, joint_policy_to_list
 from sgl.learners import PlayerSpec, final_joint_policy, load_trajectory_rows, self_play
 
 # What an installer's generated `sgl` script does, given the entry point value
@@ -412,6 +412,11 @@ class TestReproduce:
                 values = [float(x) for x in line.split()]
                 assert len(values) == 4
 
+    @pytest.mark.parametrize("counts", [{"n_seeds": 0}, {"workers": 0}, {"n_seeds": -1}])
+    def test_spec_rejects_counts_below_one(self, tmp_path, counts):
+        with pytest.raises(MalformedInputError):
+            ReproductionSpec(name="rps", outdir=tmp_path, **counts)
+
     def test_unknown_name_exit_2(self):
         # argparse rejects names outside the experiment list
         with pytest.raises(SystemExit) as exc:
@@ -460,6 +465,70 @@ class TestEnvironment:
             result = run([installed], "solve", "minimax", str(rps_file))
             assert result.returncode == 0, result.stderr
             assert result.stdout == solved.stdout
+
+
+def _rps_with(edit) -> dict:
+    data = game_to_dict(rps())
+    edit(data)
+    return data
+
+
+UNIFORM_PAIR = [{"s0": [1 / 3] * 3}] * 2
+FULL = {"variant": "full"}
+CHECK = ["check", "--game", "{game}", "--policy", "{policy}", "--spaces", "{spaces}"]
+SWEEP = ["sweep", "--game", "{game}", "--spaces", "{spaces}", "--resolution"]
+REPRODUCE = ["reproduce", "rps", "--iters", "10", "--out", "{out}"]
+# argv with {game}, {policy}, {spaces} and {out} placeholders, and the
+# contents of the files that differ from a valid rps game, policy and spaces.
+BAD_INPUTS = {
+    "hull-without-generators": (CHECK, {"spaces": [{"variant": "convex_hull_global"}, FULL]}),
+    "singleton-without-policy": (CHECK, {"spaces": [{"variant": "singleton"}, FULL]}),
+    "pin-with-two-fields": (
+        CHECK, {"spaces": [{"variant": "fixed_coordinates", "pins": [["s0", 1]]}, FULL]}
+    ),
+    "pin-with-string-action": (
+        CHECK, {"spaces": [{"variant": "fixed_coordinates", "pins": [["s0", "a", 0.5]]}, FULL]}
+    ),
+    "pin-with-fractional-action": (
+        CHECK, {"spaces": [{"variant": "fixed_coordinates", "pins": [["s0", 1.5, 1 / 3]]}, FULL]}
+    ),
+    "statewise-generators-as-list": (
+        CHECK, {"spaces": [{"variant": "convex_hull_statewise", "generators": [[1, 0, 0]]}, FULL]}
+    ),
+    "transitions-as-list": (["validate", "{game}"], {"game": _rps_with(
+        lambda d: d.update(transitions=list(d["transitions"].values())))}),
+    "rewards-as-object": (["validate", "{game}"], {"game": _rps_with(
+        lambda d: d.update(rewards=dict(enumerate(d["rewards"]))))}),
+    "probability-as-string": (["validate", "{game}"], {"game": _rps_with(
+        lambda d: d["transitions"]["s0"].update({"0,0": {"s0": "one"}}))}),
+    "probability-as-numeric-string": (["validate", "{game}"], {"game": _rps_with(
+        lambda d: d["transitions"]["s0"].update({"0,0": {"s0": "1"}}))}),
+    "reward-as-string": (["validate", "{game}"], {"game": _rps_with(
+        lambda d: d["rewards"][0]["s0"].update({"0,0": "zero"}))}),
+    "gamma-as-string": (["validate", "{game}"], {"game": _rps_with(
+        lambda d: d.update(formulation={"discounted": "high"}))}),
+    "policy-row-of-strings": (CHECK, {"policy": [{"s0": ["a", "b", "c"]}, UNIFORM_PAIR[1]]}),
+    "policy-row-of-numeric-strings": (
+        CHECK, {"policy": [{"s0": ["1", "0", "0"]}, UNIFORM_PAIR[1]]}
+    ),
+    "reproduce-no-seeds": (REPRODUCE + ["--seeds", "0"], {}),
+    "reproduce-no-workers": (REPRODUCE + ["--workers", "0"], {}),
+    "sweep-resolution-zero": (SWEEP + ["0"], {}),
+    "sweep-resolution-nan": (SWEEP + ["nan"], {}),
+    "sweep-resolution-negative": (SWEEP + ["-0.5"], {}),
+}
+
+
+@pytest.mark.parametrize("argv, files", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2_without_traceback(capsys, tmp_path, argv, files):
+    valid = {"game": game_to_dict(rps()), "policy": UNIFORM_PAIR, "spaces": [FULL, FULL]}
+    paths = {"out": str(tmp_path / "out")}
+    for name, data in {**valid, **files}.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(data))
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_round_trip_game_written_by_tool(tmp_path):

@@ -1,10 +1,9 @@
-"""Restricted policy spaces, projections, and implicit games."""
+"""Restricted policy spaces and implicit games."""
 
 import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from sgl import restrictions
 from sgl.games import (
@@ -13,7 +12,6 @@ from sgl.games import (
     JointPolicy,
     MalformedInputError,
     Policy,
-    UnsupportedOperationError,
     rps,
 )
 from sgl.restrictions import (
@@ -27,19 +25,23 @@ from sgl.restrictions import (
     TauMapping,
     broken_actuator,
     build_implicit,
-    convexity_probe,
     epsilon_exploration,
     identity_tau,
     map_policy,
-    project_to_simplex,
     save_spaces,
     simplex_grid,
     space_equal,
     space_from_dict,
     space_to_dict,
 )
-from sgl.values import matrix_value, policy_value, policy_value_discounted
-from util import random_game, random_joint_policy, random_policy, reference_simplex_grid
+from sgl.values import policy_value
+from util import (
+    convexity_probe,
+    random_game,
+    random_joint_policy,
+    random_policy,
+    reference_simplex_grid,
+)
 
 ALL_SPACES = {}
 
@@ -109,9 +111,24 @@ class TestMembership:
         assert space.contains(Policy.pure(2, 2, [1, 0]))
         assert not space.contains(Policy([[0.5, 0.5], [1.0, 0.0]]))
 
-    def test_every_witness_is_a_member(self):
+    def test_every_vertex_is_a_member(self):
         for name, space in ALL_SPACES.items():
-            assert space.contains(space.witness()), name
+            for vertex in space.vertices():
+                assert space.contains(vertex), name
+
+    def test_whole_simplex_states_need_no_hull_solver(self, monkeypatch):
+        # States whose generators include every unit vector answer membership
+        # without an LP, whatever their action count.
+        def forbidden(*args):
+            raise AssertionError("hull solver called on a whole-simplex state")
+
+        monkeypatch.setattr(restrictions, "_recover_weights_lp", forbidden)
+        rng = np.random.default_rng(4)
+        for space in (FullSpace(2, 15), FixedCoordinates(2, 15, ())):
+            assert space.contains(random_policy(rng, 2, 15))
+        pinned = FixedCoordinates(2, 3, ((0, 1, 0.5),))
+        with pytest.raises(AssertionError):
+            pinned.contains(pinned.vertices()[0])
 
     def test_random_members_are_members(self):
         rng = np.random.default_rng(0)
@@ -131,79 +148,6 @@ class TestSimplexGrid:
     def test_rejects_empty_simplex(self):
         with pytest.raises(ValueError):
             simplex_grid(0, 0.1)
-
-
-class TestProjection:
-    def test_simplex_projection_basics(self):
-        assert np.allclose(project_to_simplex(np.array([1.0, 0.0]), 0.5), [0.5, 0.0])
-        assert np.allclose(
-            project_to_simplex(np.array([0.4, 0.4, 0.2])), [0.4, 0.4, 0.2]
-        )
-
-    def test_member_projects_to_itself(self):
-        rng = np.random.default_rng(1)
-        for name, space in ALL_SPACES.items():
-            if not space.is_convex:
-                continue
-            member = space.random_member(rng)
-            projected = space.project(member)
-            assert np.max(np.abs(projected.probs - member.probs)) <= 1e-10, name
-
-    def test_pin_projection_hand_solved(self):
-        space = FixedCoordinates(1, 3, ((0, 1, 0.5),))
-        projected = space.project(Policy([[1.0, 0.0, 0.0]]))
-        assert np.allclose(projected.probs, [[0.5, 0.5, 0.0]], atol=1e-12)
-
-    def test_state_uniform_projects_to_mean(self):
-        space = StateUniform(2, 2)
-        projected = space.project(Policy([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.allclose(projected.probs, 0.5, atol=1e-12)
-
-    def test_idempotence_and_membership(self):
-        rng = np.random.default_rng(2)
-        for name, space in ALL_SPACES.items():
-            if not space.is_convex:
-                continue
-            for _ in range(15):
-                raw = random_policy(rng, space.n_states, space.n_actions)
-                once = space.project(raw)
-                twice = space.project(once)
-                assert space.contains(once, tol=1e-9), name
-                assert np.max(np.abs(twice.probs - once.probs)) <= 1e-10, name
-
-    def test_whole_simplex_states_need_no_hull_solver(self, monkeypatch):
-        # States whose generators include every unit vector answer membership
-        # and projection without an LP or the support enumeration, which also
-        # keeps them usable above MAX_HULL_GENERATORS actions.
-        def forbidden(*args):
-            raise AssertionError("hull solver called on a whole-simplex state")
-
-        monkeypatch.setattr(restrictions, "_recover_weights_lp", forbidden)
-        monkeypatch.setattr(restrictions, "_project_onto_hull", forbidden)
-        rng = np.random.default_rng(4)
-        n_actions = restrictions.MAX_HULL_GENERATORS + 3
-        for space in (FullSpace(2, n_actions), FixedCoordinates(2, n_actions, ())):
-            raw = random_policy(rng, 2, n_actions)
-            assert space.contains(raw)
-            projected = space.project(raw)
-            assert np.max(np.abs(projected.probs - raw.probs)) <= 1e-12
-        pinned = FixedCoordinates(2, 3, ((0, 1, 0.5),))
-        with pytest.raises(AssertionError):
-            pinned.contains(pinned.witness())
-
-    def test_deterministic_rejects_projection(self):
-        with pytest.raises(UnsupportedOperationError):
-            DeterministicOnly(1, 3).project(Policy([[0.5, 0.25, 0.25]]))
-
-    def test_hull_projection_beats_vertices(self):
-        rng = np.random.default_rng(3)
-        hull = ALL_SPACES["hull_global"]
-        for _ in range(10):
-            raw = random_policy(rng, 2, 3)
-            projected = hull.project(raw)
-            d_proj = np.sum((projected.probs - raw.probs) ** 2)
-            for g in hull.generators:
-                assert d_proj <= np.sum((g.probs - raw.probs) ** 2) + 1e-12
 
 
 class TestConvexity:
@@ -401,9 +345,9 @@ class TestImplicitGames:
                 implicit_joint = JointPolicy(
                     (Policy.pure(1, 3, [r]), Policy.pure(1, 3, [c]))
                 )
-                vi = matrix_value(ig.game, implicit_joint)
+                vi = policy_value(ig.game, implicit_joint)
                 mixed = map_policy(ig, implicit_joint)
-                ve = matrix_value(rps_game, mixed)
+                ve = policy_value(rps_game, mixed)
                 assert np.max(np.abs(vi - ve)) <= 1e-12
 
     def test_map_policy_examples(self, rps_game, rps_column_hull):
@@ -449,18 +393,3 @@ class TestImplicitGames:
             assert np.max(np.abs(vi - ve)) <= 1e-10
 
 
-@given(st.integers(0, 10**6))
-@settings(max_examples=25, deadline=None)
-def test_projection_idempotence_random_spaces(seed):
-    rng = np.random.default_rng(seed)
-    n_states = int(rng.integers(1, 4))
-    n_actions = int(rng.integers(2, 5))
-    k = int(rng.integers(1, 4))
-    space = ConvexHullGlobal(
-        tuple(random_policy(rng, n_states, n_actions) for _ in range(k))
-    )
-    raw = random_policy(rng, n_states, n_actions)
-    once = space.project(raw)
-    twice = space.project(once)
-    assert space.contains(once, tol=1e-9)
-    assert np.max(np.abs(twice.probs - once.probs)) <= 1e-10

@@ -846,6 +846,12 @@ class TestSweep:
         with pytest.raises(UnsupportedOperationError):
             sweep_existence(fact5, spaces, resolution=0.5, epsilon=1e-9)
 
+    @pytest.mark.parametrize("resolution", [0.0, -0.5, 1.5, float("nan")])
+    def test_resolution_outside_unit_interval_rejected(self, rps_game, resolution):
+        spaces = [DeterministicOnly(1, 3), DeterministicOnly(1, 3)]
+        with pytest.raises(MalformedInputError):
+            sweep_existence(rps_game, spaces, resolution=resolution, epsilon=1e-9)
+
     def test_csv_round_trip(self, tmp_path, rps_game):
         from sgl.solvers import sweep_to_csv
         import csv as csv_mod

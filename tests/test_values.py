@@ -1,5 +1,7 @@
 """Exact value computation against hand-solved and simulation oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from sgl.games import (
     Average,
     Discounted,
     ErgodicityError,
-    FormulationMismatchError,
     JointPolicy,
     MalformedInputError,
     Policy,
@@ -18,16 +19,11 @@ from sgl.games import (
 )
 from sgl.values import (
     check_ergodic,
-    chain_and_rewards,
     induce_mdp,
-    matrix_value,
     mdp_policy_value,
     mdp_policy_values,
     policy_value,
-    policy_value_average,
-    policy_value_discounted,
     policy_values,
-    stationary_distribution,
 )
 from util import random_game, random_joint_policy, random_policy, simulate_average_reward
 
@@ -47,6 +43,20 @@ def two_state_cycle(formulation) -> StochasticGame:
 CYCLE_POLICY = JointPolicy((Policy([[1.0], [1.0]]),))
 
 
+def stationary_by_indicators(game: StochasticGame, joint: JointPolicy) -> np.ndarray:
+    """The stationary law of a one-player average-reward game's chain.
+
+    The gain of a reward paying 1 in state s alone is the chain's long-run
+    share of time in s, so each entry is one `policy_value` call.
+    """
+    d = np.zeros(game.n_states)
+    for s in range(game.n_states):
+        rewards = np.zeros_like(game.rewards)
+        rewards[0, s, :] = 1.0
+        d[s] = policy_value(replace(game, rewards=rewards), joint)[0]
+    return d
+
+
 class TestDiscounted:
     def test_constant_reward_geometric_series(self):
         c = 3.0
@@ -54,27 +64,23 @@ class TestDiscounted:
             [np.full((2, 2), c), np.full((2, 2), c)], formulation=Discounted(0.5)
         )
         joint = JointPolicy((Policy([[0.3, 0.7]]), Policy([[0.9, 0.1]])))
-        values = policy_value_discounted(game, joint)
-        assert np.allclose(values[:, 0], 2 * c, atol=1e-12)
+        assert np.allclose(policy_value(game, joint), 2 * c, atol=1e-12)
 
     def test_two_state_cycle_hand_solved(self):
         # V(s0) = 0.5 V(s1), V(s1) = 1 + 0.5 V(s0)  =>  (2/3, 4/3).
         game = two_state_cycle(Discounted(0.5))
-        values = policy_value_discounted(game, CYCLE_POLICY)
-        assert values[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert values[0, 1] == pytest.approx(4.0 / 3.0, abs=1e-12)
+        values = mdp_policy_value(induce_mdp(game, 0, []), CYCLE_POLICY[0].probs)
+        assert values[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert values[1] == pytest.approx(4.0 / 3.0, abs=1e-12)
 
     def test_matrix_game_scales_one_shot_payoff(self):
         rng = np.random.default_rng(5)
         game = rps(formulation=Discounted(0.7))
         joint = random_joint_policy(rng, game)
-        direct = policy_value_discounted(game, joint)[:, 0]
-        multilinear = matrix_value(game, joint)
-        assert np.allclose(direct, multilinear, atol=1e-12)
-
-    def test_requires_discounted(self):
-        with pytest.raises(FormulationMismatchError):
-            policy_value_discounted(rps(), JointPolicy.uniform(rps()))
+        direct = policy_value(game, joint)
+        x, y = joint[0].probs[0], joint[1].probs[0]
+        one_shot = [x @ game.payoff_matrix(i) @ y for i in range(2)]
+        assert np.allclose(direct, np.array(one_shot) / (1 - 0.7), atol=1e-12)
 
     def test_bellman_residual_property(self):
         rng = np.random.default_rng(11)
@@ -88,28 +94,27 @@ class TestDiscounted:
                 gamma=float(rng.uniform(0.2, 0.97)),
             )
             joint = random_joint_policy(rng, game)
-            values = policy_value_discounted(game, joint)
-            p, r = chain_and_rewards(game, joint)
-            residual = values - (r + game.formulation.gamma * values @ p.T)
-            assert np.max(np.abs(residual)) <= 1e-10
+            for i, own in enumerate(joint.policies):
+                others = [pol for j, pol in enumerate(joint.policies) if j != i]
+                mdp = induce_mdp(game, i, others)
+                values = mdp_policy_value(mdp, own.probs)
+                p = np.einsum("sa,sat->st", own.probs, mdp.transition)
+                r = np.einsum("sa,sa->s", own.probs, mdp.reward)
+                residual = values - (r + game.formulation.gamma * p @ values)
+                assert np.max(np.abs(residual)) <= 1e-10
 
 
 class TestAverage:
     def test_constant_reward(self):
         c = -1.5
         game = matrix_game([np.full((2, 2), c), np.full((2, 2), c)])
-        values = policy_value_average(game, JointPolicy.uniform(game))
+        values = policy_value(game, JointPolicy.uniform(game))
         assert np.allclose(values, c, atol=1e-12)
 
     def test_two_state_cycle_half(self):
         game = two_state_cycle(Average())
-        values = policy_value_average(game, CYCLE_POLICY)
+        values = policy_value(game, CYCLE_POLICY)
         assert values[0] == pytest.approx(0.5, abs=1e-12)
-
-    def test_requires_average(self):
-        game = two_state_cycle(Discounted(0.5))
-        with pytest.raises(FormulationMismatchError):
-            policy_value_average(game, CYCLE_POLICY)
 
     def test_reducible_chain_raises(self):
         # Two disconnected self-loop states.
@@ -122,7 +127,7 @@ class TestAverage:
         )
         joint = JointPolicy((Policy([[1.0], [1.0]]),))
         with pytest.raises(ErgodicityError):
-            policy_value_average(game, joint)
+            policy_value(game, joint)
 
     def test_unichain_policy_matches_simulation(self):
         # Action 0 never enters s2, so under it s2 is transient; action 1
@@ -139,11 +144,10 @@ class TestAverage:
         )
         assert check_ergodic(game)
         joint = JointPolicy((Policy.pure(3, 2, [0, 0, 0]),))
-        exact = policy_value_average(game, joint)
+        exact = policy_value(game, joint)
         # Stationary law of the s0/s1 class: d0 = 0.6 / 1.3.
         assert exact[0] == pytest.approx((0.6 - 0.35) / 1.3, abs=1e-12)
-        p, _ = chain_and_rewards(game, joint)
-        assert stationary_distribution(p)[2] <= 1e-15
+        assert stationary_by_indicators(game, joint)[2] <= 1e-15
         sim = simulate_average_reward(game, joint, steps=200_000, seed=5, start_state=2)
         assert abs(sim[0] - exact[0]) <= 1e-2
 
@@ -151,7 +155,7 @@ class TestAverage:
         rng = np.random.default_rng(7)
         game = random_game(rng, n_states=4, action_counts=(2, 2), average=True)
         joint = random_joint_policy(rng, game)
-        exact = policy_value_average(game, joint)
+        exact = policy_value(game, joint)
         for start, seed in ((None, 123), (2, 124)):
             sim = simulate_average_reward(
                 game, joint, steps=10**7, seed=seed, start_state=start
@@ -163,10 +167,8 @@ class TestAverage:
         for _ in range(20):
             game = random_game(rng, n_states=4, action_counts=(2,), average=True)
             joint = random_joint_policy(rng, game)
-            p, r = chain_and_rewards(game, joint)
-            from sgl.values import stationary_distribution
-
-            d = stationary_distribution(p)
+            p = np.einsum("sa,sat->st", joint[0].probs, game.transition)
+            d = stationary_by_indicators(game, joint)
             assert np.abs(d - d @ p).sum() <= 1e-10
             assert abs(d.sum() - 1.0) <= 1e-12
 
@@ -219,33 +221,42 @@ class TestInducedMDP:
             mdp = induce_mdp(game, i, others)
             in_mdp = mdp_policy_value(mdp, joint[i].probs)
             if average:
-                in_game = policy_value_average(game, joint)[i]
+                in_game = policy_value(game, joint)[i]
                 assert abs(in_mdp[0] - in_game) <= 1e-10
             else:
-                in_game = policy_value_discounted(game, joint)[i]
+                # The game started from each state in turn gives the whole table.
+                in_game = [
+                    policy_value(replace(game, initial_state=state), joint)[i]
+                    for state in game.states
+                ]
                 assert np.max(np.abs(in_mdp - in_game)) <= 1e-10
 
     def test_as_game_round_trip(self, fact5):
+        """The MDP written as a one-player game has the same values."""
         rng = np.random.default_rng(3)
         column = Policy(rng.dirichlet(np.ones(2), size=3))
         mdp = induce_mdp(fact5, 0, [column])
         row = Policy(rng.dirichlet(np.ones(2), size=3))
-        wrapped = mdp.as_game()
-        via_game = policy_value_discounted(wrapped, JointPolicy((row,)))[0]
         direct = mdp_policy_value(mdp, row.probs)
-        assert np.allclose(via_game, direct, atol=1e-12)
+        for start, state in enumerate(mdp.states):
+            wrapped = StochasticGame(
+                mdp.states, (mdp.actions,), mdp.transition, mdp.reward[np.newaxis],
+                state, mdp.formulation,
+            )
+            via_game = policy_value(wrapped, JointPolicy((row,)))[0]
+            assert via_game == pytest.approx(direct[start], abs=1e-12)
 
 
 class TestMatrixValue:
     def test_rps_examples(self, rps_game):
         uniform = JointPolicy.uniform(rps_game)
-        assert np.allclose(matrix_value(rps_game, uniform), 0.0, atol=1e-15)
+        assert np.allclose(policy_value(rps_game, uniform), 0.0, atol=1e-15)
         rock_paper = JointPolicy((Policy([[1, 0, 0]]), Policy([[0, 1, 0]])))
-        assert np.allclose(matrix_value(rps_game, rock_paper), [-1.0, 1.0])
+        assert np.allclose(policy_value(rps_game, rock_paper), [-1.0, 1.0])
 
     def test_blotto_pure_profile(self, blotto_game):
         joint = JointPolicy((Policy([[1, 0, 0, 0, 0]]), Policy([[1, 0, 0, 0]])))
-        assert np.allclose(matrix_value(blotto_game, joint), [4.0, -4.0])
+        assert np.allclose(policy_value(blotto_game, joint), [4.0, -4.0])
 
     def test_multilinearity(self):
         rng = np.random.default_rng(13)
@@ -262,17 +273,11 @@ class TestMatrixValue:
                     i, Policy(alpha * base[i].probs + (1 - alpha) * other[i].probs)
                 )
                 swapped = base.replace(i, other[i])
-                lhs = matrix_value(game, blend)
-                rhs = alpha * matrix_value(game, base) + (1 - alpha) * matrix_value(
+                lhs = policy_value(game, blend)
+                rhs = alpha * policy_value(game, base) + (1 - alpha) * policy_value(
                     game, swapped
                 )
                 assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-    def test_rejects_multi_state(self, fact5):
-        from sgl.games import UnsupportedOperationError
-
-        with pytest.raises(UnsupportedOperationError):
-            matrix_value(fact5, JointPolicy.uniform(fact5))
 
 
 def test_zero_sum_conservation():
@@ -294,8 +299,38 @@ def test_policy_value_at_initial_state(fact5):
     rng = np.random.default_rng(19)
     joint = random_joint_policy(rng, fact5)
     at_start = policy_value(fact5, joint)
-    table = policy_value_discounted(fact5, joint)
-    assert np.allclose(at_start, table[:, fact5.initial_index], atol=0)
+    for i in range(2):
+        table = mdp_policy_value(induce_mdp(fact5, i, [joint[1 - i]]), joint[i].probs)
+        assert at_start[i] == pytest.approx(table[fact5.initial_index], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "formulation, table, index, value, error",
+    [
+        (None, "rewards", (0, 0, 0), np.inf, ArithmeticError),
+        (Average(), "rewards", (0, 0, 0), np.nan, ArithmeticError),
+        (None, "transition", (0, 0, 0), np.nan, ArithmeticError),
+        (Average(), "transition", (1, 0, 0), np.inf, ErgodicityError),
+    ],
+    ids=[
+        "discounted-inf-reward",
+        "average-nan-reward",
+        "discounted-nan-transition",
+        "average-inf-transition",
+    ],
+)
+def test_non_finite_data_raises(formulation, table, index, value, error):
+    """An infinite or NaN entry never comes back as a value."""
+    game = fact5_game(formulation=formulation)
+    bad = np.array(getattr(game, table))
+    bad[index] = value
+    game = replace(game, **{table: bad})
+    joint = JointPolicy.uniform(game)
+    with np.errstate(all="ignore"):
+        with pytest.raises(error):
+            policy_value(game, joint)
+        with pytest.raises(error):
+            mdp_policy_value(induce_mdp(game, 0, [joint[1]]), joint[0].probs)
 
 
 class TestBatched:

@@ -21,8 +21,13 @@ from sgl.games import (
     Policy,
     StochasticGame,
 )
-from sgl.restrictions import ConvexHullGlobal, ConvexHullStatewise, simplex_grid
-from sgl.values import chain_and_rewards
+from sgl.restrictions import (
+    MEMBERSHIP_TOL,
+    ConvexHullGlobal,
+    ConvexHullStatewise,
+    RestrictedPolicySpace,
+    simplex_grid,
+)
 
 
 def random_game(
@@ -99,6 +104,20 @@ def random_statewise_hull(
             for _ in range(n_states)
         )
     )
+
+
+def convexity_probe(
+    space: RestrictedPolicySpace, trials: int = 200, seed: int = 0
+) -> bool:
+    """Sample member pairs and check the midpoint; False on any counterexample."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        a = space.random_member(rng)
+        b = space.random_member(rng)
+        mid = Policy(0.5 * a.probs + 0.5 * b.probs)
+        if not space.contains(mid, tol=MEMBERSHIP_TOL):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +587,21 @@ def simulate_average_reward(
 ) -> np.ndarray:
     """Monte-Carlo long-run average reward per player along one trajectory.
 
-    An independent oracle for `policy_value_average`: it walks the chain
-    P_pi step by step and averages the per-state expected rewards, rather
-    than solving for the stationary distribution.
+    An independent oracle for average-reward `policy_value`: it builds the
+    chain P_pi with its own joint-action loop, walks it step by step and
+    averages the per-state expected rewards, rather than solving for the
+    stationary distribution.
     """
-    p, r = chain_and_rewards(game, joint)
+    # weights[s, j]: probability of flat (row-major) joint action j in state s.
+    weights = np.array([
+        [
+            np.prod([joint[i].probs[s, a] for i, a in enumerate(actions)])
+            for actions in itertools.product(*(range(k) for k in game.action_counts))
+        ]
+        for s in range(game.n_states)
+    ])
+    p = np.einsum("sj,sjt->st", weights, game.transition)
+    r = np.einsum("sj,isj->is", weights, game.rewards)
     rng = np.random.default_rng(seed)
     cumulative = [row.tolist() for row in np.cumsum(p, axis=1)]
     reward_rows = [r[:, s].tolist() for s in range(game.n_states)]
