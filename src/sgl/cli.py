@@ -13,8 +13,10 @@ takes ``full`` and ``convex_hull_global`` entries only.
 
 Exit codes: 0 on success, 2 for malformed input (bad files, schema
 violations, policies outside their spaces), 3 for unsupported combinations
-(e.g. minimax on a general-sum game), 4 for ergodicity failures.  Results
-print as JSON on stdout; commands with file outputs also write them.
+(e.g. minimax on a general-sum game) and for a computation that misses its
+tolerance (an ArithmeticError, e.g. a Bellman residual above VALUE_TOL at
+gamma = 0.9999999999999), 4 for ergodicity failures.  Results print as JSON
+on stdout; commands with file outputs also write them.
 
 The SGL_LOG_LEVEL environment variable (error, info, debug) controls
 logging verbosity.
@@ -289,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     except ErgodicityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERGODICITY
-    except (UnsupportedOperationError,) as exc:
+    except (UnsupportedOperationError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (MalformedInputError, FileNotFoundError) as exc:

@@ -19,15 +19,28 @@ Matches are single-threaded and own their mutable state; the RNG is seeded
 per match and split per player, so a (seed, config, game) triple fixes the
 whole trajectory bit-exactly.  Step functions mutate the learner in place
 and return it.
+
+``wolf_phc_step`` and ``q_learner_step`` are the single-step API.
+``self_play`` does not call them: it runs one kernel, Python source
+generated for the game's layout (player count, arms per seat, WoLF or Q,
+hull or not, discounted or not, one state or many) and compiled once per
+layout.  The kernel keeps each seat's rows in scalar locals and spells out
+every update with constant indices, in the step functions' exact
+expressions and summation order; each seeded ``random.Random`` stream is
+handed to numpy and read in blocks of uniforms.  Its trajectories are
+bit-identical to the per-iteration loop over the step functions, which the
+tests keep as their oracle (``tests/util.py::reference_self_play``).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -369,9 +382,19 @@ class TrajectoryLog:
         return int(its[cur[start]]) if start < cur.size else self.iterations
 
     def to_csv(self, path) -> None:
+        """Write the rows as CSV, in the bytes ``csv.writer`` would produce.
+
+        Numbers are joined directly (an int's ``str`` or a float's ``repr``
+        never needs quoting); each state name, which may, is quoted once
+        through ``csv.writer``.
+        """
+        quoted = {}
+        for state in {r.state for r in self.rows}:
+            buf = io.StringIO()
+            csv.writer(buf).writerow([state, ""])
+            quoted[state] = buf.getvalue()[:-3]  # drop the ",\r\n" of the empty field
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
+            csv.writer(fh).writerow(
                 [
                     "iteration",
                     "player",
@@ -382,18 +405,13 @@ class TrajectoryLog:
                     "avg_reward",
                 ]
             )
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        r.iteration,
-                        r.player,
-                        r.state,
-                        ";".join(repr(float(p)) for p in r.probs),
-                        ";".join(repr(float(p)) for p in r.explicit),
-                        repr(float(r.inst_reward)),
-                        repr(float(r.avg_reward)),
-                    ]
-                )
+            fh.writelines(
+                f"{r.iteration},{r.player},{quoted[r.state]},"
+                f"{';'.join(map(repr, map(float, r.probs)))},"
+                f"{';'.join(map(repr, map(float, r.explicit)))},"
+                f"{float(r.inst_reward)!r},{float(r.avg_reward)!r}\r\n"
+                for r in self.rows
+            )
 
 
 def load_trajectory_rows(path) -> list[CheckpointRow]:
@@ -418,8 +436,208 @@ def load_trajectory_rows(path) -> list[CheckpointRow]:
     return rows
 
 
-def _cumulative(rows: np.ndarray) -> list[list[float]]:
-    return [list(np.cumsum(row)) for row in rows]
+# Steps of uniforms drawn per stream at a time: a few thousand keep the
+# draw lists small and the memory flat.
+_BLOCK = 2048
+
+
+def _uniform_stream(rng: random.Random) -> np.random.RandomState:
+    """A numpy generator that continues ``rng``'s MT19937 stream exactly.
+
+    Both turn two 32-bit outputs into a double the same way, so
+    ``random_sample(n)`` returns the next n values of ``rng.random()``.
+    """
+    _, internal, _ = rng.getstate()
+    stream = np.random.RandomState(0)
+    stream.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
+    return stream
+
+
+class _SeatLayout(NamedTuple):
+    """The integers that shape one seat's part of the generated kernel."""
+
+    arms: int
+    wolf: bool
+    hull_actions: int  # primitive actions behind a hull seat's arms; 0 without a hull
+    discounted: bool
+    stride: int  # weight of this seat's action in the flat joint index
+
+
+@functools.lru_cache(maxsize=32)
+def _kernel(n_states: int, seats: tuple[_SeatLayout, ...]):
+    """The compiled self-play loop for one layout (see ``_kernel_source``)."""
+    namespace: dict = {}
+    exec(compile(_kernel_source(n_states, seats), "<self-play kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _kernel_source(n_states: int, seats: tuple[_SeatLayout, ...]) -> str:
+    """Python source of the whole self-play loop, unrolled for one layout.
+
+    Seat i's policy, Q row and average policy at the current state are the
+    locals ``p{i}_{b}``, ``q{i}_{b}`` and ``m{i}_{b}``: a matrix game keeps
+    them for the whole run, a multi-state game loads them from per-state
+    tuples each step and stores them back.  Every float is computed by the
+    expression, and summed in the order, of the sampling loop,
+    ``wolf_phc_step`` and ``q_learner_step``, so the trajectory is
+    bit-identical to theirs.  Sums are chunked and picks are flat
+    ``while True`` / ``break`` runs, so wide rows do not deepen the syntax
+    tree.  Only the layout's integers and fixed text enter the source.
+    """
+    if type(n_states) is not int or any(
+        type(v) not in (int, bool) for seat in seats for v in seat
+    ):
+        raise TypeError("a kernel layout holds integers only")
+    single = n_states == 1
+    n = len(seats)
+    lines = [
+        "def kernel(iterations, s, every, block, seats, env, transitions, record):",
+        "    " + ", ".join(
+            f"(P{i}, Q{i}, M{i}, C{i}, R{i}, H{i}, rs{i}, eb{i}, es{i}, ao{i}, asc{i}, "
+            f"wo{i}, ws{i}, lr{i}, g{i})" for i in range(n)) + ", = seats",
+    ]
+
+    def emit(depth: int, *texts: str) -> None:
+        lines.extend("    " * depth + text for text in texts)
+
+    def names(prefix: str, i: int, k: int) -> list[str]:
+        return [f"{prefix}{i}_{b}" for b in range(k)]
+
+    def tup(items: list[str]) -> str:
+        return "(" + ", ".join(items) + ",)"
+
+    def total(depth: int, out: str, terms: list[str]) -> None:
+        # Added left to right, as the scalar loops accumulate.
+        for k in range(0, len(terms), 32):
+            emit(depth, f"{out} = " + " + ".join(([out] if k else []) + terms[k:k + 32]))
+
+    def pick(depth: int, cases: list[tuple[str, str]], last: str) -> None:
+        # Run the body of the first case whose test holds, else ``last``.
+        if not cases:
+            emit(depth, last)
+            return
+        emit(depth, "while True:")
+        for test, body in cases:
+            emit(depth + 1, f"if {test}: {body}; break")
+        emit(depth + 1, f"{last}; break")
+
+    def move_rows(depth: int, i: int, k: int, tables: str, load: bool) -> None:
+        # Seat i's rows at the current state (row 0 in a matrix game) into
+        # its locals, or back.
+        for table in tables:
+            local = tup(names(table.lower(), i, k))
+            stored = f"{table}{i}[{'0' if single else 's'}]"
+            emit(depth, f"{local} = {stored}" if load else f"{stored} = {local}")
+
+    # Prologue: a matrix game holds every row in locals for the whole run.
+    for i, seat in enumerate(seats):
+        emit(1, f"tot{i} = 0.0")
+        if single:
+            move_rows(1, i, seat.arms, "PQM", load=True)
+            emit(1, f"c{i} = C{i}[0]", f"R{i} = R{i}[0]")
+            if seat.hull_actions:
+                emit(1, f"H{i} = H{i}[0]")
+    emit(1, "nxt = every - 1", "t0 = 0", "while t0 < iterations:")
+    emit(2, "nb = min(block, iterations - t0)")
+    targets, sources = ["t"], ["range(t0, t0 + nb)"]
+    for i, seat in enumerate(seats):
+        emit(2, f"U{i} = rs{i}.random_sample({'(nb, 2)' if seat.hull_actions else 'nb'}).tolist()")
+        targets.append(f"(u{i}, h{i})" if seat.hull_actions else f"u{i}")
+        sources.append(f"U{i}")
+    if not single:
+        emit(2, "W = env.random_sample(nb).tolist()")
+        targets.append("w")
+        sources.append("W")
+    emit(2, f"for {', '.join(targets)} in zip({', '.join(sources)}):")
+
+    # Sampling: each seat's arm from its exploring policy mix, a hull seat's
+    # action from that arm's generator, then the next state.
+    joint = []
+    for i, seat in enumerate(seats):
+        k = seat.arms
+        p = names("p", i, k)
+        if not single:
+            move_rows(3, i, k, "P", load=True)
+        if k == 1:
+            emit(3, f"a{i} = 0")
+        else:
+            emit(3, f"explore = eb{i} / (1.0 + t / es{i})", f"uniform = explore / {k}",
+                 "keep = 1.0 - explore", "while True:")
+            for b in range(k - 1):
+                emit(4, f"acc {'=' if b == 0 else '+='} keep * {p[b]} + uniform",
+                     f"if u{i} < acc: a{i} = {b}; break")
+            emit(4, f"a{i} = {k - 1}; break")
+        action = f"a{i}"
+        if seat.hull_actions:
+            emit(3, f"cum = H{i}[a{i}]" if single else f"cum = H{i}[s][a{i}]")
+            pick(3, [(f"h{i} < cum[{b}]", f"x{i} = {b}") for b in range(seat.hull_actions - 1)],
+                 f"x{i} = {seat.hull_actions - 1}")
+            action = f"x{i}"
+        joint.append(action if seat.stride == 1 else f"{seat.stride} * {action}")
+    emit(3, "j = " + " + ".join(joint))
+    if not single:
+        emit(3, "cum = transitions[s][j]")
+        pick(3, [(f"w < cum[{b}]", f"s2 = {b}") for b in range(n_states - 1)],
+             f"s2 = {n_states - 1}")
+
+    # Updates: reward, the Q step, then WoLF's average policy, expectations
+    # and hill-climb, or Q-learning's greedy pure policy.
+    for i, seat in enumerate(seats):
+        k = seat.arms
+        p, q, m = names("p", i, k), names("q", i, k), names("m", i, k)
+        emit(3, f"r{i} = R{i}[j]" if single else f"r{i} = R{i}[s][j]", f"tot{i} += r{i}")
+        if not single:
+            move_rows(3, i, k, "QM", load=True)
+            emit(3, f"c{i} = C{i}[s]")
+        if not seat.discounted:
+            emit(3, f"target = r{i}")
+        elif single:
+            emit(3, f"top = {q[0]}", *(f"if {qb} > top: top = {qb}" for qb in q[1:]),
+                 f"target = r{i} + g{i} * top")
+        else:
+            emit(3, f"target = r{i} + g{i} * max(Q{i}[s2])")
+        emit(3, f"rate = ao{i} + t / asc{i}")
+        pick(3, [(f"a{i} == {b}", f"{q[b]} += (target - {q[b]}) / rate") for b in range(k - 1)],
+             f"{q[-1]} += (target - {q[-1]}) / rate")
+        emit(3, f"c{i} += 1", "greedy = 0", f"best = {q[0]}",
+             *(f"if {q[b]} > best: best = {q[b]}; greedy = {b}" for b in range(1, k)))
+        if not seat.wolf:
+            emit(3, *(f"{pb} = 0.0" for pb in p))
+            pick(3, [(f"greedy == {b}", f"{p[b]} = 1.0") for b in range(k - 1)], f"{p[-1]} = 1.0")
+        elif k > 1:
+            emit(3, f"inv_c = 1.0 / c{i}",
+                 *(f"{m[b]} += ({p[b]} - {m[b]}) * inv_c" for b in range(k)))
+            total(3, "exp_pol", [f"{p[b]} * {q[b]}" for b in range(k)])
+            total(3, "exp_avg", [f"{m[b]} * {q[b]}" for b in range(k)])
+            emit(3, f"delta_win = 1.0 / (wo{i} + t / ws{i})",
+                 f"delta = delta_win if exp_pol > exp_avg else lr{i} * delta_win",
+                 f"dec = delta / {k - 1}",
+                 *(f"v{b} = {p[b]} - dec" for b in range(k)))
+            pick(3, [(f"greedy == {b}", f"v{b} = {p[b]} + delta") for b in range(k - 1)],
+                 f"v{k - 1} = {p[-1]} + delta")
+            for b in range(k):
+                emit(3, f"if v{b} < 0.0: v{b} = 0.0", f"elif v{b} > 1.0: v{b} = 1.0")
+            total(3, "total", [f"v{b}" for b in range(k)])
+            emit(3, "inv_total = 1.0 / total", *(f"{p[b]} = v{b} * inv_total" for b in range(k)))
+        if not single:
+            move_rows(3, i, k, "PQM", load=False)
+            emit(3, f"C{i}[s] = c{i}")
+
+    emit(3, "if t == nxt:")
+    emit(4, "nxt += every")
+    if single:
+        for i, seat in enumerate(seats):
+            move_rows(4, i, seat.arms, "P", load=False)
+    emit(4, f"record(t + 1, {tup([f'r{i}' for i in range(n)])}, "
+            f"{tup([f'tot{i}' for i in range(n)])})")
+    if not single:
+        emit(3, "s = s2")
+    emit(2, "t0 += nb")
+    return "\n".join(lines) + "\n"
+
+
+def _cumulative(rows: np.ndarray) -> list[tuple[float, ...]]:
+    return [tuple(np.cumsum(row).tolist()) for row in rows]
 
 
 def self_play(
@@ -434,7 +652,10 @@ def self_play(
     Matrix games play one simultaneous round per iteration; multi-state
     games follow the transition kernel from the initial state as a
     continuing task.  The same (game, specs, iterations, seed) always
-    yields the identical log.
+    yields the identical log.  The loop is the kernel ``_kernel_source``
+    generates for the game's layout; each seat (and, in a multi-state
+    game, the environment) draws its uniforms in blocks from its own
+    seeded stream.
     """
     if len(specs) != game.n_players:
         raise MalformedInputError("need one player spec per player")
@@ -442,111 +663,60 @@ def self_play(
         raise MalformedInputError("iterations must be positive")
     if checkpoint_every is None:
         checkpoint_every = max(1, iterations // 2000)
+    if checkpoint_every < 1:
+        raise MalformedInputError("checkpoint_every must be positive")
     master = random.Random(seed)
     player_rngs = [random.Random(master.getrandbits(63)) for _ in specs]
     env_rng = random.Random(master.getrandbits(63))
 
     n = game.n_players
     n_states = game.n_states
-    single_state = n_states == 1
     counts = game.action_counts
-    strides = [int(np.prod(counts[i + 1 :])) for i in range(n)]
-    rewards = [
-        [[float(game.rewards[i, s, j]) for j in range(game.n_joint_actions)]
-         for s in range(n_states)]
-        for i in range(n)
-    ]
-    cum_t = None
-    if not single_state:
-        cum_t = [_cumulative(game.transition[s]) for s in range(n_states)]
-
-    learners: list[LearnerState] = []
-    arm_cumulative: list[list[list[list[float]]] | None] = []
-    for i, spec in enumerate(specs):
+    rewards = np.asarray(game.rewards, dtype=float)
+    layouts, seats, hulls = [], [], []
+    for i, (spec, rng) in enumerate(zip(specs, player_rngs)):
+        cfg = spec.config
+        hull = None
         if spec.space is not None:
             if spec.space.n_states != n_states or spec.space.n_actions != counts[i]:
                 raise MalformedInputError(f"player {i} hull does not match the game")
-            gens = np.stack([g.probs for g in spec.space.generators])
-            learners.append(fresh_learner(n_states, gens.shape[0], spec.config, gens))
-            arm_cumulative.append([_cumulative(gens[:, s]) for s in range(n_states)])
-        else:
-            learners.append(fresh_learner(n_states, counts[i], spec.config))
-            arm_cumulative.append(None)
+            hull = np.stack([g.probs for g in spec.space.generators])
+        arms = counts[i] if hull is None else hull.shape[0]
+        layouts.append(_SeatLayout(
+            arms=int(arms), wolf=spec.algo == "wolf-phc",
+            hull_actions=0 if hull is None else int(counts[i]),
+            discounted=cfg.gamma != 0.0, stride=int(np.prod(counts[i + 1:])),
+        ))
+        seats.append((
+            [(1.0 / arms,) * arms] * n_states, [(0.0,) * arms] * n_states,
+            [(1.0 / arms,) * arms] * n_states, [0] * n_states,
+            [tuple(row) for row in rewards[i].tolist()],
+            None if hull is None else [_cumulative(hull[:, s]) for s in range(n_states)],
+            _uniform_stream(rng), cfg.explore_base, cfg.explore_scale, cfg.alpha_offset,
+            cfg.alpha_scale, cfg.win_offset, cfg.win_scale, cfg.lose_ratio, cfg.gamma,
+        ))
+        hulls.append(hull)
+    env, transitions = None, None
+    if n_states > 1:
+        env = _uniform_stream(env_rng)
+        transitions = [_cumulative(game.transition[s]) for s in range(n_states)]
 
-    steps = [q_learner_step if spec.algo == "q" else wolf_phc_step for spec in specs]
-    # Per-player constants of the sampling loop, bound once.
-    seats = [
-        (learner.policy, rng.random, learner.config.explore_base,
-         learner.config.explore_scale, arm_cum, stride)
-        for learner, rng, arm_cum, stride
-        in zip(learners, player_rngs, arm_cumulative, strides)
-    ]
-    env_random = env_rng.random
-
-    totals = [0.0] * n
     rows: list[CheckpointRow] = []
-    s = game.initial_index
-    arms = [0] * n
-    for t in range(iterations):
-        j = 0
-        for i, seat in enumerate(seats):
-            policy, rand, explore_base, explore_scale, arm_cum, stride = seat
-            e = explore_base / (1.0 + t / explore_scale)
-            pol = policy[s]
-            k = len(pol)
-            u = rand()
-            acc = 0.0
-            arm = k - 1
-            uniform = e / k
-            keep = 1.0 - e
-            for b in range(k):
-                acc += keep * pol[b] + uniform
-                if u < acc:
-                    arm = b
-                    break
-            arms[i] = arm
-            if arm_cum is None:
-                action = arm
-            else:
-                cum = arm_cum[s][arm]
-                v = rand()
-                action = len(cum) - 1
-                for b, threshold in enumerate(cum):
-                    if v < threshold:
-                        action = b
-                        break
-            j += stride * action
-        if single_state:
-            s2 = 0
-        else:
-            cum = cum_t[s][j]
-            v = env_random()
-            s2 = len(cum) - 1
-            for b, threshold in enumerate(cum):
-                if v < threshold:
-                    s2 = b
-                    break
+    policies = [seat[0] for seat in seats]
+
+    def record(iteration: int, inst: tuple[float, ...], totals: tuple[float, ...]) -> None:
         for i in range(n):
-            r = rewards[i][s][j]
-            totals[i] += r
-            steps[i](learners[i], s, arms[i], r, s2, t)
-        if (t + 1) % checkpoint_every == 0:
-            for i in range(n):
-                inst = rewards[i][s][j]
-                avg = totals[i] / (t + 1)
-                for state_idx in range(n_states):
-                    rows.append(
-                        CheckpointRow(
-                            iteration=t + 1,
-                            player=i,
-                            state=game.states[state_idx],
-                            probs=tuple(learners[i].policy[state_idx]),
-                            explicit=tuple(learners[i].explicit_row(state_idx)),
-                            inst_reward=inst,
-                            avg_reward=avg,
-                        )
-                    )
-        s = s2
+            avg = totals[i] / iteration
+            for k, state in enumerate(game.states):
+                probs = policies[i][k]
+                explicit = probs
+                if hulls[i] is not None:
+                    explicit = tuple((np.asarray(probs) @ hulls[i][:, k, :]).tolist())
+                rows.append(CheckpointRow(iteration, i, state, probs, explicit, inst[i], avg))
+
+    kernel = _kernel(n_states, tuple(layouts))
+    kernel(iterations, game.initial_index, checkpoint_every, _BLOCK, seats, env,
+           transitions, record)
     return TrajectoryLog(
         states=game.states,
         n_players=n,

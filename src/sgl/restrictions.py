@@ -63,6 +63,7 @@ from .games import (
     StochasticGame,
     STRUCTURAL_TOL,
     UnsupportedOperationError,
+    _number,
     parses,
     validate,
 )
@@ -685,7 +686,8 @@ def space_from_dict(
         if missing:
             raise MalformedInputError(f"statewise hull missing states {sorted(missing)}")
         gens = tuple(
-            tuple(np.asarray(g, dtype=float) for g in raw[state]) for state in states
+            tuple(np.array([_number(x) for x in g]) for g in raw[state])
+            for state in states
         )
         for per_state in gens:
             for g in per_state:
@@ -702,7 +704,7 @@ def space_from_dict(
                 raise MalformedInputError(f"pin for unknown state {state_name!r}")
             if action != int(action):
                 raise MalformedInputError(f"pin action {action!r} is not an integer")
-            pins.append((list(states).index(state_name), int(action), float(prob)))
+            pins.append((list(states).index(state_name), int(action), _number(prob)))
         return FixedCoordinates(n_states, n_actions, tuple(pins))
     if variant == "deterministic_only":
         return DeterministicOnly(n_states, n_actions)

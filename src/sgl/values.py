@@ -13,8 +13,9 @@ batch axis and make one solve over the (B, |S|, |S|) stack, and
 ``policy_value`` and ``mdp_policy_value`` are their batch-of-one case.
 ``mdp_run_values`` does the same for a stack cut into runs, one MDP each.
 A residual that is above VALUE_TOL or not a number, or a non-finite
-average gain, raises ArithmeticError, so non-finite data never comes back
-as a value.
+average gain, raises ArithmeticError, and a NaN in an average-reward
+chain raises MalformedInputError before the stationary solve, so
+non-finite data never comes back as a value.
 
 The ergodicity check used to gate average-reward evaluation is the
 support-union test: the state graph with an edge s -> s' whenever *some*
@@ -110,8 +111,12 @@ def _stationary_stack(p: np.ndarray) -> np.ndarray:
     """Stationary distributions (B, |S|) of a stack of unichain chains.
 
     Every chain is checked; chains sharing a support pattern share the
-    verdict, so each distinct pattern is checked once.
+    verdict, so each distinct pattern is checked once.  A NaN entry, which
+    would leave the solve singular, is refused first with one test for the
+    whole stack; an infinite one fails the residual check.
     """
+    if np.isnan(p).any():
+        raise MalformedInputError("NaN in the transition probabilities")
     n = p.shape[-1]
     supports = (p > 0.0).reshape(p.shape[0], -1)
     packed = np.ascontiguousarray(np.packbits(supports, axis=1))

@@ -191,6 +191,20 @@ class TestCheck:
         assert code == 2
 
 
+    def test_missed_tolerance_exits_3_without_traceback(self, capsys, tmp_path):
+        # At gamma = 1 - 1e-13 the values are about 1e13, so the Bellman
+        # residual check cannot hold; that is reported, not raised.
+        game_path = tmp_path / "fact5.json"
+        save_game(fact5_game(gamma=0.9999999999999), game_path)
+        policy_path = tmp_path / "pure.json"
+        pure = {"s0": [1, 0], "left": [1, 0], "right": [1, 0]}
+        policy_path.write_text(json.dumps([pure, pure]))
+        code = main(["check", "--game", str(game_path), "--policy", str(policy_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: Bellman residual") and "Traceback" not in err
+
+
 class TestSweep:
     def test_deterministic_rps_sweep(self, capsys, tmp_path, rps_file):
         game = rps()

@@ -1,24 +1,31 @@
 """Learner update rules, self-play determinism, and trajectory logs."""
 
+import csv
 import hashlib
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sgl.experiments import ReproductionSpec, reproduce
 from sgl.games import (
     JointPolicy,
     MalformedInputError,
     Policy,
+    blotto_4_3,
     fact5_game,
     matrix_game,
     rps,
 )
 from sgl.learners import (
+    _BLOCK,
     CheckpointRow,
     LearnerState,
     PlayerSpec,
     WolfPhcConfig,
+    _uniform_stream,
     final_joint_policy,
     fresh_learner,
     load_trajectory_rows,
@@ -28,7 +35,12 @@ from sgl.learners import (
 )
 from sgl.restrictions import ConvexHullGlobal, FullSpace, StateUniform
 from sgl.solvers import check_equilibrium
-from util import random_game, reference_stabilization_iteration
+from util import (
+    random_game,
+    random_global_hull,
+    reference_self_play,
+    reference_stabilization_iteration,
+)
 
 RPS_COLUMN_HULL = ConvexHullGlobal(
     (Policy([[0.5, 0.5, 0.0]]), Policy([[0.0, 0.5, 0.5]]))
@@ -292,6 +304,11 @@ class TestSelfPlay:
         with pytest.raises(MalformedInputError):
             PlayerSpec(algo="q", space=ConvexHullGlobal((Policy([[1.0]]),)))
 
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_checkpoint_interval_must_be_positive(self, rps_game, every):
+        with pytest.raises(MalformedInputError):
+            self_play(rps_game, [PlayerSpec(), PlayerSpec()], 10, seed=0, checkpoint_every=every)
+
     def test_wrong_hull_shape_rejected(self, rps_game):
         bad = ConvexHullGlobal((Policy([[0.5, 0.5]]),))
         with pytest.raises(MalformedInputError):
@@ -394,3 +411,121 @@ def test_golden_trajectory_digest(name):
     make_game, specs, seed, expected = GOLDEN_TRAJECTORIES[name]
     log = self_play(make_game(), specs, 5_000, seed)
     assert _rows_digest(log.rows) == expected
+
+
+def _one_arm_game():
+    """Row has one action, column three: the row seat never hill-climbs."""
+    return matrix_game([np.array([[1.0, 0.0, -1.0]]), np.array([[-1.0, 0.5, 1.0]])])
+
+
+def _three_player_game():
+    rng = np.random.default_rng(41)
+    game = random_game(rng, n_states=3, action_counts=(2, 3, 2))
+    return game, random_global_hull(rng, 3, 3, k=3)
+
+
+def _oracle_cases():
+    three, three_hull = _three_player_game()
+    blotto_row_hull = ConvexHullGlobal((
+        Policy([[0.25, 0.5, 0.25, 0.0, 0.0]]),
+        Policy([[0.0, 0.25, 0.5, 0.25, 0.0]]),
+        Policy([[0.0, 0.0, 0.25, 0.5, 0.25]]),
+    ))
+    one_generator = ConvexHullGlobal((Policy([[0.2, 0.3, 0.5]]),))
+    one_player = random_game(np.random.default_rng(42), n_states=2, action_counts=(3,))
+    # Wider than the kernel's 32-term sum chunks and picks.
+    wide = random_game(np.random.default_rng(44), n_states=34, action_counts=(35, 3))
+    wide_matrix = matrix_game(list(np.random.default_rng(45).uniform(-1, 1, (2, 33, 34))))
+    return {
+        "wolf-rps": (rps(), [PlayerSpec(), PlayerSpec()]),
+        "q-rps": (rps(), [PlayerSpec(algo="q"), PlayerSpec(algo="q")]),
+        "hull-rps": (rps(), [PlayerSpec(), PlayerSpec(space=RPS_COLUMN_HULL)]),
+        "wolf-vs-q-discounted": (rps(), [PlayerSpec(), PlayerSpec(algo="q", config=GAMMA_95)]),
+        "blotto-row-hull": (blotto_4_3(), [PlayerSpec(space=blotto_row_hull), PlayerSpec()]),
+        "one-arm-wolf": (_one_arm_game(), [PlayerSpec(), PlayerSpec()]),
+        "one-arm-q": (_one_arm_game(), [PlayerSpec(algo="q"), PlayerSpec(algo="q")]),
+        "one-generator-hull": (rps(), [PlayerSpec(space=one_generator), PlayerSpec()]),
+        "fact5-gamma-0.95": (fact5_game(), [PlayerSpec(config=GAMMA_95)] * 2),
+        "fact5-hull": (fact5_game(), [PlayerSpec(space=FACT5_HULL)] * 2),
+        "fact5-wolf-vs-q": (fact5_game(), [PlayerSpec(config=GAMMA_95),
+                                          PlayerSpec(algo="q", config=GAMMA_95)]),
+        "one-player": (one_player, [PlayerSpec(config=GAMMA_95)]),
+        "three-players": (three, [PlayerSpec(config=GAMMA_95), PlayerSpec(space=three_hull),
+                                  PlayerSpec(algo="q")]),
+        "wide-rows": (wide, [PlayerSpec(config=GAMMA_95), PlayerSpec(algo="q", config=GAMMA_95)]),
+        "wide-matrix": (wide_matrix, [PlayerSpec(config=GAMMA_95), PlayerSpec(algo="q")]),
+    }
+
+
+ORACLE_CASES = _oracle_cases()
+# Runs of one step, less than one draw block, and three blocks and a bit,
+# with checkpoint intervals that do not divide the run.
+ORACLE_RUNS = [(1, None), (100, 7), (3 * _BLOCK + 7, None), (3 * _BLOCK + 7, 5)]
+
+
+class TestKernelMatchesScalarLoop:
+    @pytest.mark.parametrize("iterations, every", ORACLE_RUNS)
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_rows_equal_reference(self, name, iterations, every):
+        game, specs = ORACLE_CASES[name]
+        got = self_play(game, specs, iterations, seed=17, checkpoint_every=every)
+        want = reference_self_play(game, specs, iterations, seed=17, checkpoint_every=every)
+        assert got.checkpoint_every == want.checkpoint_every
+        assert got.rows == want.rows
+        assert [type(x) for r in got.rows for x in (*r.probs, *r.explicit, r.avg_reward)] == [
+            type(x) for r in want.rows for x in (*r.probs, *r.explicit, r.avg_reward)
+        ]
+
+    def test_hostile_names_run_and_match(self, tmp_path):
+        # Names reach the rows and the CSV, never the generated source.
+        names = ['"', "'\n", "); import os", 'a,"b']
+        base = random_game(np.random.default_rng(43), n_states=4, action_counts=(2, 2))
+        game = replace(base, states=tuple(names), initial_state=names[0],
+                       action_sets=((names[2], names[1]), (names[0], names[3])))
+        specs = [PlayerSpec(config=GAMMA_95), PlayerSpec(algo="q")]
+        got = self_play(game, specs, 500, seed=3)
+        assert got.rows == reference_self_play(game, specs, 500, seed=3).rows
+        assert {r.state for r in got.rows} == set(names)
+        got.to_csv(tmp_path / "log.csv")
+        assert load_trajectory_rows(tmp_path / "log.csv") == got.rows
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3, 123456789])
+    def test_block_draws_continue_python_random(self, seed):
+        rng = random.Random(seed)
+        stream = _uniform_stream(random.Random(seed))
+        assert stream.random_sample(5000).tolist() == [rng.random() for _ in range(5000)]
+        # Mid-stream, after an odd number of words, and in (n, 2) blocks.
+        rng.getrandbits(32)
+        stream = _uniform_stream(rng)
+        pairs = stream.random_sample((700, 2)).tolist()
+        assert [x for pair in pairs for x in pair] == [rng.random() for _ in range(1400)]
+
+    def test_reproduce_with_two_workers_writes_the_same_files(self, tmp_path):
+        trees = []
+        for workers in (1, 2):
+            spec = ReproductionSpec(name="rps-restricted", seed=5, iterations=3000,
+                                    n_seeds=3, workers=workers, outdir=tmp_path / str(workers))
+            reproduce(spec)
+            trees.append({p.relative_to(spec.outdir): p.read_bytes()
+                          for p in sorted(spec.outdir.rglob("*")) if p.is_file()})
+        assert sorted(trees[0]) == sorted(trees[1])
+        assert len(trees[0]) > 3
+        for name, data in trees[0].items():
+            assert trees[1][name] == data, name
+
+
+def test_to_csv_matches_csv_writer(tmp_path):
+    game = replace(rps(), states=('a,"b',), initial_state='a,"b')
+    log = self_play(game, [PlayerSpec(), PlayerSpec(space=RPS_COLUMN_HULL)], 400, seed=8)
+    log.to_csv(tmp_path / "fast.csv")
+    with open(tmp_path / "writer.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iteration", "player", "state", "action_or_generator_probs",
+                         "explicit_policy_probs", "inst_reward", "avg_reward"])
+        for r in log.rows:
+            writer.writerow([r.iteration, r.player, r.state,
+                             ";".join(repr(float(p)) for p in r.probs),
+                             ";".join(repr(float(p)) for p in r.explicit),
+                             repr(float(r.inst_reward)), repr(float(r.avg_reward))])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
+    assert b'"a,""b"' in (tmp_path / "fast.csv").read_bytes()

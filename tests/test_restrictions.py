@@ -235,6 +235,17 @@ class TestSerialization:
         with pytest.raises(MalformedInputError):
             space_from_dict({"variant": "mystery"}, ("s0",), 2)
 
+    @pytest.mark.parametrize("record", [
+        {"variant": "convex_hull_statewise", "generators": {"s0": [["1", "0"]]}},
+        {"variant": "convex_hull_statewise", "generators": {"s0": [[1, None]]}},
+        {"variant": "convex_hull_statewise", "generators": {"s0": [[True, False]]}},
+        {"variant": "fixed_coordinates", "pins": [["s0", 1, "0.5"]]},
+    ], ids=["string", "null", "boolean", "string-pin"])
+    def test_numbers_must_be_json_numbers(self, record):
+        # The same check game and policy files get: numeric strings are refused.
+        with pytest.raises(MalformedInputError):
+            space_from_dict(record, ("s0",), 2)
+
     def test_bad_statewise_generator_rejected(self):
         with pytest.raises(MalformedInputError):
             space_from_dict(

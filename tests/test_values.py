@@ -397,3 +397,17 @@ class TestBatched:
         monkeypatch.setattr(np.linalg, "solve", solve)
         policy_values(game, stacks)
         mdp_policy_values(mdp, stacks[0])
+
+
+def test_nan_transition_refused_before_the_stationary_solve():
+    game = fact5_game(formulation=Average())
+    bad = np.array(game.transition)
+    bad[0, 0, 0] = np.nan
+    game = replace(game, transition=bad)
+    joint = JointPolicy.uniform(game)
+    with pytest.raises(MalformedInputError, match="NaN"):
+        policy_value(game, joint)
+    with pytest.raises(MalformedInputError, match="NaN"):
+        mdp_policy_value(induce_mdp(game, 0, [joint[1]]), joint[0].probs)
+    with pytest.raises(MalformedInputError, match="NaN"):
+        policy_values(game, [np.repeat(pol.probs[np.newaxis], 5, axis=0) for pol in joint])

@@ -4,12 +4,16 @@ The oracles here deliberately avoid the library's solution paths: the
 minimax oracle is a brute-force grid search over row strategies (with a
 concavity-justified local refinement for larger action counts), and
 expected values asserted in the test modules were computed by hand or by
-these oracles, never by the code under test.
+these oracles, never by the code under test.  ``reference_self_play`` is
+the per-iteration self-play loop over the public single-step rules, the
+oracle for ``self_play``'s generated kernel.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -18,8 +22,18 @@ from sgl.games import (
     Average,
     Discounted,
     JointPolicy,
+    MalformedInputError,
     Policy,
     StochasticGame,
+)
+from sgl.learners import (
+    CheckpointRow,
+    LearnerState,
+    PlayerSpec,
+    TrajectoryLog,
+    fresh_learner,
+    q_learner_step,
+    wolf_phc_step,
 )
 from sgl.restrictions import (
     MEMBERSHIP_TOL,
@@ -630,3 +644,142 @@ def simulate_average_reward(
             for i in range(n):
                 totals[i] += rr[i] * count
     return np.asarray(totals) / steps
+
+
+def _reference_cumulative(rows: np.ndarray) -> list[list[float]]:
+    return [list(np.cumsum(row)) for row in rows]
+
+
+def reference_self_play(
+    game: StochasticGame,
+    specs: Sequence[PlayerSpec],
+    iterations: int,
+    seed: int,
+    checkpoint_every: int | None = None,
+) -> TrajectoryLog:
+    """``learners.self_play`` as the per-iteration scalar loop it replaced.
+
+    Each seat draws from its own ``random.Random`` one call at a time and
+    updates through the public single-step rules (``wolf_phc_step``,
+    ``q_learner_step``); the generated kernel must reproduce every row of
+    this log bit for bit.
+    """
+    if len(specs) != game.n_players:
+        raise MalformedInputError("need one player spec per player")
+    if iterations < 1:
+        raise MalformedInputError("iterations must be positive")
+    if checkpoint_every is None:
+        checkpoint_every = max(1, iterations // 2000)
+    master = random.Random(seed)
+    player_rngs = [random.Random(master.getrandbits(63)) for _ in specs]
+    env_rng = random.Random(master.getrandbits(63))
+
+    n = game.n_players
+    n_states = game.n_states
+    single_state = n_states == 1
+    counts = game.action_counts
+    strides = [int(np.prod(counts[i + 1 :])) for i in range(n)]
+    rewards = [
+        [[float(game.rewards[i, s, j]) for j in range(game.n_joint_actions)]
+         for s in range(n_states)]
+        for i in range(n)
+    ]
+    cum_t = None
+    if not single_state:
+        cum_t = [_reference_cumulative(game.transition[s]) for s in range(n_states)]
+
+    learners: list[LearnerState] = []
+    arm_cumulative: list[list[list[list[float]]] | None] = []
+    for i, spec in enumerate(specs):
+        if spec.space is not None:
+            if spec.space.n_states != n_states or spec.space.n_actions != counts[i]:
+                raise MalformedInputError(f"player {i} hull does not match the game")
+            gens = np.stack([g.probs for g in spec.space.generators])
+            learners.append(fresh_learner(n_states, gens.shape[0], spec.config, gens))
+            arm_cumulative.append([_reference_cumulative(gens[:, s]) for s in range(n_states)])
+        else:
+            learners.append(fresh_learner(n_states, counts[i], spec.config))
+            arm_cumulative.append(None)
+
+    steps = [q_learner_step if spec.algo == "q" else wolf_phc_step for spec in specs]
+    # Per-player constants of the sampling loop, bound once.
+    seats = [
+        (learner.policy, rng.random, learner.config.explore_base,
+         learner.config.explore_scale, arm_cum, stride)
+        for learner, rng, arm_cum, stride
+        in zip(learners, player_rngs, arm_cumulative, strides)
+    ]
+    env_random = env_rng.random
+
+    totals = [0.0] * n
+    rows: list[CheckpointRow] = []
+    s = game.initial_index
+    arms = [0] * n
+    for t in range(iterations):
+        j = 0
+        for i, seat in enumerate(seats):
+            policy, rand, explore_base, explore_scale, arm_cum, stride = seat
+            e = explore_base / (1.0 + t / explore_scale)
+            pol = policy[s]
+            k = len(pol)
+            u = rand()
+            acc = 0.0
+            arm = k - 1
+            uniform = e / k
+            keep = 1.0 - e
+            for b in range(k):
+                acc += keep * pol[b] + uniform
+                if u < acc:
+                    arm = b
+                    break
+            arms[i] = arm
+            if arm_cum is None:
+                action = arm
+            else:
+                cum = arm_cum[s][arm]
+                v = rand()
+                action = len(cum) - 1
+                for b, threshold in enumerate(cum):
+                    if v < threshold:
+                        action = b
+                        break
+            j += stride * action
+        if single_state:
+            s2 = 0
+        else:
+            cum = cum_t[s][j]
+            v = env_random()
+            s2 = len(cum) - 1
+            for b, threshold in enumerate(cum):
+                if v < threshold:
+                    s2 = b
+                    break
+        for i in range(n):
+            r = rewards[i][s][j]
+            totals[i] += r
+            steps[i](learners[i], s, arms[i], r, s2, t)
+        if (t + 1) % checkpoint_every == 0:
+            for i in range(n):
+                inst = rewards[i][s][j]
+                avg = totals[i] / (t + 1)
+                for state_idx in range(n_states):
+                    rows.append(
+                        CheckpointRow(
+                            iteration=t + 1,
+                            player=i,
+                            state=game.states[state_idx],
+                            probs=tuple(learners[i].policy[state_idx]),
+                            explicit=tuple(learners[i].explicit_row(state_idx)),
+                            inst_reward=inst,
+                            avg_reward=avg,
+                        )
+                    )
+        s = s2
+    return TrajectoryLog(
+        states=game.states,
+        n_players=n,
+        iterations=iterations,
+        seed=seed,
+        checkpoint_every=checkpoint_every,
+        rows=rows,
+    )
