@@ -9,7 +9,9 @@ with ``all`` every experiment into ``<out>/<name>/``.
 Restricted spaces come in one way: ``--spaces FILE``, a JSON list with one
 space object per player, read by ``restrictions.load_spaces``.  Without it
 every player has the full policy space (``sweep`` requires it).  ``learn``
-takes ``full`` and ``convex_hull_global`` entries only.
+runs a ``full`` entry unrestricted and any global convex hull
+(``convex_hull_global``, ``state_uniform``, ``singleton``) as a hull seat
+over its generators; it refuses every other space with exit 3.
 
 Exit codes: 0 on success, 2 for malformed input (bad files, schema
 violations, policies outside their spaces), 3 for unsupported combinations
@@ -41,7 +43,7 @@ from .games import (
     validate,
 )
 from .learners import PlayerSpec, WolfPhcConfig, final_joint_policy, self_play
-from .restrictions import FullSpace, load_spaces
+from .restrictions import ConvexHullGlobal, FullSpace, load_spaces
 from .solvers import (
     certificate_to_dict,
     check_equilibrium,
@@ -178,11 +180,14 @@ def _cmd_learn(args) -> int:
     )
     specs = []
     for space in _spaces(args, game):
-        if space.variant not in ("full", "convex_hull_global"):
+        if isinstance(space, ConvexHullGlobal):
+            hull = space
+        elif space.variant == "full":
+            hull = None
+        else:
             raise UnsupportedOperationError(
-                "learners only support full and convex-hull spaces"
+                "learners only support full spaces and global convex hulls"
             )
-        hull = space if space.variant == "convex_hull_global" else None
         specs.append(PlayerSpec(algo=args.algo, config=config, space=hull))
     log = self_play(game, specs, args.iters, args.seed)
     if args.out:

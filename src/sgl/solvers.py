@@ -11,9 +11,10 @@ rounded exact ones for the game as stored, so none is negative.
 Minimax solves one LP with HiGHS (the row strategy is its primal, the
 column strategy its dual) and reads each support and equation order off
 those floats before the exact re-solve.  Ties go to the lexicographically
-least optimal strategy: an exact test decides whether each side's optimal
-set is a single point, and only a side whose set is wider takes sequential
-lexicographic LPs, whose vertex is re-solved and checked the same way.
+least optimal strategy: a side whose optimal set an exact rank test shows
+to be a point keeps its vertex; any other side takes one lexicographic LP
+per row tight against the opponent's certified optimum (no other row can
+carry mass), and that vertex is re-solved and checked the same way.
 Support enumeration runs the exact re-solve and the certificate on every
 equal-cardinality support pair.
 
@@ -58,7 +59,6 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -100,7 +100,6 @@ from .values import (
 
 _LEX_SLACK = 1e-10
 _SUPPORT_TOL = 1e-9
-_MAX_FACE_SUBSETS = 4096
 _MAX_SUPPORT_ACTIONS = 5
 
 
@@ -217,11 +216,13 @@ def _minimax_lp(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return np.asarray(res.x[:-1]), -np.asarray(res.ineqlin.marginals), float(res.x[-1])
 
 
-def _lexmin_strategy(mat: np.ndarray, v_star: float) -> np.ndarray:
+def _lexmin_strategy(mat: np.ndarray, v_star: float, free: Sequence[int]) -> np.ndarray:
     """Lexicographically-least optimal strategy of the row player of ``mat``
-    (value ``v_star``), via sequential coordinate LPs."""
+    (value ``v_star``), via one coordinate LP per row in ``free``, in order;
+    every other row is held at 0 by its bounds."""
     k = mat.shape[0]
-    a_ub, b_ub, a_eq, bounds = _security_constraints(mat)
+    a_ub, b_ub, a_eq, _ = _security_constraints(mat)
+    bounds = [(0.0, None if i in free else 0.0) for i in range(k)] + [(None, None)]
     rows = [a_ub]
     rhs = [b_ub]
     # Pin optimality: v >= v_star - slack.
@@ -230,7 +231,7 @@ def _lexmin_strategy(mat: np.ndarray, v_star: float) -> np.ndarray:
     rows.append(pin_v)
     rhs.append(np.array([-(v_star - _LEX_SLACK)]))
     x = None
-    for coord in range(k):
+    for coord in free:
         c = np.zeros(k + 1)
         c[coord] = 1.0
         res = linprog(
@@ -382,46 +383,19 @@ def _certified_pair(m, a, b, x, y, value=None):
     return None if cert is None else (row, col, *cert)
 
 
-def _is_point(p, support, tight_rows, other_support, tight_cols) -> bool:
-    """Whether the optimal set of the row player of ``p`` is a single point.
+def _is_point(p, tight_rows, other_support) -> bool:
+    """Whether a rank test shows the row player's optimal set in ``p`` is a point.
 
     Exact, for a certified optimal pair (x, z) with x on rows of ``p``:
-    ``support`` is x's, ``tight_rows`` are the rows tight against z,
-    ``other_support`` is z's and ``tight_cols`` are the columns tight
-    against x.  A direction d keeps x optimal iff d is zero off the tight
-    rows, sums to 0 and keeps (x^T p)_j equal to the value on z's support
-    (complementary slackness), d_i >= 0 where x_i = 0, and (d^T p)_j >= 0
-    on the other tight columns.  The set is a point when the equalities
-    alone have full column rank; otherwise when no extreme ray of that cone
-    exists, found among the null vectors of the equalities plus
-    rank-deficiency-minus-one of the inequalities (up to
-    _MAX_FACE_SUBSETS of them; beyond that, the answer is no).
+    ``tight_rows`` are the rows tight against z and ``other_support`` is z's
+    support.  By complementary slackness every optimal strategy is zero off
+    the tight rows, sums to 1 and meets (x^T p)_j = value on z's support; it
+    is x alone when those equations have full column rank over the tight
+    rows.  A side that fails the test is treated as wide.
     """
     n = len(tight_rows)
-    base = [[p[i][j] for i in tight_rows] for j in other_support] + [[1] * n]
-    rank = len(_eliminate(base, n)[1])
-    if rank == n:
-        return True
-    faces = [[int(i == k) for i in tight_rows] for k in tight_rows if k not in support]
-    faces += [[p[i][j] for i in tight_rows] for j in tight_cols if j not in other_support]
-    if len(_eliminate(base + faces, n)[1]) < n:
-        return False  # a line of optimal directions
-    size = n - rank - 1
-    if math.comb(len(faces), size) > _MAX_FACE_SUBSETS:
-        return False
-    for subset in itertools.combinations(faces, size):
-        rows, pivots, det = _eliminate(base + list(subset), n)
-        if len(pivots) != n - 1:
-            continue
-        free = next(c for c in range(n) if c not in pivots)
-        ray = [0] * n
-        ray[free] = det
-        for r, c in enumerate(pivots):
-            ray[c] = -rows[r][free]
-        dots = [sum(f * e for f, e in zip(face, ray)) for face in faces]
-        if min(dots) >= 0 or max(dots) <= 0:
-            return False
-    return True
+    rows = [[p[i][j] for i in tight_rows] for j in other_support] + [[1] * n]
+    return len(_eliminate(rows, n)[1]) == n
 
 
 def minimax_zero_sum_matrix(
@@ -435,10 +409,11 @@ def minimax_zero_sum_matrix(
     simplex and the row security equals the column security.  The returned
     entries and value are the correctly rounded exact ones, so no entry is
     negative.  Ties among optimal strategies resolve to the
-    lexicographically least one: a side whose optimal set is provably a
-    single point keeps it, and any other side is re-solved by sequential
-    lexicographic LPs, then re-solved and certified exactly in the same
-    way.  Raises ArithmeticError rather than return an unchecked pair.
+    lexicographically least one: a side that fails the rank test of
+    ``_is_point`` is re-solved by one lexicographic LP per row tight
+    against the opponent's certified strategy (every other row held at 0),
+    then re-solved and certified exactly in the same way.  Raises
+    ArithmeticError rather than return an unchecked pair.
     The value follows the game's reward criterion: the one-shot payoff
     under averaging, scaled by 1/(1-gamma) under discounting.
     """
@@ -451,19 +426,19 @@ def minimax_zero_sum_matrix(
         row, col, v, tight_rows, tight_cols = pair
         support_x = [i for i, p in enumerate(row[0]) if p]
         support_y = [j for j, q in enumerate(col[0]) if q]
-        row_wide = not _is_point(a, support_x, tight_rows, support_y, tight_cols)
-        col_wide = not _is_point(b, support_y, tight_cols, support_x, tight_rows)
+        row_wide = not _is_point(a, tight_rows, support_y)
+        col_wide = not _is_point(b, tight_cols, support_x)
         if row_wide or col_wide:
             v_float = float(v / scale)
             if row_wide:
-                x = _lexmin_strategy(m, v_float)
+                x = _lexmin_strategy(m, v_float, tight_rows)
             if col_wide:
-                y = _lexmin_strategy(-m.T, -v_float)
+                y = _lexmin_strategy(-m.T, -v_float, tight_cols)
             pair = _certified_pair(m, a, b, x, y, v)
     if pair is None:
-        pair = _certified_pair(
-            m, a, b, _lexmin_strategy(m, v_lp), _lexmin_strategy(-m.T, -v_lp)
-        )
+        x = _lexmin_strategy(m, v_lp, range(m.shape[0]))
+        y = _lexmin_strategy(-m.T, -v_lp, range(m.shape[1]))
+        pair = _certified_pair(m, a, b, x, y)
     if pair is None:
         raise ArithmeticError("the minimax LP's solution failed its exact certificate")
     (xn, xd), (yn, yd), v = pair[:3]

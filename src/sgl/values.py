@@ -111,12 +111,11 @@ def _stationary_stack(p: np.ndarray) -> np.ndarray:
     """Stationary distributions (B, |S|) of a stack of unichain chains.
 
     Every chain is checked; chains sharing a support pattern share the
-    verdict, so each distinct pattern is checked once.  A NaN entry, which
-    would leave the solve singular, is refused first with one test for the
-    whole stack; an infinite one fails the residual check.
+    verdict, so each distinct pattern is checked once.  A non-finite entry
+    is a data fault, refused first with one test for the whole stack.
     """
-    if np.isnan(p).any():
-        raise MalformedInputError("NaN in the transition probabilities")
+    if not np.isfinite(p).all():
+        raise MalformedInputError("NaN or infinity in the transition probabilities")
     n = p.shape[-1]
     supports = (p > 0.0).reshape(p.shape[0], -1)
     packed = np.ascontiguousarray(np.packbits(supports, axis=1))

@@ -17,6 +17,8 @@ import sgl
 from sgl.cli import main
 from sgl.experiments import EXPERIMENT_NAMES, ReproductionSpec
 from sgl.games import (
+    Average,
+    StochasticGame,
     bach_stravinsky,
     blotto_4_3,
     fact5_game,
@@ -25,7 +27,14 @@ from sgl.games import (
     rps,
     save_game,
 )
-from sgl.restrictions import save_spaces, ConvexHullGlobal, DeterministicOnly, FullSpace
+from sgl.restrictions import (
+    ConvexHullGlobal,
+    DeterministicOnly,
+    FullSpace,
+    Singleton,
+    StateUniform,
+    save_spaces,
+)
 from sgl.games import MalformedInputError, Policy, joint_policy_to_list
 from sgl.learners import PlayerSpec, final_joint_policy, load_trajectory_rows, self_play
 
@@ -205,6 +214,24 @@ class TestCheck:
         assert err.startswith("error: Bellman residual") and "Traceback" not in err
 
 
+    def test_ergodicity_failure_exits_4_without_traceback(self, capsys, tmp_path):
+        # Two states that each loop back to themselves: no policy connects
+        # them, so the average-reward game fails the ergodicity check.
+        transition = np.zeros((2, 1, 2))
+        transition[0, 0, 0] = transition[1, 0, 1] = 1.0
+        game = StochasticGame(
+            ("a", "b"), (("x",), ("y",)), transition, np.zeros((2, 2, 1)), "a", Average()
+        )
+        game_path = tmp_path / "isolated.json"
+        save_game(game, game_path)
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(json.dumps([{"a": [1], "b": [1]}] * 2))
+        code = main(["check", "--game", str(game_path), "--policy", str(policy_path)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: ") and "ergodicity" in err and "Traceback" not in err
+
+
 class TestSweep:
     def test_deterministic_rps_sweep(self, capsys, tmp_path, rps_file):
         game = rps()
@@ -286,7 +313,7 @@ class TestLearn:
     def test_non_hull_space_exit_3(self, tmp_path, rps_file):
         spaces_path = tmp_path / "spaces.json"
         spaces_path.write_text(
-            json.dumps([{"variant": "state_uniform"}, {"variant": "full"}])
+            json.dumps([{"variant": "deterministic_only"}, {"variant": "full"}])
         )
         code = main(
             [
@@ -298,6 +325,35 @@ class TestLearn:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("variant", ["state_uniform", "singleton"])
+    def test_global_hulls_run_as_hull_seats(self, capsys, tmp_path, variant):
+        game = fact5_game()
+        game_path = tmp_path / "fact5.json"
+        save_game(game, game_path)
+        if variant == "state_uniform":
+            spaces = [StateUniform(3, 2), StateUniform(3, 2)]
+        else:
+            spaces = [Singleton(Policy([[0.25, 0.75]] * 3)), StateUniform(3, 2)]
+        spaces_path = tmp_path / "spaces.json"
+        save_spaces(spaces, game, spaces_path)
+        code, payload = run_cli(
+            capsys,
+            "learn",
+            "--game", str(game_path),
+            "--iters", "1000",
+            "--seed", "3",
+            "--spaces", str(spaces_path),
+        )
+        assert code == 0
+        log = self_play(game, [PlayerSpec(space=s) for s in spaces], 1000, 3)
+        assert payload["final_policies"] == [
+            [float(x) for x in log.player_rows(i)[-1].explicit] for i in range(2)
+        ]
+        for space, final in zip(spaces, payload["final_policies"]):
+            assert space.contains(Policy([final] * 3))
+        if variant == "singleton":
+            assert payload["final_policies"][0] == [0.25, 0.75]
 
     def test_spaces_match_direct_self_play(
         self, capsys, tmp_path, rps_file, rps_column_hull

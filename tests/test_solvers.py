@@ -200,6 +200,51 @@ class TestExactMinimax:
         minimax_zero_sum_matrix(blotto_game)
         assert len(linprog_calls) <= 1 + 4
 
+    def test_lexmin_lps_only_on_tight_rows(self, monkeypatch):
+        # By complementary slackness every optimal strategy is zero off the
+        # rows tight against an optimal opponent strategy, here the minimax
+        # LP's opponent vertex, so the tie-break gives no LP to any other
+        # row.  Integer games have small exact denominators, so
+        # limit_denominator recovers that vertex exactly from its floats;
+        # the exact optimality check below confirms the recovery.
+        issued = []
+
+        def recording(c, *args, **kwargs):
+            res = linprog(c, *args, **kwargs)
+            issued.append((np.asarray(c), kwargs["A_ub"], res))
+            return res
+
+        def exact(strategy):
+            return [Fraction(p).limit_denominator(10**6) for p in strategy]
+
+        monkeypatch.setattr(solvers, "linprog", recording)
+        counts = []
+        for m in _integer_games():
+            issued.clear()
+            value, _, _ = minimax_zero_sum_matrix(matrix_game([m, -m]))
+            c, _, res = issued[0]
+            assert c[-1] == -1.0  # the minimax LP
+            x, y = exact(res.x[:-1]), exact(-res.ineqlin.marginals)
+            a = [[Fraction(e) for e in r] for r in m.tolist()]
+            row_pay = [sum(e * q for e, q in zip(r, y)) for r in a]
+            col_pay = [sum(p * r[j] for p, r in zip(x, a)) for j in range(m.shape[1])]
+            assert sum(x) == 1 and sum(y) == 1 and min(x + y) >= 0
+            assert max(row_pay) == min(col_pay) and float(max(row_pay)) == value
+            tight = {"row": {i for i, u in enumerate(row_pay) if u == max(row_pay)},
+                     "col": {j for j, u in enumerate(col_pay) if u == min(col_pay)}}
+            coords = {"row": [], "col": []}
+            for c, a_ub, _ in issued[1:]:
+                k = len(c) - 1
+                side = "row" if np.array_equal(a_ub[: m.shape[1], :k], -m.T) else "col"
+                assert side == "row" or np.array_equal(a_ub[: m.shape[0], :k], m)
+                assert np.count_nonzero(c) == 1 and c[-1] == 0.0
+                coords[side].append(int(np.flatnonzero(c)[0]))
+            for side in ("row", "col"):
+                assert set(coords[side]) <= tight[side]
+                assert coords[side] == sorted(set(coords[side]))
+            counts.append(len(issued))
+        assert counts[13] == 3 and counts[18] == 7
+
     def test_tampered_lp_never_passes_unchecked(self, monkeypatch):
         rng = np.random.default_rng(11)
 

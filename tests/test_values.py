@@ -310,7 +310,7 @@ def test_policy_value_at_initial_state(fact5):
         (None, "rewards", (0, 0, 0), np.inf, ArithmeticError),
         (Average(), "rewards", (0, 0, 0), np.nan, ArithmeticError),
         (None, "transition", (0, 0, 0), np.nan, ArithmeticError),
-        (Average(), "transition", (1, 0, 0), np.inf, ErgodicityError),
+        (Average(), "transition", (1, 0, 0), np.inf, MalformedInputError),
     ],
     ids=[
         "discounted-inf-reward",
