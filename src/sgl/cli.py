@@ -11,7 +11,10 @@ space object per player, read by ``restrictions.load_spaces``.  Without it
 every player has the full policy space (``sweep`` requires it).  ``learn``
 runs a ``full`` entry unrestricted and any global convex hull
 (``convex_hull_global``, ``state_uniform``, ``singleton``) as a hull seat
-over its generators; it refuses every other space with exit 3.
+over its generators; it refuses every other space with exit 3.  A hull
+seat learns one weight vector per state, so its final joint policy can
+leave a global hull; ``learn`` reports each player's membership as
+``final_in_space``.
 
 Exit codes: 0 on success, 2 for malformed input (bad files, schema
 violations, policies outside their spaces), 3 for unsupported combinations
@@ -178,8 +181,9 @@ def _cmd_learn(args) -> int:
         if args.config
         else WolfPhcConfig()
     )
+    spaces = _spaces(args, game)
     specs = []
-    for space in _spaces(args, game):
+    for space in spaces:
         if isinstance(space, ConvexHullGlobal):
             hull = space
         elif space.variant == "full":
@@ -192,17 +196,18 @@ def _cmd_learn(args) -> int:
     log = self_play(game, specs, args.iters, args.seed)
     if args.out:
         log.to_csv(args.out)
+    final_joint = final_joint_policy(game, log)
     payload = {
         "iterations": log.iterations,
         "seed": log.seed,
         "checkpoint_every": log.checkpoint_every,
-        "final_policies": [
-            list(log.player_rows(i)[-1].explicit) for i in range(game.n_players)
+        "final_policies": [explicit[-1, 0].tolist() for explicit in log.explicit],
+        "avg_rewards": [float(avg[-1]) for avg in log.avg_rewards],
+        "final_joint": joint_policy_to_list(final_joint, game.states),
+        "final_in_space": [
+            bool(space.contains(policy))
+            for space, policy in zip(spaces, final_joint.policies)
         ],
-        "avg_rewards": [
-            log.player_rows(i)[-1].avg_reward for i in range(game.n_players)
-        ],
-        "final_joint": joint_policy_to_list(final_joint_policy(game, log), game.states),
         "csv": args.out,
     }
     print(json.dumps(payload, indent=2))

@@ -43,6 +43,7 @@ from .games import (
     MalformedInputError,
     Policy,
     StochasticGame,
+    _repr_rows,
     bach_stravinsky,
     blotto_4_3,
     fact5_game,
@@ -182,9 +183,7 @@ def _learning_runs(
 def _run_stats(log: TrajectoryLog, restricted_player: int | None) -> dict:
     stats = {
         "seed": log.seed,
-        "final_policies": [
-            list(log.player_rows(i)[-1].explicit) for i in range(log.n_players)
-        ],
+        "final_policies": [explicit[-1, 0].tolist() for explicit in log.explicit],
         "mean_final_policies": [
             [float(x) for x in log.mean_final_policy(i, 0.1)]
             for i in range(log.n_players)
@@ -192,9 +191,7 @@ def _run_stats(log: TrajectoryLog, restricted_player: int | None) -> dict:
         "window_avg_rewards": [
             log.window_average_reward(i, 0.1) for i in range(log.n_players)
         ],
-        "running_avg_rewards": [
-            log.player_rows(i)[-1].avg_reward for i in range(log.n_players)
-        ],
+        "running_avg_rewards": [float(avg[-1]) for avg in log.avg_rewards],
         "stabilization_iteration": log.stabilization_iteration(),
     }
     if restricted_player is not None:
@@ -211,17 +208,20 @@ def _write_plot_files(
     reference: list[list[float]],
     action_names: list[list[str]],
 ) -> None:
-    """Policy-vs-iteration data plus a gnuplot script with reference lines."""
+    """Policy-vs-iteration data plus a gnuplot script with reference lines.
+
+    The data are each player's explicit play in the first state, one line
+    per checkpoint.
+    """
     plot_names = []
-    for i in range(log.n_players):
-        rows = log.player_rows(i)
+    its = log.checkpoints.tolist()
+    for i, explicit in enumerate(log.explicit):
         path = outdir / f"plot_player{i}.dat"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("# iteration " + " ".join(action_names[i]) + "\n")
-            for r in rows:
-                fh.write(
-                    f"{r.iteration} " + " ".join(repr(float(p)) for p in r.explicit) + "\n"
-                )
+            fh.writelines(
+                f"{it} {text}\n" for it, text in zip(its, _repr_rows(explicit[:, 0], " "))
+            )
         plot_names.append(path.name)
     lines = [
         "set xlabel 'iterations'",

@@ -518,6 +518,21 @@ def parses(what: str):
     return decorate
 
 
+def _repr_rows(mat: np.ndarray, sep: str = ";") -> list[str]:
+    """Each row of a float array as its entries' ``repr``s joined by ``sep``.
+
+    The rows of a 1-D array are its entries.  One C-level ``repr`` of the
+    (nested) list, then one split: a float's ``repr`` holds no comma, space
+    or bracket.  The text is the same as joining ``repr(float(x))`` row by
+    row, ``-0.0`` included.
+    """
+    if not len(mat):
+        return []
+    if mat.ndim == 1:
+        return repr(mat.tolist())[1:-1].split(", ")
+    return repr(mat.tolist())[2:-2].replace(", ", sep).split(f"]{sep}[")
+
+
 def _number(value) -> float:
     """A JSON number as a float; a string, boolean or null is malformed."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -30,6 +30,13 @@ expressions and summation order; each seeded ``random.Random`` stream is
 handed to numpy and read in blocks of uniforms.  Its trajectories are
 bit-identical to the per-iteration loop over the step functions, which the
 tests keep as their oracle (``tests/util.py::reference_self_play``).
+
+At each checkpoint the kernel appends one flat tuple (iteration, every
+seat's last reward and reward total, every seat's policy rows), and
+``self_play`` turns the list into one ``TrajectoryLog`` of arrays: a hull
+seat's explicit play is one batched product per state.  The writers and
+statistics read those arrays; ``TrajectoryLog.rows`` builds the row view
+only when asked.
 """
 
 from __future__ import annotations
@@ -37,9 +44,9 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import random
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -49,6 +56,7 @@ from .games import (
     MalformedInputError,
     Policy,
     StochasticGame,
+    _repr_rows,
 )
 from .restrictions import ConvexHullGlobal
 
@@ -152,13 +160,6 @@ class LearnerState:
     @property
     def n_arms(self) -> int:
         return len(self.q[0])
-
-    def explicit_row(self, s: int) -> list[float]:
-        """The explicit action distribution played at state s."""
-        if self.generators is None:
-            return list(self.policy[s])
-        w = np.asarray(self.policy[s])
-        return (w @ self.generators[:, s, :]).tolist()
 
 
 def fresh_learner(
@@ -290,37 +291,63 @@ class CheckpointRow:
     avg_reward: float
 
 
-@dataclass
+@dataclass(eq=False)
 class TrajectoryLog:
-    """Sampled self-play history plus exact running-average rewards."""
+    """Sampled self-play history plus exact running-average rewards, by column.
+
+    ``checkpoints`` (N,) holds the iteration of each checkpoint.  Per seat
+    i, at checkpoint n: ``probs[i][n]`` (states, arms) is the policy over the
+    seat's arms (actions, or hull generators), ``explicit[i][n]`` (states,
+    actions) the primitive play it induces, and ``inst_rewards[i][n]`` and
+    ``avg_rewards[i][n]`` the last reward and the running average reward.
+    A seat without a hull plays its arms, so one array is both its
+    ``probs`` and its ``explicit``.
+    """
 
     states: tuple[str, ...]
     n_players: int
     iterations: int
     seed: int
     checkpoint_every: int
-    rows: list[CheckpointRow]
+    checkpoints: np.ndarray
+    probs: tuple[np.ndarray, ...]
+    explicit: tuple[np.ndarray, ...]
+    inst_rewards: tuple[np.ndarray, ...]
+    avg_rewards: tuple[np.ndarray, ...]
 
-    def player_rows(self, player: int, state: str | None = None) -> list[CheckpointRow]:
-        state = state if state is not None else self.states[0]
-        return [r for r in self.rows if r.player == player and r.state == state]
+    @functools.cached_property
+    def rows(self) -> list[CheckpointRow]:
+        """One row per (checkpoint, player, state), in that order, built on first use."""
+        seats = []
+        for i in range(self.n_players):
+            probs = [tuple(map(tuple, at)) for at in self.probs[i].tolist()]
+            explicit = probs
+            if self.explicit[i] is not self.probs[i]:
+                explicit = [tuple(map(tuple, at)) for at in self.explicit[i].tolist()]
+            seats.append((probs, explicit, self.inst_rewards[i].tolist(),
+                          self.avg_rewards[i].tolist()))
+        return [
+            CheckpointRow(it, i, state, probs[n][s], explicit[n][s], inst[n], avg[n])
+            for n, it in enumerate(self.checkpoints.tolist())
+            for i, (probs, explicit, inst, avg) in enumerate(seats)
+            for s, state in enumerate(self.states)
+        ]
 
-    def final_fraction_rows(
-        self, player: int, fraction: float, state: str | None = None
-    ) -> list[CheckpointRow]:
-        rows = self.player_rows(player, state)
+    def _window_start(self, fraction: float) -> int:
+        """Index of the first checkpoint in the final ``fraction`` of the run."""
         cutoff = self.iterations * (1.0 - fraction)
-        return [r for r in rows if r.iteration > cutoff]
+        return int(np.searchsorted(self.checkpoints, cutoff, side="right"))
 
     def mean_final_policy(
         self, player: int, fraction: float = 0.1, explicit: bool = True,
         state: str | None = None,
     ) -> np.ndarray:
-        rows = self.final_fraction_rows(player, fraction, state)
-        if not rows:
+        s = 0 if state is None else self.states.index(state)
+        table = (self.explicit if explicit else self.probs)[player]
+        window = table[self._window_start(fraction):, s]
+        if not len(window):
             raise ValueError("no checkpoints in the requested window")
-        mats = [r.explicit if explicit else r.probs for r in rows]
-        return np.mean(np.asarray(mats), axis=0)
+        return np.mean(window, axis=0)
 
     def window_average_reward(self, player: int, fraction: float = 0.1) -> float:
         """Exact mean instantaneous reward over the final fraction of steps.
@@ -328,17 +355,15 @@ class TrajectoryLog:
         Recovered from the running averages at the window's edges, so it is
         exact despite checkpoint sampling.
         """
-        rows = self.player_rows(player)
-        cutoff = self.iterations * (1.0 - fraction)
-        before = [r for r in rows if r.iteration <= cutoff]
-        last = rows[-1]
-        if not before:
-            return last.avg_reward
-        edge = before[-1]
-        span = last.iteration - edge.iteration
+        its = self.checkpoints.tolist()
+        avg = self.avg_rewards[player].tolist()
+        edge = self._window_start(fraction) - 1
+        if edge < 0:
+            return avg[-1]
+        span = its[-1] - its[edge]
         if span <= 0:
-            return last.avg_reward
-        total = last.avg_reward * last.iteration - edge.avg_reward * edge.iteration
+            return avg[-1]
+        total = avg[-1] * its[-1] - avg[edge] * its[edge]
         return total / span
 
     def stabilization_iteration(
@@ -352,29 +377,20 @@ class TrajectoryLog:
         checkpoint iteration from which every later movement is below the
         threshold (the final iteration if never stable).
 
-        One pass groups each player's explicit rows by checkpoint, in
-        ``states`` order; each checkpoint's partner is the latest checkpoint
-        at least ``window`` iterations earlier.
+        Each checkpoint's partner is the latest checkpoint at least
+        ``window`` iterations earlier.
         """
         if window < 1:
             raise ValueError("window must be at least one iteration")
-        order = {state: k for k, state in enumerate(self.states)}
-        grouped: list[dict[int, list]] = [{} for _ in range(self.n_players)]
-        for r in self.rows:
-            grouped[r.player].setdefault(r.iteration, []).append((order[r.state], r.explicit))
-        iters = sorted(grouped[0])
-        its = np.asarray(iters, dtype=np.int64)
+        its = self.checkpoints
         prev = np.searchsorted(its, its - window, side="right") - 1
         cur = np.flatnonzero(prev >= 0)
         if cur.size == 0:
             return self.iterations
         prev = prev[cur]
         move = np.zeros(cur.size)
-        for by_iter in grouped:
-            series = np.array([
-                [p for _, explicit in sorted(by_iter[it], key=itemgetter(0)) for p in explicit]
-                for it in iters
-            ])
+        for explicit in self.explicit:
+            series = explicit.reshape(its.size, -1)
             np.maximum(move, np.abs(series[cur] - series[prev]).sum(axis=1), out=move)
         rates = move * (window / (its[cur] - its[prev]))
         unstable = np.flatnonzero(~(rates < threshold))
@@ -382,17 +398,29 @@ class TrajectoryLog:
         return int(its[cur[start]]) if start < cur.size else self.iterations
 
     def to_csv(self, path) -> None:
-        """Write the rows as CSV, in the bytes ``csv.writer`` would produce.
+        """Write one line per row, in the bytes ``csv.writer`` would produce.
 
-        Numbers are joined directly (an int's ``str`` or a float's ``repr``
-        never needs quoting); each state name, which may, is quoted once
-        through ``csv.writer``.
+        Each float column is formatted whole by ``_repr_rows`` (a float's
+        ``repr`` never needs quoting); each state name, which may, is
+        quoted once through ``csv.writer``.
         """
-        quoted = {}
-        for state in {r.state for r in self.rows}:
-            buf = io.StringIO()
-            csv.writer(buf).writerow([state, ""])
-            quoted[state] = buf.getvalue()[:-3]  # drop the ",\r\n" of the empty field
+        its = [str(it) for it in self.checkpoints.tolist()]
+        columns = []
+        for i in range(self.n_players):
+            inst = _repr_rows(self.inst_rewards[i])
+            avg = _repr_rows(self.avg_rewards[i])
+            for s, state in enumerate(self.states):
+                buf = io.StringIO()
+                csv.writer(buf).writerow([state, ""])
+                head = f",{i},{buf.getvalue()[:-3]},"  # drop the ",\r\n" of the empty field
+                probs = _repr_rows(self.probs[i][:, s])
+                explicit = probs
+                if self.explicit[i] is not self.probs[i]:
+                    explicit = _repr_rows(self.explicit[i][:, s])
+                columns.append([
+                    f"{it}{head}{p},{e},{r},{a}\r\n"
+                    for it, p, e, r, a in zip(its, probs, explicit, inst, avg)
+                ])
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(
                 [
@@ -405,13 +433,7 @@ class TrajectoryLog:
                     "avg_reward",
                 ]
             )
-            fh.writelines(
-                f"{r.iteration},{r.player},{quoted[r.state]},"
-                f"{';'.join(map(repr, map(float, r.probs)))},"
-                f"{';'.join(map(repr, map(float, r.explicit)))},"
-                f"{float(r.inst_reward)!r},{float(r.avg_reward)!r}\r\n"
-                for r in self.rows
-            )
+            fh.writelines(itertools.chain.from_iterable(zip(*columns)))
 
 
 def load_trajectory_rows(path) -> list[CheckpointRow]:
@@ -482,7 +504,9 @@ def _kernel_source(n_states: int, seats: tuple[_SeatLayout, ...]) -> str:
     ``wolf_phc_step`` and ``q_learner_step``, so the trajectory is
     bit-identical to theirs.  Sums are chunked and picks are flat
     ``while True`` / ``break`` runs, so wide rows do not deepen the syntax
-    tree.  Only the layout's integers and fixed text enter the source.
+    tree.  At each checkpoint the loop appends one flat tuple to
+    ``checkpoints``.  Only the layout's integers and fixed text enter the
+    source.
     """
     if type(n_states) is not int or any(
         type(v) not in (int, bool) for seat in seats for v in seat
@@ -491,7 +515,7 @@ def _kernel_source(n_states: int, seats: tuple[_SeatLayout, ...]) -> str:
     single = n_states == 1
     n = len(seats)
     lines = [
-        "def kernel(iterations, s, every, block, seats, env, transitions, record):",
+        "def kernel(iterations, s, every, block, seats, env, transitions, checkpoints):",
         "    " + ", ".join(
             f"(P{i}, Q{i}, M{i}, C{i}, R{i}, H{i}, rs{i}, eb{i}, es{i}, ao{i}, asc{i}, "
             f"wo{i}, ws{i}, lr{i}, g{i})" for i in range(n)) + ", = seats",
@@ -537,7 +561,7 @@ def _kernel_source(n_states: int, seats: tuple[_SeatLayout, ...]) -> str:
             emit(1, f"c{i} = C{i}[0]", f"R{i} = R{i}[0]")
             if seat.hull_actions:
                 emit(1, f"H{i} = H{i}[0]")
-    emit(1, "nxt = every - 1", "t0 = 0", "while t0 < iterations:")
+    emit(1, "save = checkpoints.append", "nxt = every - 1", "t0 = 0", "while t0 < iterations:")
     emit(2, "nb = min(block, iterations - t0)")
     targets, sources = ["t"], ["range(t0, t0 + nb)"]
     for i, seat in enumerate(seats):
@@ -623,13 +647,17 @@ def _kernel_source(n_states: int, seats: tuple[_SeatLayout, ...]) -> str:
             move_rows(3, i, k, "PQM", load=False)
             emit(3, f"C{i}[s] = c{i}")
 
+    # Checkpoint: one flat tuple of the iteration, each seat's last reward
+    # and reward total, then each seat's policy rows state by state.
+    policies = [
+        ", ".join(names("p", i, seat.arms)) if single
+        else ", ".join(f"*P{i}[{k}]" for k in range(n_states))
+        for i, seat in enumerate(seats)
+    ]
     emit(3, "if t == nxt:")
     emit(4, "nxt += every")
-    if single:
-        for i, seat in enumerate(seats):
-            move_rows(4, i, seat.arms, "P", load=False)
-    emit(4, f"record(t + 1, {tup([f'r{i}' for i in range(n)])}, "
-            f"{tup([f'tot{i}' for i in range(n)])})")
+    emit(4, "save((t + 1, " + ", ".join(
+        [f"r{i}" for i in range(n)] + [f"tot{i}" for i in range(n)] + policies) + "))")
     if not single:
         emit(3, "s = s2")
     emit(2, "t0 += nb")
@@ -701,39 +729,44 @@ def self_play(
         env = _uniform_stream(env_rng)
         transitions = [_cumulative(game.transition[s]) for s in range(n_states)]
 
-    rows: list[CheckpointRow] = []
-    policies = [seat[0] for seat in seats]
-
-    def record(iteration: int, inst: tuple[float, ...], totals: tuple[float, ...]) -> None:
-        for i in range(n):
-            avg = totals[i] / iteration
-            for k, state in enumerate(game.states):
-                probs = policies[i][k]
-                explicit = probs
-                if hulls[i] is not None:
-                    explicit = tuple((np.asarray(probs) @ hulls[i][:, k, :]).tolist())
-                rows.append(CheckpointRow(iteration, i, state, probs, explicit, inst[i], avg))
-
+    checkpoints: list[tuple] = []
     kernel = _kernel(n_states, tuple(layouts))
     kernel(iterations, game.initial_index, checkpoint_every, _BLOCK, seats, env,
-           transitions, record)
+           transitions, checkpoints)
+    # Every entry is a float or an iteration below 2**53, so float64 holds
+    # them all exactly, and the division is the running average's own.
+    table = np.array(checkpoints, dtype=float).reshape(
+        len(checkpoints), 1 + 2 * n + n_states * sum(seat.arms for seat in layouts))
+    probs, explicit = [], []
+    col = 1 + 2 * n
+    for seat, hull in zip(layouts, hulls):
+        width = n_states * seat.arms
+        weights = np.ascontiguousarray(table[:, col:col + width]).reshape(-1, n_states, seat.arms)
+        col += width
+        probs.append(weights)
+        if hull is None:
+            explicit.append(weights)
+        else:
+            # Row by row, (1, arms) @ (arms, actions): the product a single
+            # row's vector-matrix product computes, bit for bit.
+            explicit.append(np.stack([
+                np.matmul(weights[:, s, np.newaxis, :], hull[:, s, :])[:, 0, :]
+                for s in range(n_states)
+            ], axis=1))
     return TrajectoryLog(
         states=game.states,
         n_players=n,
         iterations=iterations,
         seed=seed,
         checkpoint_every=checkpoint_every,
-        rows=rows,
+        checkpoints=table[:, 0].astype(np.int64),
+        probs=tuple(probs),
+        explicit=tuple(explicit),
+        inst_rewards=tuple(table[:, 1 + i].copy() for i in range(n)),
+        avg_rewards=tuple(table[:, 1 + n + i] / table[:, 0] for i in range(n)),
     )
 
 
 def final_joint_policy(game: StochasticGame, log: TrajectoryLog) -> JointPolicy:
     """The explicit joint policy at the last checkpoint."""
-    policies = []
-    for i in range(game.n_players):
-        rows_by_state = []
-        for state in game.states:
-            rows = [r for r in log.rows if r.player == i and r.state == state]
-            rows_by_state.append(rows[-1].explicit)
-        policies.append(Policy(np.asarray(rows_by_state)))
-    return JointPolicy(tuple(policies))
+    return JointPolicy(tuple(Policy(explicit[-1]) for explicit in log.explicit))

@@ -73,6 +73,7 @@ from .games import (
     Policy,
     StochasticGame,
     UnsupportedOperationError,
+    _repr_rows,
     classify,
 )
 from .restrictions import (
@@ -1188,12 +1189,28 @@ def certificate_to_dict(cert: EquilibriumCertificate, game: StochasticGame) -> d
     }
 
 
+# Sweep rows formatted at a time: at 128 the text and index arrays of a
+# chunk take less memory than the rest of writing the file does.
+_CSV_ROWS = 128
+
+
 def sweep_to_csv(result: SweepResult, path) -> None:
     """Write the sweep as CSV: the header, then each row's floats as ``repr``.
 
     A float's ``repr`` never needs quoting, so rows are joined directly, in
-    the bytes ``csv.writer`` would produce.
+    the bytes ``csv.writer`` would produce.  ``_CSV_ROWS`` rows are
+    formatted at a time, each distinct float once: the lattice parameters
+    repeat, and each ``max_gap`` repeats one of its row's gaps.  Floats are
+    told apart by their bits, since ``-0.0 == 0.0`` but their ``repr``s
+    differ.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(result.header)
-        fh.writelines(",".join(map(repr, map(float, row))) + "\r\n" for row in result.rows)
+        for start in range(0, len(result.rows), _CSV_ROWS):
+            chunk = np.array(result.rows[start:start + _CSV_ROWS], dtype=float)
+            bits, inverse = np.unique(chunk.view(np.int64).ravel(), return_inverse=True)
+            texts = np.array(_repr_rows(bits.view(float)), dtype=object)
+            fh.writelines(
+                ",".join(row) + "\r\n"
+                for row in texts[inverse.reshape(chunk.shape)].tolist()
+            )

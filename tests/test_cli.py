@@ -37,6 +37,7 @@ from sgl.restrictions import (
 )
 from sgl.games import MalformedInputError, Policy, joint_policy_to_list
 from sgl.learners import PlayerSpec, final_joint_policy, load_trajectory_rows, self_play
+from util import player_rows
 
 # What an installer's generated `sgl` script does, given the entry point value
 # as its first argument.
@@ -348,12 +349,32 @@ class TestLearn:
         assert code == 0
         log = self_play(game, [PlayerSpec(space=s) for s in spaces], 1000, 3)
         assert payload["final_policies"] == [
-            [float(x) for x in log.player_rows(i)[-1].explicit] for i in range(2)
+            [float(x) for x in player_rows(log, i)[-1].explicit] for i in range(2)
         ]
         for space, final in zip(spaces, payload["final_policies"]):
             assert space.contains(Policy([final] * 3))
         if variant == "singleton":
             assert payload["final_policies"][0] == [0.25, 0.75]
+
+    def test_final_in_space_flags_drifting_state_uniform_seats(self, capsys, tmp_path):
+        # A hull seat learns one weight vector per state, so state-uniform
+        # seats end with different weights in each state of Fact 5.
+        game = fact5_game()
+        game_path = tmp_path / "fact5.json"
+        save_game(game, game_path)
+        spaces = [FullSpace(3, 2), StateUniform(3, 2)]
+        spaces_path = tmp_path / "spaces.json"
+        save_spaces(spaces, game, spaces_path)
+        code, payload = run_cli(
+            capsys, "learn", "--game", str(game_path), "--iters", "500", "--seed", "3",
+            "--spaces", str(spaces_path),
+        )
+        assert code == 0
+        assert payload["final_in_space"] == [True, False]
+        joint = final_joint_policy(game, self_play(game, [PlayerSpec(), PlayerSpec(
+            space=StateUniform(3, 2))], 500, 3))
+        assert payload["final_joint"] == joint_policy_to_list(joint, game.states)
+        assert not StateUniform(3, 2).contains(joint[1])
 
     def test_spaces_match_direct_self_play(
         self, capsys, tmp_path, rps_file, rps_column_hull
@@ -372,14 +393,15 @@ class TestLearn:
         assert code == 0
         log = self_play(game, [PlayerSpec(), PlayerSpec(space=rps_column_hull)], 3000, 5)
         assert payload["final_policies"] == [
-            [float(x) for x in log.player_rows(i)[-1].explicit] for i in range(2)
+            [float(x) for x in player_rows(log, i)[-1].explicit] for i in range(2)
         ]
         assert payload["avg_rewards"] == [
-            log.player_rows(i)[-1].avg_reward for i in range(2)
+            player_rows(log, i)[-1].avg_reward for i in range(2)
         ]
         assert payload["final_joint"] == joint_policy_to_list(
             final_joint_policy(game, log), game.states
         )
+        assert payload["final_in_space"] == [True, True]
 
 
 class TestReproduce:

@@ -1,6 +1,5 @@
 """Learner update rules, self-play determinism, and trajectory logs."""
 
-import csv
 import hashlib
 import random
 from dataclasses import replace
@@ -9,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgl.experiments import ReproductionSpec, reproduce
+from sgl.experiments import ReproductionSpec, _run_stats, _write_plot_files, reproduce
 from sgl.games import (
     JointPolicy,
     MalformedInputError,
     Policy,
+    _repr_rows,
     blotto_4_3,
     fact5_game,
     matrix_game,
@@ -36,10 +36,17 @@ from sgl.learners import (
 from sgl.restrictions import ConvexHullGlobal, FullSpace, StateUniform
 from sgl.solvers import check_equilibrium
 from util import (
+    player_rows,
     random_game,
     random_global_hull,
+    reference_grouped_stabilization_iteration,
+    reference_mean_final_policy,
+    reference_plot_data,
+    reference_run_stats,
     reference_self_play,
     reference_stabilization_iteration,
+    reference_to_csv,
+    reference_window_average_reward,
 )
 
 RPS_COLUMN_HULL = ConvexHullGlobal(
@@ -175,12 +182,13 @@ class TestWolfPhcStep:
 class TestRestrictedStep:
     def test_explicit_policy_is_weight_blend(self, rps_column_hull):
         gens = np.stack([g.probs for g in rps_column_hull.generators])
-        learner = fresh_learner(1, 2, WolfPhcConfig(), generators=gens)
-        learner.policy[0] = [1.0, 0.0]
-        assert np.allclose(learner.explicit_row(0), [0.5, 0.5, 0.0])
-        learner.policy[0] = [2 / 3, 1 / 3]
-        assert np.allclose(learner.explicit_row(0), [1 / 3, 0.5, 1 / 6])
-        assert all(type(x) is float for x in learner.explicit_row(0))
+        log = self_play(rps(), [PlayerSpec(), PlayerSpec(space=rps_column_hull)], 300, seed=4)
+        assert log.explicit[0] is log.probs[0]
+        assert log.probs[1].shape == (300, 1, 2) and log.explicit[1].shape == (300, 1, 3)
+        assert np.allclose(log.explicit[1][:, 0], log.probs[1][:, 0] @ gens[:, 0])
+        for row in player_rows(log, 1):
+            assert list(row.explicit) == (np.asarray(row.probs) @ gens[:, 0]).tolist()
+            assert all(type(x) is float for x in row.explicit)
 
     def test_same_arithmetic_as_unrestricted(self, rps_column_hull):
         gens = np.stack([g.probs for g in rps_column_hull.generators])
@@ -202,7 +210,7 @@ class TestRestrictedStep:
             iterations=4000,
             seed=11,
         )
-        for row in log.player_rows(1):
+        for row in player_rows(log, 1):
             policy = Policy(np.asarray(row.explicit)[np.newaxis, :])
             assert rps_column_hull.contains(policy, tol=1e-9)
             assert all(type(x) is float for x in row.explicit)
@@ -225,7 +233,7 @@ class TestQLearner:
         log = self_play(
             game, [PlayerSpec(algo="q"), PlayerSpec(algo="q")], iterations=500, seed=0
         )
-        assert log.player_rows(0)[-1].explicit == (1.0,)
+        assert player_rows(log, 0)[-1].explicit == (1.0,)
 
     def test_rps_greedy_joint_never_an_equilibrium(self, rps_game):
         log = self_play(
@@ -235,8 +243,8 @@ class TestQLearner:
             seed=13,
         )
         full = [FullSpace(1, 3), FullSpace(1, 3)]
-        rows0 = log.player_rows(0)
-        rows1 = log.player_rows(1)
+        rows0 = player_rows(log, 0)
+        rows1 = player_rows(log, 1)
         for k in range(0, len(rows0), 7):
             joint = JointPolicy(
                 (
@@ -265,7 +273,7 @@ class TestSelfPlay:
     def test_checkpoint_cadence(self, rps_game):
         log = self_play(rps_game, [PlayerSpec(), PlayerSpec()], 4000, seed=0)
         assert log.checkpoint_every == 2
-        assert len(log.player_rows(0)) == 2000
+        assert len(player_rows(log, 0)) == 2000
 
     def test_multi_state_runs_and_logs_every_state(self, fact5):
         cfg = WolfPhcConfig(gamma=0.95)
@@ -274,7 +282,7 @@ class TestSelfPlay:
             iterations=2000, seed=3,
         )
         for state in fact5.states:
-            rows = log.player_rows(0, state)
+            rows = player_rows(log, 0, state)
             assert rows
             for row in rows[-5:]:
                 assert abs(sum(row.explicit) - 1.0) <= 1e-12
@@ -289,7 +297,7 @@ class TestSelfPlay:
     def test_final_joint_policy_matches_last_checkpoint(self, rps_game):
         log = self_play(rps_game, [PlayerSpec(), PlayerSpec()], 1000, seed=9)
         joint = final_joint_policy(rps_game, log)
-        assert tuple(joint[0].probs[0]) == log.player_rows(0)[-1].explicit
+        assert tuple(joint[0].probs[0]) == player_rows(log, 0)[-1].explicit
 
     def test_window_average_reward_matches_recount(self, rps_game):
         log = self_play(rps_game, [PlayerSpec(), PlayerSpec()], 2000, seed=5)
@@ -358,7 +366,7 @@ class TestStabilization:
     def test_single_checkpoint(self, rps_game):
         log = self_play(rps_game, [PlayerSpec(), PlayerSpec()], 10, seed=4,
                         checkpoint_every=10)
-        assert len(log.player_rows(0)) == 1
+        assert len(player_rows(log, 0)) == 1
         for window in (1, 5):
             assert log.stabilization_iteration(0.01, window) == 10
             assert reference_stabilization_iteration(log, 0.01, window) == 10
@@ -433,6 +441,9 @@ def _oracle_cases():
     ))
     one_generator = ConvexHullGlobal((Policy([[0.2, 0.3, 0.5]]),))
     one_player = random_game(np.random.default_rng(42), n_states=2, action_counts=(3,))
+    # On a random hull over five actions one (N, arms) @ (arms, actions)
+    # product differs from the per-row products.
+    five_action_hull = random_global_hull(np.random.default_rng(48), 1, 5, k=3)
     # Wider than the kernel's 32-term sum chunks and picks.
     wide = random_game(np.random.default_rng(44), n_states=34, action_counts=(35, 3))
     wide_matrix = matrix_game(list(np.random.default_rng(45).uniform(-1, 1, (2, 33, 34))))
@@ -442,6 +453,7 @@ def _oracle_cases():
         "hull-rps": (rps(), [PlayerSpec(), PlayerSpec(space=RPS_COLUMN_HULL)]),
         "wolf-vs-q-discounted": (rps(), [PlayerSpec(), PlayerSpec(algo="q", config=GAMMA_95)]),
         "blotto-row-hull": (blotto_4_3(), [PlayerSpec(space=blotto_row_hull), PlayerSpec()]),
+        "blotto-random-hull": (blotto_4_3(), [PlayerSpec(space=five_action_hull), PlayerSpec()]),
         "one-arm-wolf": (_one_arm_game(), [PlayerSpec(), PlayerSpec()]),
         "one-arm-q": (_one_arm_game(), [PlayerSpec(algo="q"), PlayerSpec(algo="q")]),
         "one-generator-hull": (rps(), [PlayerSpec(space=one_generator), PlayerSpec()]),
@@ -472,9 +484,14 @@ class TestKernelMatchesScalarLoop:
         want = reference_self_play(game, specs, iterations, seed=17, checkpoint_every=every)
         assert got.checkpoint_every == want.checkpoint_every
         assert got.rows == want.rows
-        assert [type(x) for r in got.rows for x in (*r.probs, *r.explicit, r.avg_reward)] == [
-            type(x) for r in want.rows for x in (*r.probs, *r.explicit, r.avg_reward)
-        ]
+        assert got.rows is got.rows  # built once, then cached
+
+        def types(rows):
+            return [tuple(map(type, (r.iteration, r.player, r.state, r.inst_reward,
+                                     r.avg_reward, *r.probs, *r.explicit)))
+                    for r in rows]
+
+        assert types(got.rows) == types(want.rows)
 
     def test_hostile_names_run_and_match(self, tmp_path):
         # Names reach the rows and the CSV, never the generated source.
@@ -518,14 +535,108 @@ def test_to_csv_matches_csv_writer(tmp_path):
     game = replace(rps(), states=('a,"b',), initial_state='a,"b')
     log = self_play(game, [PlayerSpec(), PlayerSpec(space=RPS_COLUMN_HULL)], 400, seed=8)
     log.to_csv(tmp_path / "fast.csv")
-    with open(tmp_path / "writer.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "player", "state", "action_or_generator_probs",
-                         "explicit_policy_probs", "inst_reward", "avg_reward"])
-        for r in log.rows:
-            writer.writerow([r.iteration, r.player, r.state,
-                             ";".join(repr(float(p)) for p in r.probs),
-                             ";".join(repr(float(p)) for p in r.explicit),
-                             repr(float(r.inst_reward)), repr(float(r.avg_reward))])
+    reference_to_csv(log, tmp_path / "writer.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
     assert b'"a,""b"' in (tmp_path / "fast.csv").read_bytes()
+
+
+def _quoted_names_game():
+    base = random_game(np.random.default_rng(46), n_states=3, action_counts=(2, 3))
+    names = ('a,"b', "c d", "'e\n")
+    return replace(base, states=names, initial_state=names[0])
+
+
+# (game, specs, iterations, checkpoint_every): the golden setups, a Q seat, a
+# 1-arm seat, state names that need CSV quoting, a checkpoint interval that
+# does not divide the run, and a random hull over five actions.
+COLUMNAR_CASES = {
+    **{name: (make_game(), specs, 5_000, None)
+       for name, (make_game, specs, _, _) in GOLDEN_TRAJECTORIES.items()},
+    "q-seat": (rps(), [PlayerSpec(), PlayerSpec(algo="q", config=GAMMA_95)], 3_000, None),
+    "one-arm": (_one_arm_game(), [PlayerSpec(), PlayerSpec()], 3_000, None),
+    "quoted-names": (_quoted_names_game(), [PlayerSpec(config=GAMMA_95),
+                                            PlayerSpec(space=random_global_hull(
+                                                np.random.default_rng(47), 3, 3, k=2))],
+                     3_000, None),
+    "uneven-checkpoints": (blotto_4_3(), [PlayerSpec(), PlayerSpec()], 1_000, 7),
+    "blotto-random-hull": (*ORACLE_CASES["blotto-random-hull"], 3_000, None),
+}
+
+
+@pytest.fixture(scope="module")
+def columnar_logs():
+    """Each case's columnar log beside the row log of the scalar oracle loop."""
+    return {
+        name: (self_play(game, specs, iterations, 19, every),
+               reference_self_play(game, specs, iterations, 19, every))
+        for name, (game, specs, iterations, every) in COLUMNAR_CASES.items()
+    }
+
+
+class TestColumnarLog:
+    @pytest.mark.parametrize("name", sorted(COLUMNAR_CASES))
+    def test_writers_match_rowwise_oracles(self, columnar_logs, name, tmp_path):
+        got, want = columnar_logs[name]
+        game, specs = COLUMNAR_CASES[name][:2]
+        got.to_csv(tmp_path / "got.csv")
+        reference_to_csv(want, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        action_names = [list(names) for names in game.action_sets]
+        (tmp_path / "got").mkdir()
+        (tmp_path / "want").mkdir()
+        _write_plot_files(tmp_path / "got", got, [[0.5]] * game.n_players, action_names)
+        reference_plot_data(tmp_path / "want", want, action_names)
+        for i in range(game.n_players):
+            data = f"plot_player{i}.dat"
+            assert (tmp_path / "got" / data).read_bytes() == (tmp_path / "want" / data).read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(COLUMNAR_CASES))
+    def test_statistics_match_rowwise_oracles(self, columnar_logs, name):
+        got, want = columnar_logs[name]
+        specs = COLUMNAR_CASES[name][1]
+        hull_seats = [i for i, spec in enumerate(specs) if spec.space is not None]
+        restricted = hull_seats[0] if hull_seats else None
+        # repr also tells a Python float from a NumPy scalar.
+        assert repr(_run_stats(got, restricted)) == repr(reference_run_stats(want, restricted))
+        for threshold, window in ((0.0, 1), (0.01, 10_000), (10.0, 500), (0.5, 50)):
+            assert got.stabilization_iteration(threshold, window) == \
+                reference_grouped_stabilization_iteration(want, threshold, window)
+        for i in range(got.n_players):
+            for fraction in (0.1, 0.5, 1.0):
+                assert got.window_average_reward(i, fraction) == \
+                    reference_window_average_reward(want, i, fraction)
+                for state in got.states:
+                    for explicit in (True, False):
+                        assert np.array_equal(
+                            got.mean_final_policy(i, fraction, explicit, state),
+                            reference_mean_final_policy(want, i, fraction, explicit, state),
+                        )
+        final = [Policy(np.asarray([player_rows(want, i, state)[-1].explicit
+                                    for state in want.states]))
+                 for i in range(want.n_players)]
+        assert all(np.array_equal(a.probs, b.probs)
+                   for a, b in zip(final_joint_policy(COLUMNAR_CASES[name][0], got), final))
+
+    def test_reproduce_builds_no_checkpoint_rows(self, monkeypatch, tmp_path):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a CheckpointRow was built")
+
+        monkeypatch.setattr(CheckpointRow, "__init__", refuse)
+        spec = ReproductionSpec(name="rps-restricted", seed=2, iterations=2_000, n_seeds=2,
+                                outdir=tmp_path)
+        summary = reproduce(spec)
+        assert len(summary["runs"]) == 2
+        for name in ("trajectory_seed2.csv", "trajectory_seed3.csv", "plot_player0.dat",
+                     "plot_player1.dat", "plot.gp", "summary.json"):
+            assert (tmp_path / name).stat().st_size > 0
+        with pytest.raises(AssertionError, match="CheckpointRow"):
+            self_play(rps(), [PlayerSpec(), PlayerSpec()], 10, seed=0).rows
+
+
+def test_repr_rows_matches_float_repr():
+    mat = np.array([[0.1, -0.0, 1e-300, 2.0 / 3.0], [np.nan, np.inf, -np.inf, -1.5]])
+    for sep in (";", ",", " "):
+        assert _repr_rows(mat, sep) == [sep.join(repr(float(x)) for x in row) for row in mat]
+    assert _repr_rows(mat[:, 0]) == ["0.1", "nan"]
+    assert _repr_rows(mat[:1, 0]) == ["0.1"]
+    assert _repr_rows(mat[:0]) == [] and _repr_rows(mat[:0, 0]) == []

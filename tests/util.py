@@ -6,13 +6,18 @@ concavity-justified local refinement for larger action counts), and
 expected values asserted in the test modules were computed by hand or by
 these oracles, never by the code under test.  ``reference_self_play`` is
 the per-iteration self-play loop over the public single-step rules, the
-oracle for ``self_play``'s generated kernel.
+oracle for ``self_play``'s generated kernel; it logs ``CheckpointRow``s,
+and the row-wise writers and statistics here are the oracles for the
+columnar ``TrajectoryLog``.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import random
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +35,6 @@ from sgl.learners import (
     CheckpointRow,
     LearnerState,
     PlayerSpec,
-    TrajectoryLog,
     fresh_learner,
     q_learner_step,
     wolf_phc_step,
@@ -549,6 +553,123 @@ def hull_grid_max(
     return float(values[:, game.initial_index, 0].max())
 
 
+@dataclass
+class ReferenceLog:
+    """A self-play log as the list of rows the columnar ``TrajectoryLog`` replaced."""
+
+    states: tuple[str, ...]
+    n_players: int
+    iterations: int
+    seed: int
+    checkpoint_every: int
+    rows: list[CheckpointRow]
+
+
+def player_rows(log, player: int, state: str | None = None) -> list[CheckpointRow]:
+    """One player's rows in one state (the first by default), in checkpoint order."""
+    state = state if state is not None else log.states[0]
+    return [r for r in log.rows if r.player == player and r.state == state]
+
+
+# The row-wise readers and writers the columnar log replaced, kept as its
+# oracles: each takes any log with ``rows`` and reads nothing else of it.
+
+
+def reference_to_csv(log, path) -> None:
+    """``TrajectoryLog.to_csv`` as ``csv.writer`` over the rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iteration", "player", "state", "action_or_generator_probs",
+                         "explicit_policy_probs", "inst_reward", "avg_reward"])
+        for r in log.rows:
+            writer.writerow([r.iteration, r.player, r.state,
+                             ";".join(repr(float(p)) for p in r.probs),
+                             ";".join(repr(float(p)) for p in r.explicit),
+                             repr(float(r.inst_reward)), repr(float(r.avg_reward))])
+
+
+def reference_plot_data(outdir, log, action_names) -> None:
+    """The ``plot_player<i>.dat`` files of ``experiments._write_plot_files``, row by row."""
+    for i in range(log.n_players):
+        with open(outdir / f"plot_player{i}.dat", "w", encoding="utf-8") as fh:
+            fh.write("# iteration " + " ".join(action_names[i]) + "\n")
+            for r in player_rows(log, i):
+                fh.write(f"{r.iteration} " + " ".join(repr(float(p)) for p in r.explicit) + "\n")
+
+
+def reference_mean_final_policy(
+    log, player: int, fraction: float = 0.1, explicit: bool = True, state: str | None = None
+) -> np.ndarray:
+    cutoff = log.iterations * (1.0 - fraction)
+    rows = [r for r in player_rows(log, player, state) if r.iteration > cutoff]
+    if not rows:
+        raise ValueError("no checkpoints in the requested window")
+    return np.mean(np.asarray([r.explicit if explicit else r.probs for r in rows]), axis=0)
+
+
+def reference_window_average_reward(log, player: int, fraction: float = 0.1) -> float:
+    rows = player_rows(log, player)
+    cutoff = log.iterations * (1.0 - fraction)
+    before = [r for r in rows if r.iteration <= cutoff]
+    last = rows[-1]
+    if not before:
+        return last.avg_reward
+    edge = before[-1]
+    span = last.iteration - edge.iteration
+    if span <= 0:
+        return last.avg_reward
+    return (last.avg_reward * last.iteration - edge.avg_reward * edge.iteration) / span
+
+
+def reference_grouped_stabilization_iteration(
+    log, threshold: float = 0.01, window: int = 10_000
+) -> int:
+    """``TrajectoryLog.stabilization_iteration`` over rows grouped by checkpoint."""
+    order = {state: k for k, state in enumerate(log.states)}
+    grouped: list[dict[int, list]] = [{} for _ in range(log.n_players)]
+    for r in log.rows:
+        grouped[r.player].setdefault(r.iteration, []).append((order[r.state], r.explicit))
+    iters = sorted(grouped[0])
+    its = np.asarray(iters, dtype=np.int64)
+    prev = np.searchsorted(its, its - window, side="right") - 1
+    cur = np.flatnonzero(prev >= 0)
+    if cur.size == 0:
+        return log.iterations
+    prev = prev[cur]
+    move = np.zeros(cur.size)
+    for by_iter in grouped:
+        series = np.array([
+            [p for _, explicit in sorted(by_iter[it], key=itemgetter(0)) for p in explicit]
+            for it in iters
+        ])
+        np.maximum(move, np.abs(series[cur] - series[prev]).sum(axis=1), out=move)
+    rates = move * (window / (its[cur] - its[prev]))
+    unstable = np.flatnonzero(~(rates < threshold))
+    start = int(unstable[-1]) + 1 if unstable.size else 0
+    return int(its[cur[start]]) if start < cur.size else log.iterations
+
+
+def reference_run_stats(log, restricted_player: int | None) -> dict:
+    """``experiments._run_stats`` over the rows."""
+    n = log.n_players
+    stats = {
+        "seed": log.seed,
+        "final_policies": [list(player_rows(log, i)[-1].explicit) for i in range(n)],
+        "mean_final_policies": [
+            [float(x) for x in reference_mean_final_policy(log, i, 0.1)] for i in range(n)
+        ],
+        "window_avg_rewards": [reference_window_average_reward(log, i, 0.1) for i in range(n)],
+        "running_avg_rewards": [player_rows(log, i)[-1].avg_reward for i in range(n)],
+        "stabilization_iteration": reference_grouped_stabilization_iteration(log),
+    }
+    if restricted_player is not None:
+        stats["mean_final_weights"] = [
+            float(x)
+            for x in reference_mean_final_policy(log, restricted_player, 0.1, explicit=False)
+        ]
+    return stats
+
+
 def reference_stabilization_iteration(
     log, threshold: float = 0.01, window: int = 10_000
 ) -> int:
@@ -562,7 +683,7 @@ def reference_stabilization_iteration(
     for i in range(log.n_players):
         series: dict[int, list] = {}
         for state in log.states:
-            for r in log.player_rows(i, state):
+            for r in player_rows(log, i, state):
                 series.setdefault(r.iteration, []).append(np.asarray(r.explicit))
         per_player_series.append(
             [(it, np.concatenate(series[it])) for it in sorted(series)]
@@ -661,8 +782,10 @@ def reference_self_play(
 
     Each seat draws from its own ``random.Random`` one call at a time and
     updates through the public single-step rules (``wolf_phc_step``,
-    ``q_learner_step``); the generated kernel must reproduce every row of
-    this log bit for bit.
+    ``q_learner_step``), and logs one ``CheckpointRow`` per (checkpoint,
+    player, state) as it goes, a hull seat's explicit play one vector-matrix
+    product per row; the generated kernel and the columnar log must
+    reproduce every row of this log bit for bit.
     """
     if len(specs) != game.n_players:
         raise MalformedInputError("need one player spec per player")
@@ -763,19 +886,24 @@ def reference_self_play(
                 inst = rewards[i][s][j]
                 avg = totals[i] / (t + 1)
                 for state_idx in range(n_states):
+                    w = learners[i].policy[state_idx]
+                    generators = learners[i].generators
+                    explicit = tuple(w) if generators is None else tuple(
+                        (np.asarray(w) @ generators[:, state_idx, :]).tolist()
+                    )
                     rows.append(
                         CheckpointRow(
                             iteration=t + 1,
                             player=i,
                             state=game.states[state_idx],
-                            probs=tuple(learners[i].policy[state_idx]),
-                            explicit=tuple(learners[i].explicit_row(state_idx)),
+                            probs=tuple(w),
+                            explicit=explicit,
                             inst_reward=inst,
                             avg_reward=avg,
                         )
                     )
         s = s2
-    return TrajectoryLog(
+    return ReferenceLog(
         states=game.states,
         n_players=n,
         iterations=iterations,
