@@ -167,7 +167,7 @@ def _cmd_sweep(args) -> int:
         "epsilon_equilibrium_found": result.epsilon_equilibrium_found,
         "argmin_params": [list(p) for p in result.argmin_params],
         "argmin_joint": joint_policy_to_list(result.argmin_joint, game.states),
-        "grid_points": len(result.rows),
+        "grid_points": len(result.gaps),
         "csv": args.out,
     }
     print(json.dumps(payload, indent=2))
@@ -196,7 +196,7 @@ def _cmd_learn(args) -> int:
     log = self_play(game, specs, args.iters, args.seed)
     if args.out:
         log.to_csv(args.out)
-    final_joint = final_joint_policy(game, log)
+    final_joint = final_joint_policy(log)
     payload = {
         "iterations": log.iterations,
         "seed": log.seed,

@@ -43,7 +43,6 @@ from .games import (
     MalformedInputError,
     Policy,
     StochasticGame,
-    _repr_rows,
     bach_stravinsky,
     blotto_4_3,
     fact5_game,
@@ -204,24 +203,24 @@ def _run_stats(log: TrajectoryLog, restricted_player: int | None) -> dict:
 
 def _write_plot_files(
     outdir: Path,
-    log: TrajectoryLog,
+    checkpoints: np.ndarray,
+    explicit_texts: list[list[str]],
     reference: list[list[float]],
     action_names: list[list[str]],
 ) -> None:
     """Policy-vs-iteration data plus a gnuplot script with reference lines.
 
     The data are each player's explicit play in the first state, one line
-    per checkpoint.
+    per checkpoint; ``explicit_texts`` are those lines' numbers as
+    ``TrajectoryLog.to_csv`` returns them.
     """
     plot_names = []
-    its = log.checkpoints.tolist()
-    for i, explicit in enumerate(log.explicit):
+    its = checkpoints.tolist()
+    for i, texts in enumerate(explicit_texts):
         path = outdir / f"plot_player{i}.dat"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("# iteration " + " ".join(action_names[i]) + "\n")
-            fh.writelines(
-                f"{it} {text}\n" for it, text in zip(its, _repr_rows(explicit[:, 0], " "))
-            )
+            fh.writelines(f"{it} {text}\n" for it, text in zip(its, texts))
         plot_names.append(path.name)
     lines = [
         "set xlabel 'iterations'",
@@ -309,15 +308,18 @@ def _experiment_learning(spec: ReproductionSpec) -> dict:
     outdir = spec.outdir
     outdir.mkdir(parents=True, exist_ok=True)
     stats = []
-    for seed, log in runs:
-        log.to_csv(outdir / f"trajectory_seed{seed}.csv")
+    for n, (seed, log) in enumerate(runs):
+        explicit_texts = log.to_csv(outdir / f"trajectory_seed{seed}.csv")
+        if n == 0:
+            _write_plot_files(
+                outdir,
+                log.checkpoints,
+                explicit_texts,
+                [reference["row"], reference["col"]],
+                [list(names) for names in game.action_sets],
+            )
+        del explicit_texts  # freed before the next seed's CSV
         stats.append(_run_stats(log, restricted_player))
-    _write_plot_files(
-        outdir,
-        runs[0][1],
-        [reference["row"], reference["col"]],
-        [list(names) for names in game.action_sets],
-    )
     return {
         "experiment": spec.name,
         "base_seed": spec.seed,
@@ -422,7 +424,7 @@ def _experiment_fact5(spec: ReproductionSpec) -> dict:
             "refinement_bound": sweep.refinement_bound,
             "margin": sweep.margin,
             "argmin_params": [list(p) for p in sweep.argmin_params],
-            "grid_points": len(sweep.rows),
+            "grid_points": len(sweep.gaps),
         },
         "column_best_response_set_nonconvex": nonconvex,
         "claim": (

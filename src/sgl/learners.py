@@ -44,7 +44,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -397,12 +396,16 @@ class TrajectoryLog:
         start = int(unstable[-1]) + 1 if unstable.size else 0
         return int(its[cur[start]]) if start < cur.size else self.iterations
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path) -> list[list[str]]:
         """Write one line per row, in the bytes ``csv.writer`` would produce.
 
         Each float column is formatted whole by ``_repr_rows`` (a float's
         ``repr`` never needs quoting); each state name, which may, is
-        quoted once through ``csv.writer``.
+        quoted once through ``csv.writer``.  Lines are assembled as they are
+        written, so only the column texts are held.  Returns each seat's
+        explicit play in the first state as texts, one per checkpoint with
+        the entries separated by spaces, for writers of the same numbers to
+        reuse.
         """
         its = [str(it) for it in self.checkpoints.tolist()]
         columns = []
@@ -417,10 +420,7 @@ class TrajectoryLog:
                 explicit = probs
                 if self.explicit[i] is not self.probs[i]:
                     explicit = _repr_rows(self.explicit[i][:, s])
-                columns.append([
-                    f"{it}{head}{p},{e},{r},{a}\r\n"
-                    for it, p, e, r, a in zip(its, probs, explicit, inst, avg)
-                ])
+                columns.append((head, probs, explicit, inst, avg))
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(
                 [
@@ -433,29 +433,15 @@ class TrajectoryLog:
                     "avg_reward",
                 ]
             )
-            fh.writelines(itertools.chain.from_iterable(zip(*columns)))
-
-
-def load_trajectory_rows(path) -> list[CheckpointRow]:
-    rows = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        for record in csv.DictReader(fh):
-            rows.append(
-                CheckpointRow(
-                    iteration=int(record["iteration"]),
-                    player=int(record["player"]),
-                    state=record["state"],
-                    probs=tuple(
-                        float(x) for x in record["action_or_generator_probs"].split(";")
-                    ),
-                    explicit=tuple(
-                        float(x) for x in record["explicit_policy_probs"].split(";")
-                    ),
-                    inst_reward=float(record["inst_reward"]),
-                    avg_reward=float(record["avg_reward"]),
-                )
+            fh.writelines(
+                f"{it}{head}{probs[n]},{explicit[n]},{inst[n]},{avg[n]}\r\n"
+                for n, it in enumerate(its)
+                for head, probs, explicit, inst, avg in columns
             )
-    return rows
+        return [
+            "\n".join(column[2]).replace(";", " ").split("\n")
+            for column in columns[::len(self.states)]
+        ]
 
 
 # Steps of uniforms drawn per stream at a time: a few thousand keep the
@@ -767,6 +753,6 @@ def self_play(
     )
 
 
-def final_joint_policy(game: StochasticGame, log: TrajectoryLog) -> JointPolicy:
+def final_joint_policy(log: TrajectoryLog) -> JointPolicy:
     """The explicit joint policy at the last checkpoint."""
     return JointPolicy(tuple(Policy(explicit[-1]) for explicit in log.explicit))

@@ -59,6 +59,7 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -154,15 +155,54 @@ class RestrictedMatrixEquilibrium:
     implicit: ImplicitGame
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """An existence sweep's summary and its lattice, by column.
+
+    ``params[i]`` (n_i, w_i) holds player i's lattice parameters, one row
+    per lattice point (a player without parameters has one 0.0 column).
+    ``gaps`` (N, n_players) holds every joint lattice point's gaps, the
+    points in row-major order over the players' lattices, the last player
+    fastest.  A point's ``max_gap`` is its gap of the first maximum.
+    ``rows`` builds the row view only when asked.
+    """
+
     min_max_gap: float
     argmin_params: tuple[tuple[float, ...], ...]
     argmin_joint: JointPolicy
     refinement_bound: float
     epsilon: float
-    rows: list[tuple]
-    header: tuple[str, ...]
+    params: tuple[np.ndarray, ...]
+    gaps: np.ndarray
+
+    @property
+    def header(self) -> tuple[str, ...]:
+        return tuple(
+            [f"p{i}_param{d}" for i, table in enumerate(self.params)
+             for d in range(table.shape[1])]
+            + [f"gap_{i}" for i in range(self.gaps.shape[1])]
+            + ["max_gap"]
+        )
+
+    @functools.cached_property
+    def rows(self) -> list[tuple]:
+        """One tuple of Python floats per lattice point, in header order.
+
+        Built column by column on first use: each lattice parameter's
+        floats are made once and repeated, as the lattice orders them.
+        """
+        sizes = [len(table) for table in self.params]
+        columns = []
+        for i, table in enumerate(self.params):
+            inner, outer = math.prod(sizes[i + 1:]), math.prod(sizes[:i])
+            for values in table.T.tolist():
+                repeated = itertools.chain.from_iterable(
+                    itertools.repeat(v, inner) for v in values
+                )
+                columns.append(list(repeated) * outer)
+        columns.extend(self.gaps.T.tolist())
+        columns.append(_first_max(self.gaps).tolist())
+        return list(zip(*columns))
 
     @property
     def margin(self) -> float:
@@ -976,6 +1016,11 @@ def restricted_equilibrium_via_implicit(
 # ---------------------------------------------------------------------------
 
 
+def _first_max(gaps: np.ndarray) -> np.ndarray:
+    """Each row's entry at its first maximum: a lattice point's ``max_gap``."""
+    return np.take_along_axis(gaps, gaps.argmax(axis=1)[:, np.newaxis], axis=1)[:, 0]
+
+
 def sweep_existence(
     game: StochasticGame,
     spaces: Sequence[RestrictedPolicySpace],
@@ -1013,27 +1058,15 @@ def sweep_existence(
         br_values.append(
             np.array([br.value for br in _best_responses(game, i, profiles, spaces[i])])
         )
-    param_widths = [max(1, len(grids[i][0][0])) for i in range(len(spaces))]
-    header = tuple(
-        [f"p{i}_param{d}" for i in range(len(spaces)) for d in range(param_widths[i])]
-        + [f"gap_{i}" for i in range(game.n_players)]
-        + ["max_gap"]
-    )
     policy_tables = [np.stack([policy.probs for _, policy in grid]) for grid in grids]
-    # Row entries reuse the lattice's own float objects, as a per-point loop
-    # would, so the rows cost no more memory than the tuples holding them.
-    param_lists = [
-        [params if params else (0.0,) for params, _ in grid] for grid in grids
-    ]
-    total = int(np.prod(sizes))
-    rows: list[tuple] = []
-    gap_lattice = np.zeros(total)
-    best_gap = np.inf
-    best_flat: int | None = None
+    params = tuple(
+        np.array([p if p else (0.0,) for p, _ in grid], dtype=float) for grid in grids
+    )
+    total = math.prod(sizes)
+    gaps = np.empty((total, game.n_players))
     for start in range(0, total, _BATCH):
         stop = min(start + _BATCH, total)
         lattice_idx = np.unravel_index(np.arange(start, stop), sizes)
-        point_idx = [ix.tolist() for ix in lattice_idx]
         current = policy_values(
             game, [policy_tables[i][lattice_idx[i]] for i in range(len(spaces))]
         )
@@ -1046,24 +1079,19 @@ def sweep_existence(
                 else 0
             )
             responses[:, i] = br_values[i][keys]
-        gaps = np.maximum(responses - current, 0.0)
-        gap_lattice[start:stop] = gaps.max(axis=1)
-        param_columns = [
-            [param_lists[i][k][d] for k in point_idx[i]]
-            for i in range(len(spaces))
-            for d in range(param_widths[i])
-        ]
-        gap_columns = [column.tolist() for column in gaps.T]
-        first_max = np.argmax(gaps, axis=1).tolist()
-        max_column = [gap_columns[at][row] for row, at in enumerate(first_max)]
-        rows.extend(zip(*param_columns, *gap_columns, max_column))
-        for offset, max_gap in enumerate(max_column):
-            if max_gap < best_gap - 1e-15:
-                best_gap = max_gap
-                best_flat = start + offset
+        np.maximum(responses - current, 0.0, out=gaps[start:stop])
+    max_gaps = _first_max(gaps)
+    # The minimum a point-by-point scan finds: the first point, then each
+    # point below the current choice by more than 1e-15.  Only a point below
+    # every earlier point's max_gap can be chosen.
+    best_gap, best_flat = np.inf, None
+    earlier = np.minimum.accumulate(max_gaps)
+    for at in [0, *(np.flatnonzero(max_gaps[1:] < earlier[:-1]) + 1).tolist()]:
+        if max_gaps[at] < best_gap - 1e-15:
+            best_gap, best_flat = max_gaps[at], at
     assert best_flat is not None
     best_idx = tuple(int(x) for x in np.unravel_index(best_flat, sizes))
-    gap_lattice = gap_lattice.reshape(sizes)
+    gap_lattice = max_gaps.reshape(sizes)
     refinement = 0.0
     for axis in range(len(sizes)):
         if sizes[axis] > 1:
@@ -1079,8 +1107,8 @@ def sweep_existence(
         argmin_joint=argmin_joint,
         refinement_bound=refinement,
         epsilon=epsilon,
-        rows=rows,
-        header=header,
+        params=params,
+        gaps=gaps,
     )
 
 
@@ -1189,8 +1217,8 @@ def certificate_to_dict(cert: EquilibriumCertificate, game: StochasticGame) -> d
     }
 
 
-# Sweep rows formatted at a time: at 128 the text and index arrays of a
-# chunk take less memory than the rest of writing the file does.
+# Sweep rows formatted at a time: at 128 the texts of a chunk take less
+# memory than the rest of writing the file does.
 _CSV_ROWS = 128
 
 
@@ -1198,19 +1226,22 @@ def sweep_to_csv(result: SweepResult, path) -> None:
     """Write the sweep as CSV: the header, then each row's floats as ``repr``.
 
     A float's ``repr`` never needs quoting, so rows are joined directly, in
-    the bytes ``csv.writer`` would produce.  ``_CSV_ROWS`` rows are
-    formatted at a time, each distinct float once: the lattice parameters
-    repeat, and each ``max_gap`` repeats one of its row's gaps.  Floats are
-    told apart by their bits, since ``-0.0 == 0.0`` but their ``repr``s
-    differ.
+    the bytes ``csv.writer`` would produce.  The texts are made column by
+    column: each player's lattice parameters once per lattice point, and
+    each gap column ``_CSV_ROWS`` rows at a time; a row's ``max_gap`` text
+    is its text in the column of the first maximum, as the sweep defines
+    ``max_gap``.  ``repr`` tells ``-0.0`` from ``0.0``, so the texts do too.
     """
+    sizes = [len(table) for table in result.params]
+    param_texts = [np.array(_repr_rows(table, ","), dtype=object) for table in result.params]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(result.header)
-        for start in range(0, len(result.rows), _CSV_ROWS):
-            chunk = np.array(result.rows[start:start + _CSV_ROWS], dtype=float)
-            bits, inverse = np.unique(chunk.view(np.int64).ravel(), return_inverse=True)
-            texts = np.array(_repr_rows(bits.view(float)), dtype=object)
-            fh.writelines(
-                ",".join(row) + "\r\n"
-                for row in texts[inverse.reshape(chunk.shape)].tolist()
-            )
+        for start in range(0, len(result.gaps), _CSV_ROWS):
+            gaps = result.gaps[start:start + _CSV_ROWS]
+            point = np.unravel_index(np.arange(start, start + len(gaps)), sizes)
+            columns = [texts[at].tolist() for texts, at in zip(param_texts, point)]
+            gap_texts = [_repr_rows(column) for column in gaps.T]
+            first_max = gaps.argmax(axis=1).tolist()
+            columns.extend(gap_texts)
+            columns.append([gap_texts[at][row] for row, at in enumerate(first_max)])
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")

@@ -11,7 +11,10 @@ There is one evaluator family, and every member works on a batch:
 ``mdp_policy_values`` (an induced MDP's per-state values) take a leading
 batch axis and make one solve over the (B, |S|, |S|) stack, and
 ``policy_value`` and ``mdp_policy_value`` are their batch-of-one case.
-``mdp_run_values`` does the same for a stack cut into runs, one MDP each.
+``mdp_run_values`` does the same for a stack cut into runs, one MDP each,
+and ``mdp_policy_values`` is its one-run case: the runs' MDP arrays are
+gathered per row, so one ``einsum`` contracts every run, with the bits of
+contracting each run on its own.
 A residual that is above VALUE_TOL or not a number, or a non-finite
 average gain, raises ArithmeticError, and a NaN in an average-reward
 chain raises MalformedInputError before the stationary solve, so
@@ -263,20 +266,27 @@ def mdp_run_values(
 
     ``cuts`` lists the rows where each run after the first starts, so run r
     spans rows cuts[r - 1] (or 0) to cuts[r] (or B) and is evaluated in
-    ``mdps[r]``; the MDPs share states, actions and formulation.  Each run
-    is contracted with its own MDP's arrays, so no MDP is copied per row,
-    and one linear solve then covers the whole stack.
+    ``mdps[r]``; the MDPs share states, actions and formulation.  The runs'
+    MDP arrays are stacked once and gathered per row (every row of a
+    single run gathers the one MDP), max(1, B // |A|) rows at a time, so
+    the gathered (rows, |S|, |A|, |S|) transitions are no larger than the
+    (B, |S|, |S|) Markov stack once B >= |A|.  Each row's products and
+    sums are the ones a per-run contraction makes, bit for bit, and one
+    linear solve then covers the whole stack.
     """
     probs = np.asarray(probs, dtype=float)
     mdp = mdps[0]
     if probs.ndim != 3 or probs.shape[1:] != (mdp.n_states, mdp.n_actions):
         raise MalformedInputError("policy stack shape mismatch with the MDP")
-    p = np.empty((probs.shape[0], mdp.n_states, mdp.n_states))
-    r = np.empty((probs.shape[0], mdp.n_states))
-    bounds = [0, *cuts, probs.shape[0]]
-    for run_mdp, start, stop in zip(mdps, bounds[:-1], bounds[1:]):
-        np.einsum("bsa,sat->bst", probs[start:stop], run_mdp.transition, out=p[start:stop])
-        np.einsum("bsa,sa->bs", probs[start:stop], run_mdp.reward, out=r[start:stop])
+    n = probs.shape[0]
+    run = np.repeat(np.arange(len(mdps)), np.diff([0, *cuts, n]))
+    transitions = np.stack([m.transition for m in mdps])
+    r = np.einsum("bsa,bsa->bs", probs, np.stack([m.reward for m in mdps])[run])
+    p = np.empty((n, mdp.n_states, mdp.n_states))
+    step = max(1, n // mdp.n_actions)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        np.einsum("bsa,bsat->bst", probs[rows], transitions[run[rows]], out=p[rows])
     if isinstance(mdp.formulation, Discounted):
         return _discounted_values(p, r[:, np.newaxis, :], mdp.formulation.gamma)[:, 0, :]
     return np.repeat(_average_gains(p, r[:, np.newaxis, :]), mdp.n_states, axis=1)

@@ -36,8 +36,8 @@ from sgl.restrictions import (
     save_spaces,
 )
 from sgl.games import MalformedInputError, Policy, joint_policy_to_list
-from sgl.learners import PlayerSpec, final_joint_policy, load_trajectory_rows, self_play
-from util import player_rows
+from sgl.learners import PlayerSpec, final_joint_policy, self_play
+from util import load_trajectory_rows, player_rows
 
 # What an installer's generated `sgl` script does, given the entry point value
 # as its first argument.
@@ -371,7 +371,7 @@ class TestLearn:
         )
         assert code == 0
         assert payload["final_in_space"] == [True, False]
-        joint = final_joint_policy(game, self_play(game, [PlayerSpec(), PlayerSpec(
+        joint = final_joint_policy(self_play(game, [PlayerSpec(), PlayerSpec(
             space=StateUniform(3, 2))], 500, 3))
         assert payload["final_joint"] == joint_policy_to_list(joint, game.states)
         assert not StateUniform(3, 2).contains(joint[1])
@@ -399,7 +399,7 @@ class TestLearn:
             player_rows(log, i)[-1].avg_reward for i in range(2)
         ]
         assert payload["final_joint"] == joint_policy_to_list(
-            final_joint_policy(game, log), game.states
+            final_joint_policy(log), game.states
         )
         assert payload["final_in_space"] == [True, True]
 

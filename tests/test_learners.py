@@ -28,7 +28,6 @@ from sgl.learners import (
     _uniform_stream,
     final_joint_policy,
     fresh_learner,
-    load_trajectory_rows,
     q_learner_step,
     self_play,
     wolf_phc_step,
@@ -36,6 +35,7 @@ from sgl.learners import (
 from sgl.restrictions import ConvexHullGlobal, FullSpace, StateUniform
 from sgl.solvers import check_equilibrium
 from util import (
+    load_trajectory_rows,
     player_rows,
     random_game,
     random_global_hull,
@@ -296,7 +296,7 @@ class TestSelfPlay:
 
     def test_final_joint_policy_matches_last_checkpoint(self, rps_game):
         log = self_play(rps_game, [PlayerSpec(), PlayerSpec()], 1000, seed=9)
-        joint = final_joint_policy(rps_game, log)
+        joint = final_joint_policy(log)
         assert tuple(joint[0].probs[0]) == player_rows(log, 0)[-1].explicit
 
     def test_window_average_reward_matches_recount(self, rps_game):
@@ -578,13 +578,14 @@ class TestColumnarLog:
     def test_writers_match_rowwise_oracles(self, columnar_logs, name, tmp_path):
         got, want = columnar_logs[name]
         game, specs = COLUMNAR_CASES[name][:2]
-        got.to_csv(tmp_path / "got.csv")
+        explicit_texts = got.to_csv(tmp_path / "got.csv")
         reference_to_csv(want, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         action_names = [list(names) for names in game.action_sets]
         (tmp_path / "got").mkdir()
         (tmp_path / "want").mkdir()
-        _write_plot_files(tmp_path / "got", got, [[0.5]] * game.n_players, action_names)
+        _write_plot_files(tmp_path / "got", got.checkpoints, explicit_texts,
+                          [[0.5]] * game.n_players, action_names)
         reference_plot_data(tmp_path / "want", want, action_names)
         for i in range(game.n_players):
             data = f"plot_player{i}.dat"
@@ -615,7 +616,7 @@ class TestColumnarLog:
                                     for state in want.states]))
                  for i in range(want.n_players)]
         assert all(np.array_equal(a.probs, b.probs)
-                   for a, b in zip(final_joint_policy(COLUMNAR_CASES[name][0], got), final))
+                   for a, b in zip(final_joint_policy(got), final))
 
     def test_reproduce_builds_no_checkpoint_rows(self, monkeypatch, tmp_path):
         def refuse(self, *args, **kwargs):

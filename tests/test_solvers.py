@@ -1,5 +1,6 @@
 """Equilibrium solvers against hand-derived and brute-force oracles."""
 
+import itertools
 import weakref
 from fractions import Fraction
 
@@ -920,20 +921,65 @@ class TestSweep:
 
         spaces = [StateUniform(3, 2), StateUniform(3, 2)]
         result = sweep_existence(fact5, spaces, resolution=0.25, epsilon=1e-8)
-        # Signed zeros, small exponents and zero gaps beside the real rows.
-        extra = [(-0.0, 1e-05, 0.0, 0.0, 0.0), (0.5, 2.5e-07, 1e-05, -0.0, 1e-05),
-                 (1.0, 0.1, 1e300, 5e-324, 1e300)]
-        result = dataclasses.replace(result, rows=list(result.rows) + extra)
+        # Two more lattice points per player and 24 more gap rows beside the
+        # real ones: signed zeros, small and huge exponents, the least
+        # subnormal, and ties between the two gaps whose texts differ.
+        params = (np.vstack([result.params[0], [[-0.0], [1e-05]]]),
+                  np.vstack([result.params[1], [[2.5e-07], [1e300]]]))
+        special = [(-0.0, 0.0), (0.0, -0.0), (1e-05, 1e-05), (5e-324, 0.0),
+                   (1e300, 5e-324), (-0.0, -0.0), (0.0, 1e-05), (1e300, 1e300)]
+        gaps = np.vstack([result.gaps, special * 3])
+        result = dataclasses.replace(result, params=params, gaps=gaps)
+        # The rows built here from the columns, max(g) being g's first maximum.
+        points = list(itertools.product(params[0].tolist(), params[1].tolist()))
+        rows = [(*p0, *p1, *g, max(g)) for (p0, p1), g in zip(points, gaps.tolist())]
+        assert len(rows) == 49 and result.rows == rows
         path = tmp_path / "sweep.csv"
         sweep_to_csv(result, path)
         reference = tmp_path / "reference.csv"
         with open(reference, "w", newline="", encoding="utf-8") as fh:
             writer = csv_mod.writer(fh)
             writer.writerow(result.header)
-            for row in result.rows:
+            for row in rows:
                 writer.writerow([repr(float(x)) for x in row])
         assert path.read_bytes() == reference.read_bytes()
-        assert b"-0.0,1e-05,0.0" in path.read_bytes()
+        text = path.read_bytes()
+        for line in (b"\r\n-0.0,1e+300,", b"\r\n1e-05,2.5e-07,", b",-0.0,0.0,-0.0\r\n",
+                     b",0.0,-0.0,0.0\r\n", b",5e-324,0.0,5e-324\r\n"):
+            assert line in text
+
+    def test_rows_are_cached_python_floats(self, fact5):
+        result = sweep_existence(fact5, [StateUniform(3, 2)] * 2, resolution=0.25, epsilon=1e-8)
+        assert "rows" not in vars(result)
+        rows = result.rows
+        assert rows is result.rows  # built once, then cached
+        assert len(rows) == len(result.gaps) == 25
+        assert {type(x) for row in rows for x in row} == {float}
+
+    def test_three_player_rows_match_pointwise_loop(self):
+        # Every lattice axis repeats differently in the row view; a player
+        # without parameters contributes one 0.0 column.
+        rng = np.random.default_rng(94)
+        game = random_game(rng, n_states=1, action_counts=(2, 3, 2))
+        spaces = [DeterministicOnly(1, 2), FullSpace(1, 3), Singleton(random_policy(rng, 1, 2))]
+        result = sweep_existence(game, spaces, resolution=0.5, epsilon=1e-9)
+        assert result.header == ("p0_param0", "p1_param0", "p1_param1", "p2_param0",
+                                 "gap_0", "gap_1", "gap_2", "max_gap")
+        assert result.rows == reference_sweep_rows(game, spaces, 0.5)
+
+    def test_reproduce_builds_no_row_view(self, monkeypatch, tmp_path):
+        from sgl.experiments import ReproductionSpec, reproduce
+
+        def refuse(self):
+            raise AssertionError("the sweep's row view was built")
+
+        monkeypatch.setattr(solvers.SweepResult, "rows", property(refuse))
+        summary = reproduce(ReproductionSpec(name="fact5", outdir=tmp_path))
+        assert summary["sweep"]["grid_points"] == 201 * 201
+        assert (tmp_path / "sweep.csv").stat().st_size > 0
+        result = sweep_existence(fact5_game(), [StateUniform(3, 2)] * 2, 0.5, 1e-8)
+        with pytest.raises(AssertionError, match="row view"):
+            result.rows
 
 
 class TestBestResponseConvexity:

@@ -17,15 +17,23 @@ from sgl.games import (
     matrix_game,
     rps,
 )
+from sgl import values
 from sgl.values import (
     check_ergodic,
     induce_mdp,
     mdp_policy_value,
     mdp_policy_values,
+    mdp_run_values,
     policy_value,
     policy_values,
 )
-from util import random_game, random_joint_policy, random_policy, simulate_average_reward
+from util import (
+    random_game,
+    random_joint_policy,
+    random_policy,
+    reference_run_values,
+    simulate_average_reward,
+)
 
 
 def two_state_cycle(formulation) -> StochasticGame:
@@ -366,6 +374,60 @@ class TestBatched:
             assert batched.shape == (7, 2)
             for b, joint in enumerate(joints):
                 assert np.max(np.abs(batched[b] - policy_value(game, joint))) <= 1e-12
+
+    @pytest.mark.parametrize("average", [False, True], ids=["discounted", "average"])
+    def test_run_values_match_per_run_loop(self, average):
+        # Runs of uneven length, one to 39 rows, each in its own induced MDP;
+        # one run (every mdp_policy_values call) on up to 71 states; every
+        # other row pure, with exact zeros.
+        rng = np.random.default_rng(51 + average)
+        shapes = [(1, 1, 1), (1, 3, 2), (3, 2, 62), (4, 5, 1), (6, 16, 9), (30, 4, 3), (2, 7, 40),
+                  (71, 3, 1), (30, 8, 1)]
+        for n_states, n_actions, n_runs in shapes:
+            game = random_game(rng, n_states, (n_actions, 2), average=average)
+            mdps = [induce_mdp(game, 0, [random_policy(rng, n_states, 2)])
+                    for _ in range(n_runs)]
+            lengths = rng.integers(1, 40, size=n_runs)
+            cuts = np.cumsum(lengths)[:-1].tolist()
+            probs = np.stack([random_policy(rng, n_states, n_actions).probs
+                              for _ in range(lengths.sum())])
+            pure = rng.integers(n_actions, size=(len(probs[::2]), n_states))
+            probs[::2] = np.eye(n_actions)[pure]
+            got = mdp_run_values(mdps, cuts, probs)
+            assert np.array_equal(got, reference_run_values(mdps, cuts, probs))
+
+    def test_gathered_slices_split_without_changing_bits(self, monkeypatch):
+        # 37 rows of 5 actions are gathered 37 // 5 = 7 rows at a time: six
+        # slices, which the runs cross anywhere.  No slice's gathered
+        # transitions outgrow the (37, |S|, |S|) Markov stack, and the stack
+        # is bit-identical to one unsplit gather and to the per-run loop.
+        rng = np.random.default_rng(57)
+        game = random_game(rng, n_states=4, action_counts=(5, 2))
+        lengths = [1, 9, 3, 1, 8, 7, 2, 6]
+        mdps = [induce_mdp(game, 0, [random_policy(rng, 4, 2)]) for _ in lengths]
+        cuts = np.cumsum(lengths)[:-1].tolist()
+        probs = np.stack([random_policy(rng, 4, 5).probs for _ in range(sum(lengths))])
+        gathered, stacks = [], []
+        einsum, solve = np.einsum, values._discounted_values
+
+        def spy_einsum(spec, *operands, **kwargs):
+            if spec == "bsa,bsat->bst":
+                gathered.append(operands[1].size)
+            return einsum(spec, *operands, **kwargs)
+
+        def spy_solve(p, r, gamma):
+            stacks.append(p)
+            return solve(p, r, gamma)
+
+        monkeypatch.setattr(np, "einsum", spy_einsum)
+        monkeypatch.setattr(values, "_discounted_values", spy_solve)
+        got = mdp_run_values(mdps, cuts, probs)
+        monkeypatch.undo()
+        assert len(gathered) == 6 and max(gathered) <= 37 * 4 * 4
+        run = np.repeat(np.arange(len(lengths)), lengths)
+        whole = np.einsum("bsa,bsat->bst", probs, np.stack([m.transition for m in mdps])[run])
+        assert np.array_equal(stacks[0], whole)
+        assert np.array_equal(got, reference_run_values(mdps, cuts, probs))
 
     def test_mismatched_stacks_rejected(self):
         rng = np.random.default_rng(43)

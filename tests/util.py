@@ -406,6 +406,26 @@ def reference_sweep_rows(game, spaces, resolution: float) -> list[tuple]:
     return rows
 
 
+def reference_run_values(mdps, cuts, probs: np.ndarray) -> np.ndarray:
+    """``values.mdp_run_values`` with one ``einsum`` pair per run.
+
+    The per-run contraction that the gathered one replaced: each run's rows
+    against its own MDP's arrays, then the same batched solve.
+    """
+    from sgl import values
+
+    mdp = mdps[0]
+    p = np.empty((probs.shape[0], mdp.n_states, mdp.n_states))
+    r = np.empty((probs.shape[0], mdp.n_states))
+    bounds = [0, *cuts, probs.shape[0]]
+    for run_mdp, start, stop in zip(mdps, bounds[:-1], bounds[1:]):
+        np.einsum("bsa,sat->bst", probs[start:stop], run_mdp.transition, out=p[start:stop])
+        np.einsum("bsa,sa->bs", probs[start:stop], run_mdp.reward, out=r[start:stop])
+    if isinstance(mdp.formulation, Discounted):
+        return values._discounted_values(p, r[:, np.newaxis, :], mdp.formulation.gamma)[:, 0, :]
+    return np.repeat(values._average_gains(p, r[:, np.newaxis, :]), mdp.n_states, axis=1)
+
+
 def reference_weight_best_response(game, i, others, hull):
     """Route (c) for one opponent profile, one step and one query at a time.
 
@@ -569,6 +589,23 @@ def player_rows(log, player: int, state: str | None = None) -> list[CheckpointRo
     """One player's rows in one state (the first by default), in checkpoint order."""
     state = state if state is not None else log.states[0]
     return [r for r in log.rows if r.player == player and r.state == state]
+
+
+def load_trajectory_rows(path) -> list[CheckpointRow]:
+    """The rows of a trajectory CSV written by ``TrajectoryLog.to_csv``."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        return [
+            CheckpointRow(
+                iteration=int(record["iteration"]),
+                player=int(record["player"]),
+                state=record["state"],
+                probs=tuple(float(x) for x in record["action_or_generator_probs"].split(";")),
+                explicit=tuple(float(x) for x in record["explicit_policy_probs"].split(";")),
+                inst_reward=float(record["inst_reward"]),
+                avg_reward=float(record["avg_reward"]),
+            )
+            for record in csv.DictReader(fh)
+        ]
 
 
 # The row-wise readers and writers the columnar log replaced, kept as its
