@@ -354,8 +354,7 @@ def _fact5_trichotomy_report(game: StochasticGame) -> dict:
     """
     results = []
     for u in (0.0, 0.1, 0.25, 0.4, 0.49, 0.5, 0.51, 0.6, 0.75, 0.9, 1.0):
-        row = Policy.state_uniform(game.n_states, [u, 1.0 - u])
-        mdp = induce_mdp(game, 1, [row])
+        mdp = induce_mdp(game, 1, [np.tile([u, 1.0 - u], (game.n_states, 1))])
 
         def col_value(v: float) -> float:
             probs = np.tile([v, 1.0 - v], (game.n_states, 1))

@@ -694,7 +694,7 @@ def self_play(
         if spec.space is not None:
             if spec.space.n_states != n_states or spec.space.n_actions != counts[i]:
                 raise MalformedInputError(f"player {i} hull does not match the game")
-            hull = np.stack([g.probs for g in spec.space.generators])
+            hull = spec.space.generator_probs
         arms = counts[i] if hull is None else hull.shape[0]
         layouts.append(_SeatLayout(
             arms=int(arms), wolf=spec.algo == "wolf-phc",

@@ -48,8 +48,8 @@ policy; `map_policy` performs that mapping.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -162,8 +162,8 @@ class RestrictedPolicySpace:
     def param_dim(self) -> int:
         raise NotImplementedError
 
-    def param_points(self, resolution: float) -> list[tuple[tuple[float, ...], Policy]]:
-        """Grid of (parameter tuple, policy) pairs covering the space."""
+    def param_points(self, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+        """Grid of (params, policy tables) arrays covering the space."""
         raise NotImplementedError
 
     def _check_shape(self, policy: Policy) -> None:
@@ -181,6 +181,7 @@ class ConvexHullGlobal(RestrictedPolicySpace):
     generators: tuple[Policy, ...]
     is_convex: bool = True
     variant: str = field(default="convex_hull_global", init=False, compare=False, repr=False)
+    generator_probs: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.generators:
@@ -188,7 +189,10 @@ class ConvexHullGlobal(RestrictedPolicySpace):
         shape = self.generators[0].probs.shape
         if any(g.probs.shape != shape for g in self.generators):
             raise MalformedInputError("hull generators must share one shape")
+        stacked = np.stack([g.probs for g in self.generators])
+        stacked.setflags(write=False)
         object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "generator_probs", stacked)
 
     @property
     def n_states(self) -> int:  # type: ignore[override]
@@ -206,21 +210,24 @@ class ConvexHullGlobal(RestrictedPolicySpace):
         """The space itself: every global restriction is already a hull."""
         return self
 
-    def _stacked(self) -> np.ndarray:
-        """Generators flattened to (k, n_states * n_actions)."""
-        return np.stack([g.probs.ravel() for g in self.generators])
+    def blend(self, weights: np.ndarray) -> np.ndarray:
+        """Policy tables (n, |S|, |A|) of an (n, k) weight table, in one product.
+
+        numpy multiplies a lone row on another BLAS path, so outside exact
+        (unit-vector) blends a row's last bit can depend on n."""
+        flat = self.generator_probs.reshape(self.k, -1)
+        probs = (weights @ flat).reshape((weights.shape[0], self.n_states, self.n_actions))
+        # Blends of valid rows can drift at machine scale; renormalize exactly.
+        np.maximum(probs, 0.0, out=probs)
+        probs /= probs.sum(axis=2, keepdims=True)
+        return probs
 
     def policy_of_weights(self, weights: Sequence[float]) -> Policy:
-        w = np.asarray(weights, dtype=float)
-        probs = np.tensordot(w, np.stack([g.probs for g in self.generators]), axes=1)
-        # Blends of valid rows can drift at machine scale; renormalize exactly.
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum(axis=1, keepdims=True)
-        return Policy(probs)
+        return Policy(self.blend(np.asarray(weights, dtype=float)[np.newaxis])[0])
 
     def recover_weights(self, policy: Policy) -> tuple[float, np.ndarray]:
         self._check_shape(policy)
-        return _recover_weights_lp(policy.probs.ravel(), self._stacked())
+        return _recover_weights_lp(policy.probs.ravel(), self.generator_probs.reshape(self.k, -1))
 
     def contains(self, policy: Policy, tol: float = MEMBERSHIP_TOL) -> bool:
         gap, _ = self.recover_weights(policy)
@@ -235,11 +242,10 @@ class ConvexHullGlobal(RestrictedPolicySpace):
     def param_dim(self) -> int:
         return self.k - 1
 
-    def param_points(self, resolution: float):
-        return [
-            (tuple(w[:-1].tolist()), self.policy_of_weights(w))
-            for w in simplex_grid(self.k, resolution)
-        ]
+    def param_points(self, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+        """The weight grid: each point's leading k - 1 weights and its blend."""
+        grid = simplex_grid(self.k, resolution)
+        return grid[:, :-1], self.blend(grid)
 
 
 def _covers_simplex(rows: np.ndarray) -> bool:
@@ -249,16 +255,22 @@ def _covers_simplex(rows: np.ndarray) -> bool:
     return np.unique(rows[unit].argmax(axis=1)).size == n_actions
 
 
+def _product_choice(counts: Sequence[int]) -> np.ndarray:
+    """Every choice of one row per state, as (|S|, n) row indices in
+    ``itertools.product`` order over the states' ``counts`` rows."""
+    return np.indices(counts).reshape(len(counts), -1)
+
+
 @dataclass(frozen=True)
 class ConvexHullStatewise(RestrictedPolicySpace):
     """Per-state convex strategy sets, blended independently at each state.
 
-    ``generators[s]`` lists the extreme strategies available at state s.
-    ``pins`` holds the pins of a hull built by ``FixedCoordinates``, for the
-    file format.
+    ``generators[s]`` is a read-only (k_s, |A|) array whose rows are the
+    extreme strategies available at state s.  ``pins`` holds the pins of a
+    hull built by ``FixedCoordinates``, for the file format.
     """
 
-    generators: tuple[tuple[np.ndarray, ...], ...]
+    generators: tuple[np.ndarray, ...]
     is_convex: bool = True
     variant: str = field(default="convex_hull_statewise", init=False, compare=False, repr=False)
     pins: tuple[tuple[int, int, float], ...] = field(
@@ -266,23 +278,18 @@ class ConvexHullStatewise(RestrictedPolicySpace):
     )
 
     def __post_init__(self) -> None:
-        gens = tuple(
-            tuple(np.asarray(g, dtype=float) for g in per_state)
-            for per_state in self.generators
-        )
+        try:
+            gens = tuple(np.array(per_state, dtype=float) for per_state in self.generators)
+        except ValueError as exc:
+            raise MalformedInputError("generator strategies must share one length") from exc
         if not gens or any(len(per_state) == 0 for per_state in gens):
             raise MalformedInputError("every state needs at least one generator")
-        width = gens[0][0].size
-        for per_state in gens:
-            for g in per_state:
-                if g.shape != (width,):
-                    raise MalformedInputError("generator strategies must share one length")
-        stacks = tuple(np.stack(per_state) for per_state in gens)
-        for stacked in stacks:
+        if any(g.ndim != 2 or g.shape[1] != gens[0].shape[1] for g in gens):
+            raise MalformedInputError("generator strategies must share one length")
+        for stacked in gens:
             stacked.setflags(write=False)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_stacks", stacks)
-        object.__setattr__(self, "_whole", tuple(_covers_simplex(g) for g in stacks))
+        object.__setattr__(self, "_whole", tuple(_covers_simplex(g) for g in gens))
 
     @property
     def n_states(self) -> int:  # type: ignore[override]
@@ -290,11 +297,11 @@ class ConvexHullStatewise(RestrictedPolicySpace):
 
     @property
     def n_actions(self) -> int:  # type: ignore[override]
-        return self.generators[0][0].size
+        return self.generators[0].shape[1]
 
     def contains(self, policy: Policy, tol: float = MEMBERSHIP_TOL) -> bool:
         self._check_shape(policy)
-        for s, stacked in enumerate(self._stacks):
+        for s, stacked in enumerate(self.generators):
             if self._whole[s]:
                 continue
             gap, _ = _recover_weights_lp(policy.probs[s], stacked)
@@ -304,36 +311,38 @@ class ConvexHullStatewise(RestrictedPolicySpace):
 
     def random_member(self, rng: np.random.Generator) -> Policy:
         rows = []
-        for stacked in self._stacks:
+        for stacked in self.generators:
             w = rng.dirichlet(np.ones(stacked.shape[0]))
             rows.append(stacked.T @ w)
         return Policy(np.vstack(rows))
 
-    def vertices(self) -> list[Policy]:
-        counts = [len(per_state) for per_state in self.generators]
-        total = int(np.prod(counts))
+    def _vertex_probs(self) -> np.ndarray:
+        """Every per-state choice of generators, (n, |S|, |A|), in
+        ``itertools.product`` order."""
+        total = math.prod(len(per_state) for per_state in self.generators)
         if total > MAX_ENUMERATION:
             raise UnsupportedOperationError(
                 f"{total} vertices exceed the enumeration bound"
             )
-        return [Policy(np.vstack(rows)) for rows in itertools.product(*self.generators)]
+        choice = _product_choice([len(per_state) for per_state in self.generators])
+        return np.stack([g[c] for g, c in zip(self.generators, choice)], axis=1)
 
-    def generators_at(self, s: int) -> np.ndarray:
-        return self._stacks[s]
+    def vertices(self) -> list[Policy]:
+        return [Policy(probs) for probs in self._vertex_probs()]
 
     def param_dim(self) -> int:
         return sum(len(per_state) - 1 for per_state in self.generators)
 
-    def param_points(self, resolution: float):
-        per_state_grids = [
-            simplex_grid(len(per_state), resolution) for per_state in self.generators
-        ]
-        points = []
-        for combo in itertools.product(*per_state_grids):
-            rows = [self._stacks[s].T @ w for s, w in enumerate(combo)]
-            theta = tuple(x for w in combo for x in w[:-1].tolist())
-            points.append((theta, Policy(np.vstack(rows))))
-        return points
+    def param_points(self, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+        """The product of the states' weight grids: each point's leading
+        k_s - 1 weights state by state, and its per-state blends."""
+        grids = [simplex_grid(len(per_state), resolution) for per_state in self.generators]
+        choice = _product_choice([len(grid) for grid in grids])
+        params = np.concatenate([grid[c, :-1] for grid, c in zip(grids, choice)], axis=1)
+        probs = np.stack(
+            [(grid @ g)[c] for grid, g, c in zip(grids, self.generators, choice)], axis=1
+        )
+        return params, probs
 
 
 @dataclass(frozen=True)
@@ -363,8 +372,10 @@ class DeterministicOnly(RestrictedPolicySpace):
     def param_dim(self) -> int:
         return 1
 
-    def param_points(self, resolution: float):
-        return [((float(k),), pol) for k, pol in enumerate(self.vertices())]
+    def param_points(self, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+        """The pure policies in ``vertices`` order, each parameterized by its index."""
+        probs = FullSpace(self.n_states, self.n_actions)._vertex_probs()
+        return np.arange(len(probs), dtype=float)[:, np.newaxis], probs
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ import csv
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -132,10 +132,14 @@ class BestResponseResult:
     matrix-game polytope).
     """
 
-    policy: Policy
+    build_policy: Callable[[], Policy] = field(repr=False)
     value: float
     description: str | None = None
     tolerance: float = 0.0
+
+    @functools.cached_property
+    def policy(self) -> Policy:
+        return self.build_policy()
 
 
 @dataclass(frozen=True)
@@ -568,12 +572,10 @@ def _matrix_best_response(
     vertices = space.vertices()
     values = [scale * float(v.probs[0] @ per_action) for v in vertices]
     best = max(values)
-    best_idx = min(i for i, val in enumerate(values) if val >= best - 1e-12)
     face = [i for i, val in enumerate(values) if val >= best - 1e-12]
+    vertex = vertices[face[0]]
     description = f"optimal vertex face: indices {face} of {len(vertices)} vertices"
-    return BestResponseResult(
-        policy=vertices[best_idx], value=values[best_idx], description=description
-    )
+    return BestResponseResult(lambda: vertex, values[face[0]], description)
 
 
 def _policy_iteration_discounted(
@@ -650,7 +652,7 @@ def _statewise_best_response(
     space: ConvexHullStatewise,
 ) -> BestResponseResult:
     """Route (b): optimal per-state generator choice in the induced MDP."""
-    generators = [space.generators_at(s) for s in range(mdp.n_states)]
+    generators = space.generators
     meta_r = [g @ mdp.reward[s] for s, g in enumerate(generators)]
     meta_p = [g @ mdp.transition[s] for s, g in enumerate(generators)]
     discounted = isinstance(mdp.formulation, Discounted)
@@ -662,8 +664,8 @@ def _statewise_best_response(
     if not discounted:
         v = mdp_policy_value(mdp, probs)
     return BestResponseResult(
-        policy=Policy(probs),
-        value=float(v[mdp.initial_index]),
+        functools.partial(Policy, probs),
+        float(v[mdp.initial_index]),
         description=f"per-state generator choice {choice}",
     )
 
@@ -716,8 +718,6 @@ def _hull_values(
     computes on another BLAS path with other rounding, so a row's value
     does not depend on the rows solved with it.
     """
-    stacked = np.stack([g.probs for g in hull.generators])
-    flat = stacked.reshape(stacked.shape[0], -1)
     initial = mdps[0].initial_index
 
     def value_of(owner: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -728,11 +728,7 @@ def _hull_values(
         values = np.empty(n)
         for c in range(chunks):
             start, stop = n * c // chunks, n * (c + 1) // chunks
-            chunk = rows[start:stop]
-            probs = (chunk @ flat).reshape((chunk.shape[0], *stacked.shape[1:]))
-            # Blends of valid rows can drift at machine scale; renormalize exactly.
-            np.maximum(probs, 0.0, out=probs)
-            probs /= probs.sum(axis=2, keepdims=True)
+            probs = hull.blend(rows[start:stop])
             first, last = start // per, (stop - 1) // per
             runs = [mdps[q] for q in owner[first:last + 1].tolist()]
             cuts = range((first + 1) * per - start, stop - start, per)
@@ -827,9 +823,8 @@ def _weight_best_responses(
         owner = np.arange(len(group))
         if k == 1:
             values = value_of(owner, np.ones((owner.size, 1, 1)))[:, 0]
-            results.extend(
-                BestResponseResult(hull.policy_of_weights(grid[0]), float(v)) for v in values
-            )
+            build = functools.partial(hull.policy_of_weights, grid[0])
+            results.extend(BestResponseResult(build, float(v)) for v in values)
             continue
         values = value_of(owner, np.broadcast_to(grid, (owner.size, *grid.shape)))
         # Largest change per step between grid neighbours bounds what
@@ -862,8 +857,8 @@ def _weight_best_responses(
                 break
         results.extend(
             BestResponseResult(
-                policy=hull.policy_of_weights(w[q]),
-                value=float(best[q]),
+                functools.partial(hull.policy_of_weights, w[q]),
+                float(best[q]),
                 description=f"shared weights {np.round(w[q], 6).tolist()} over {k} generators",
                 tolerance=float(tolerance[q]),
             )
@@ -875,13 +870,13 @@ def _weight_best_responses(
 def _best_responses(
     game: StochasticGame,
     i: int,
-    profiles: Sequence[Sequence[Policy]],
+    profiles: Sequence[Sequence[np.ndarray]],
     space: RestrictedPolicySpace,
 ) -> list[BestResponseResult]:
     """Player i's best response within ``space`` against each opponent profile.
 
-    Each profile lists the fixed policies of the other players in player
-    order.  The route is picked once for all of them; route (c) answers
+    Each profile lists the other players' fixed (|S|, |A_j|) policy tables
+    in player order.  The route is picked once for all of them; route (c) answers
     them together in lockstep, the others one induced MDP at a time.
     """
     if space.n_states != game.n_states or space.n_actions != game.action_counts[i]:
@@ -906,7 +901,7 @@ def restricted_best_response(
     space: RestrictedPolicySpace,
 ) -> BestResponseResult:
     """Optimal policy for player i within ``space``, against fixed opponents."""
-    return _best_responses(game, i, [others], space)[0]
+    return _best_responses(game, i, [[policy.probs for policy in others]], space)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1047,28 +1042,25 @@ def sweep_existence(
         raise UnsupportedOperationError(
             f"joint parameterization dimension {sum(dims)} exceeds 4"
         )
-    grids = [space.param_points(resolution) for space in spaces]
-    sizes = tuple(len(g) for g in grids)
+    lattices = [space.param_points(resolution) for space in spaces]
+    tables = [probs for _, probs in lattices]
+    sizes = tuple(len(probs) for probs in tables)
     # Each player's best-response value against every opponent lattice key,
-    # flattened in row-major order over the other players' grids.
+    # flattened in row-major order over the other players' lattices.
     br_values = []
     for i in range(game.n_players):
-        keys = itertools.product(*(grids[j] for j in range(len(spaces)) if j != i))
-        profiles = [[policy for _, policy in key] for key in keys]
+        profiles = list(itertools.product(*(tables[j] for j in range(len(spaces)) if j != i)))
         br_values.append(
             np.array([br.value for br in _best_responses(game, i, profiles, spaces[i])])
         )
-    policy_tables = [np.stack([policy.probs for _, policy in grid]) for grid in grids]
-    params = tuple(
-        np.array([p if p else (0.0,) for p, _ in grid], dtype=float) for grid in grids
-    )
+    params = tuple(p if p.shape[1] else np.zeros((len(p), 1)) for p, _ in lattices)
     total = math.prod(sizes)
     gaps = np.empty((total, game.n_players))
     for start in range(0, total, _BATCH):
         stop = min(start + _BATCH, total)
         lattice_idx = np.unravel_index(np.arange(start, stop), sizes)
         current = policy_values(
-            game, [policy_tables[i][lattice_idx[i]] for i in range(len(spaces))]
+            game, [tables[i][lattice_idx[i]] for i in range(len(spaces))]
         )
         responses = np.empty_like(current)
         for i in range(game.n_players):
@@ -1097,14 +1089,10 @@ def sweep_existence(
         if sizes[axis] > 1:
             diffs = np.abs(np.diff(gap_lattice, axis=axis))
             refinement = max(refinement, float(diffs.max()))
-    argmin_joint = JointPolicy(
-        tuple(grids[i][best_idx[i]][1] for i in range(len(spaces)))
-    )
-    argmin_params = tuple(grids[i][best_idx[i]][0] for i in range(len(spaces)))
     return SweepResult(
         min_max_gap=float(best_gap),
-        argmin_params=argmin_params,
-        argmin_joint=argmin_joint,
+        argmin_params=tuple(tuple(p[at].tolist()) for (p, _), at in zip(lattices, best_idx)),
+        argmin_joint=JointPolicy(tuple(Policy(t[at]) for t, at in zip(tables, best_idx))),
         refinement_bound=refinement,
         epsilon=epsilon,
         params=params,
@@ -1135,7 +1123,7 @@ def best_response_convexity_test(
     """
     if not space.is_convex:
         raise UnsupportedOperationError("convexity test expects a convex space")
-    mdp = induce_mdp(game, i, others)
+    mdp = induce_mdp(game, i, [policy.probs for policy in others])
     br = restricted_best_response(game, i, others, space)
     value_tol = max(1e-9, br.tolerance)
     try:

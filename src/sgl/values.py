@@ -45,7 +45,6 @@ from .games import (
     ErgodicityError,
     JointPolicy,
     MalformedInputError,
-    Policy,
     StochasticGame,
     VALUE_TOL,
 )
@@ -208,38 +207,31 @@ class InducedMDP:
 
 
 def induce_mdp(
-    game: StochasticGame, i: int, others: Sequence[Policy]
+    game: StochasticGame, i: int, others: Sequence[np.ndarray]
 ) -> InducedMDP:
     """Marginalize all players but ``i`` out of the game.
 
-    ``others`` lists the fixed policies of players 0..n-1 skipping i, in
-    player order.
+    ``others`` lists the fixed policy tables, (|S|, |A_j|) arrays, of players
+    0..n-1 skipping i, in player order; ``Policy.probs`` is one.
     """
     if not (0 <= i < game.n_players):
         raise MalformedInputError(f"player index {i} out of range")
     if len(others) != game.n_players - 1:
         raise MalformedInputError("need one fixed policy per opponent")
-    opponents = list(others)
-    shaped_t = game.transition.reshape(
-        (game.n_states, *game.action_counts, game.n_states)
-    )
-    shaped_r = game.rewards[i].reshape((game.n_states, *game.action_counts))
-    # Contract opponent axes one at a time; axis 1 + j is player j's actions.
-    t = shaped_t
-    r = shaped_r
-    removed = 0
-    for j in range(game.n_players):
-        if j == i:
-            continue
-        pol = opponents.pop(0)
-        if pol.probs.shape != (game.n_states, game.action_counts[j]):
+    t = game.transition.reshape((game.n_states, *game.action_counts, game.n_states))
+    r = game.rewards[i].reshape((game.n_states, *game.action_counts))
+    # Contract opponent axes one at a time; axis 1 + j is player j's actions,
+    # and each contraction removes one axis before the next player's.
+    opponents = [j for j in range(game.n_players) if j != i]
+    for removed, (j, probs) in enumerate(zip(opponents, others)):
+        probs = np.asarray(probs, dtype=float)
+        if probs.shape != (game.n_states, game.action_counts[j]):
             raise MalformedInputError(f"fixed policy for player {j} has wrong shape")
         axis = 1 + j - removed
-        t = np.einsum(t, list(range(t.ndim)), pol.probs, [0, axis],
+        t = np.einsum(t, list(range(t.ndim)), probs, [0, axis],
                       [k for k in range(t.ndim) if k != axis])
-        r = np.einsum(r, list(range(r.ndim)), pol.probs, [0, axis],
+        r = np.einsum(r, list(range(r.ndim)), probs, [0, axis],
                       [k for k in range(r.ndim) if k != axis])
-        removed += 1
     return InducedMDP(
         states=game.states,
         actions=game.action_sets[i],

@@ -438,7 +438,7 @@ class TestRestrictedBestResponse:
         space = random_statewise_hull(rng, 3, 2, k=2)
         opponent = random_policy(rng, 3, 2)
         br = restricted_best_response(fact5, 0, [opponent], space)
-        mdp = induce_mdp(fact5, 0, [opponent])
+        mdp = induce_mdp(fact5, 0, [opponent.probs])
         best = mdp_policy_value(mdp, br.policy.probs)
         for _ in range(100):
             feasible = space.random_member(rng)
@@ -449,7 +449,7 @@ class TestRestrictedBestResponse:
         rng = np.random.default_rng(43)
         opponent = random_policy(rng, 3, 2)
         br = restricted_best_response(fact5, 0, [opponent], FullSpace(3, 2))
-        mdp = induce_mdp(fact5, 0, [opponent])
+        mdp = induce_mdp(fact5, 0, [opponent.probs])
         best = mdp_policy_value(mdp, br.policy.probs)
         for _ in range(50):
             other = random_policy(rng, 3, 2)
@@ -460,7 +460,7 @@ class TestRestrictedBestResponse:
         # value is linear and the optimum sits at a pure vertex.
         column = Policy.state_uniform(3, [0.7, 0.3])
         br = restricted_best_response(fact5, 0, [column], StateUniform(3, 2))
-        mdp = induce_mdp(fact5, 0, [column])
+        mdp = induce_mdp(fact5, 0, [column.probs])
         vertex_values = [
             mdp_policy_value(mdp, Policy.state_uniform(3, onehot).probs)[0]
             for onehot in ([1.0, 0.0], [0.0, 1.0])
@@ -495,7 +495,7 @@ class TestRestrictedBestResponse:
         game = random_game(rng, n_states=3, action_counts=(2, 2), average=True)
         opponent = random_policy(rng, 3, 2)
         br = restricted_best_response(game, 0, [opponent], FullSpace(3, 2))
-        mdp = induce_mdp(game, 0, [opponent])
+        mdp = induce_mdp(game, 0, [opponent.probs])
         for _ in range(50):
             other = random_policy(rng, 3, 2)
             assert mdp_policy_value(mdp, other.probs)[0] <= br.value + 1e-8
@@ -524,7 +524,7 @@ class TestRestrictedBestResponse:
             opponent = [random_policy(rng, 4, 2)]
             br = restricted_best_response(game, 0, opponent, hull)
             assert br.value >= hull_grid_max(game, 0, opponent, hull, 0.02) - 1e-12
-            mdp = induce_mdp(game, 0, opponent)
+            mdp = induce_mdp(game, 0, [p.probs for p in opponent])
             own = mdp_policy_value(mdp, br.policy.probs)[mdp.initial_index]
             assert br.value == pytest.approx(own, abs=1e-10)
             assert br.tolerance > 0.0
@@ -547,7 +547,7 @@ class TestRestrictedBestResponse:
         opponent = random_policy(rng, 2, 2)
         br = restricted_best_response(game, 0, [opponent], space)
         assert space.contains(br.policy, tol=1e-9)
-        mdp = induce_mdp(game, 0, [opponent])
+        mdp = induce_mdp(game, 0, [opponent.probs])
         for _ in range(50):
             other = space.random_member(rng)
             assert mdp_policy_value(mdp, other.probs)[0] <= br.value + 1e-10
@@ -561,8 +561,12 @@ class TestLockstepRouteC:
     def _key(br):
         return (br.value, br.tolerance, br.description, br.policy.probs.tobytes())
 
+    @staticmethod
+    def _tables(profiles):
+        return [[policy.probs for policy in others] for others in profiles]
+
     def _check(self, game, hull, profiles):
-        together = solvers._best_responses(game, 0, profiles, hull)
+        together = solvers._best_responses(game, 0, self._tables(profiles), hull)
         alone = [restricted_best_response(game, 0, others, hull) for others in profiles]
         assert [self._key(br) for br in together] == [self._key(br) for br in alone]
         for br, others in zip(together, profiles):
@@ -599,7 +603,7 @@ class TestLockstepRouteC:
         rng = np.random.default_rng(87)
         game = random_game(rng, n_states=4, action_counts=(3, 2))
         hull = random_global_hull(rng, 4, 3, k=3)
-        mdps = [induce_mdp(game, 0, [random_policy(rng, 4, 2)]) for _ in range(2)]
+        mdps = [induce_mdp(game, 0, [random_policy(rng, 4, 2).probs]) for _ in range(2)]
         value_of = solvers._hull_values(hull, mdps)
         weights = rng.dirichlet(np.ones(3), size=(3, 49))
 
@@ -636,7 +640,7 @@ class TestLockstepRouteC:
             return real(value_of, owner, w, i, j)
 
         monkeypatch.setattr(solvers, "_pair_zooms", spy)
-        solvers._best_responses(game, 0, profiles, hull)
+        solvers._best_responses(game, 0, self._tables(profiles), hull)
         monkeypatch.setattr(solvers, "_pair_zooms", real)
         together = self._check(game, hull, profiles)
         assert together[0].description == "shared weights [1.0, 0.0, 0.0] over 3 generators"
@@ -672,7 +676,7 @@ class TestLockstepRouteC:
 
         monkeypatch.setattr(solvers, "induce_mdp", induce)
         monkeypatch.setattr(solvers, "mdp_run_values", run_values)
-        solvers._best_responses(game, 0, profiles, hull)
+        solvers._best_responses(game, 0, self._tables(profiles), hull)
         assert max(solved) <= 32
         assert 32 // 3 < peak[0] <= 2 * (32 // 3)
         monkeypatch.setattr(solvers, "induce_mdp", real_induce)
@@ -1028,12 +1032,12 @@ class TestTeamAndControllerProperties:
         for _ in range(6):
             game = random_game(rng, n_states=2, action_counts=(2, 2), team=True)
             spaces = [random_global_hull(rng, 2, 2, k=2) for _ in range(2)]
-            grids = [sp.param_points(0.05) for sp in spaces]
+            tables = [sp.param_points(0.05)[1] for sp in spaces]
             best_value, best_joint = -np.inf, None
-            lattice = np.zeros((len(grids[0]), len(grids[1])))
-            for a, (_, pa) in enumerate(grids[0]):
-                for b, (_, pb) in enumerate(grids[1]):
-                    joint = JointPolicy((pa, pb))
+            lattice = np.zeros((len(tables[0]), len(tables[1])))
+            for a, pa in enumerate(tables[0]):
+                for b, pb in enumerate(tables[1]):
+                    joint = JointPolicy((Policy(pa), Policy(pb)))
                     value = float(policy_value(game, joint)[0])
                     lattice[a, b] = value
                     if value > best_value:

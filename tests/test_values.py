@@ -104,7 +104,7 @@ class TestDiscounted:
             joint = random_joint_policy(rng, game)
             for i, own in enumerate(joint.policies):
                 others = [pol for j, pol in enumerate(joint.policies) if j != i]
-                mdp = induce_mdp(game, i, others)
+                mdp = induce_mdp(game, i, [p.probs for p in others])
                 values = mdp_policy_value(mdp, own.probs)
                 p = np.einsum("sa,sat->st", own.probs, mdp.transition)
                 r = np.einsum("sa,sa->s", own.probs, mdp.reward)
@@ -200,17 +200,17 @@ class TestErgodicity:
 
 class TestInducedMDP:
     def test_rps_vs_uniform_all_zero(self, rps_game):
-        mdp = induce_mdp(rps_game, 0, [Policy([[1 / 3, 1 / 3, 1 / 3]])])
+        mdp = induce_mdp(rps_game, 0, [Policy([[1 / 3, 1 / 3, 1 / 3]]).probs])
         assert np.allclose(mdp.reward, 0.0, atol=1e-15)
 
     def test_pure_opponent_gives_matrix_column(self, rps_game):
-        mdp = induce_mdp(rps_game, 0, [Policy([[0.0, 1.0, 0.0]])])
+        mdp = induce_mdp(rps_game, 0, [Policy([[0.0, 1.0, 0.0]]).probs])
         assert np.allclose(mdp.reward[0], [-1.0, 0.0, 1.0], atol=1e-15)
 
     def test_fact5_row_mdp_action_independent(self, fact5):
         rng = np.random.default_rng(2)
         column = Policy(rng.dirichlet(np.ones(2), size=3))
-        mdp = induce_mdp(fact5, 0, [column])
+        mdp = induce_mdp(fact5, 0, [column.probs])
         assert np.max(np.abs(mdp.transition[:, 0, :] - mdp.transition[:, 1, :])) == 0.0
 
     def test_value_equivalence_discounted_and_average(self):
@@ -226,7 +226,7 @@ class TestInducedMDP:
             joint = random_joint_policy(rng, game)
             i = int(rng.integers(0, 2))
             others = [p for j, p in enumerate(joint.policies) if j != i]
-            mdp = induce_mdp(game, i, others)
+            mdp = induce_mdp(game, i, [p.probs for p in others])
             in_mdp = mdp_policy_value(mdp, joint[i].probs)
             if average:
                 in_game = policy_value(game, joint)[i]
@@ -243,7 +243,7 @@ class TestInducedMDP:
         """The MDP written as a one-player game has the same values."""
         rng = np.random.default_rng(3)
         column = Policy(rng.dirichlet(np.ones(2), size=3))
-        mdp = induce_mdp(fact5, 0, [column])
+        mdp = induce_mdp(fact5, 0, [column.probs])
         row = Policy(rng.dirichlet(np.ones(2), size=3))
         direct = mdp_policy_value(mdp, row.probs)
         for start, state in enumerate(mdp.states):
@@ -308,7 +308,7 @@ def test_policy_value_at_initial_state(fact5):
     joint = random_joint_policy(rng, fact5)
     at_start = policy_value(fact5, joint)
     for i in range(2):
-        table = mdp_policy_value(induce_mdp(fact5, i, [joint[1 - i]]), joint[i].probs)
+        table = mdp_policy_value(induce_mdp(fact5, i, [joint[1 - i].probs]), joint[i].probs)
         assert at_start[i] == pytest.approx(table[fact5.initial_index], abs=1e-12)
 
 
@@ -338,7 +338,7 @@ def test_non_finite_data_raises(formulation, table, index, value, error):
         with pytest.raises(error):
             policy_value(game, joint)
         with pytest.raises(error):
-            mdp_policy_value(induce_mdp(game, 0, [joint[1]]), joint[0].probs)
+            mdp_policy_value(induce_mdp(game, 0, [joint[1].probs]), joint[0].probs)
 
 
 class TestBatched:
@@ -349,7 +349,7 @@ class TestBatched:
         rng = np.random.default_rng(31 + average)
         for _ in range(5):
             game = random_game(rng, n_states=4, action_counts=(3, 2), average=average)
-            mdp = induce_mdp(game, 0, [random_policy(rng, 4, 2)])
+            mdp = induce_mdp(game, 0, [random_policy(rng, 4, 2).probs])
             stack = np.stack([random_policy(rng, 4, 3).probs for _ in range(9)])
             batched = mdp_policy_values(mdp, stack)
             assert batched.shape == (9, 4)
@@ -385,7 +385,7 @@ class TestBatched:
                   (71, 3, 1), (30, 8, 1)]
         for n_states, n_actions, n_runs in shapes:
             game = random_game(rng, n_states, (n_actions, 2), average=average)
-            mdps = [induce_mdp(game, 0, [random_policy(rng, n_states, 2)])
+            mdps = [induce_mdp(game, 0, [random_policy(rng, n_states, 2).probs])
                     for _ in range(n_runs)]
             lengths = rng.integers(1, 40, size=n_runs)
             cuts = np.cumsum(lengths)[:-1].tolist()
@@ -404,7 +404,7 @@ class TestBatched:
         rng = np.random.default_rng(57)
         game = random_game(rng, n_states=4, action_counts=(5, 2))
         lengths = [1, 9, 3, 1, 8, 7, 2, 6]
-        mdps = [induce_mdp(game, 0, [random_policy(rng, 4, 2)]) for _ in lengths]
+        mdps = [induce_mdp(game, 0, [random_policy(rng, 4, 2).probs]) for _ in lengths]
         cuts = np.cumsum(lengths)[:-1].tolist()
         probs = np.stack([random_policy(rng, 4, 5).probs for _ in range(sum(lengths))])
         gathered, stacks = [], []
@@ -443,7 +443,7 @@ class TestBatched:
         game = random_game(rng, n_states=3, action_counts=(2, 2))
         joints = [random_joint_policy(rng, game) for _ in range(5)]
         stacks = [np.stack([j[i].probs for j in joints]) for i in range(2)]
-        mdp = induce_mdp(game, 0, [joints[0][1]])
+        mdp = induce_mdp(game, 0, [joints[0][1].probs])
         solve = np.linalg.solve
 
         def perturb_last_member(a, b):
@@ -470,6 +470,6 @@ def test_nan_transition_refused_before_the_stationary_solve():
     with pytest.raises(MalformedInputError, match="NaN"):
         policy_value(game, joint)
     with pytest.raises(MalformedInputError, match="NaN"):
-        mdp_policy_value(induce_mdp(game, 0, [joint[1]]), joint[0].probs)
+        mdp_policy_value(induce_mdp(game, 0, [joint[1].probs]), joint[0].probs)
     with pytest.raises(MalformedInputError, match="NaN"):
         policy_values(game, [np.repeat(pol.probs[np.newaxis], 5, axis=0) for pol in joint])

@@ -390,10 +390,10 @@ def reference_sweep_rows(game, spaces, resolution: float) -> list[tuple]:
     from sgl.solvers import restricted_best_response
     from sgl.values import policy_value
 
-    grids = [space.param_points(resolution) for space in spaces]
+    lattices = [space.param_points(resolution) for space in spaces]
     rows = []
-    for idx in itertools.product(*(range(len(g)) for g in grids)):
-        points = [grids[i][idx[i]] for i in range(len(spaces))]
+    for idx in itertools.product(*(range(len(probs)) for _, probs in lattices)):
+        points = [(tuple(p[k].tolist()), Policy(probs[k])) for (p, probs), k in zip(lattices, idx)]
         joint = JointPolicy(tuple(policy for _, policy in points))
         current = policy_value(game, joint)
         gaps = []
@@ -439,7 +439,7 @@ def reference_weight_best_response(game, i, others, hull):
     from sgl import solvers
     from sgl.values import induce_mdp, mdp_policy_values
 
-    mdp = induce_mdp(game, i, others)
+    mdp = induce_mdp(game, i, [p.probs for p in others])
     stacked = np.stack([g.probs for g in hull.generators])
     flat = stacked.reshape(stacked.shape[0], -1)
 
