@@ -3,13 +3,17 @@
 A restricted policy space is a non-empty subset of one player's policy
 polytope.  The solvers see it only through a membership test, its extreme
 points (``vertices``), random members, and a parameter lattice for grid
-sweeps.  Three classes hold every variant:
+sweeps.  Membership and members speak ``Policy``; the lattice is two arrays,
+every point's parameters and its (|S|, |A|) policy table, with no ``Policy``
+built per point.  Three classes hold every variant:
 
-* ``ConvexHullStatewise``: per-state generator strategies blended with
-  independent per-state weights, so it is closed under per-state blending
-  of members;
+* ``ConvexHullStatewise``: per-state generator strategies, one (k_s, |A|)
+  array per state, blended with independent per-state weights, so it is
+  closed under per-state blending of members;
 * ``ConvexHullGlobal``: generator policies mixed with one weight vector
   shared across states, convex but *not* closed under per-state blending;
+  ``blend`` mixes a whole (n, k) weight table over its read-only (k, |S|,
+  |A|) generator array at once;
 * ``DeterministicOnly``: the finite set of pure policies, non-convex once
   it has two members.
 
@@ -64,6 +68,7 @@ from .games import (
     STRUCTURAL_TOL,
     UnsupportedOperationError,
     _number,
+    check_strategy,
     parses,
     validate,
 )
@@ -163,7 +168,12 @@ class RestrictedPolicySpace:
         raise NotImplementedError
 
     def param_points(self, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-        """Grid of (params, policy tables) arrays covering the space."""
+        """A lattice covering the space: (params (n, param_dim()), probs (n, |S|, |A|)).
+
+        Row p of ``params`` holds lattice point p's parameters and
+        ``probs[p]`` its policy table; the points come in
+        ``itertools.product`` order over the space's own lattices.
+        """
         raise NotImplementedError
 
     def _check_shape(self, policy: Policy) -> None:
@@ -255,12 +265,6 @@ def _covers_simplex(rows: np.ndarray) -> bool:
     return np.unique(rows[unit].argmax(axis=1)).size == n_actions
 
 
-def _product_choice(counts: Sequence[int]) -> np.ndarray:
-    """Every choice of one row per state, as (|S|, n) row indices in
-    ``itertools.product`` order over the states' ``counts`` rows."""
-    return np.indices(counts).reshape(len(counts), -1)
-
-
 @dataclass(frozen=True)
 class ConvexHullStatewise(RestrictedPolicySpace):
     """Per-state convex strategy sets, blended independently at each state.
@@ -286,6 +290,8 @@ class ConvexHullStatewise(RestrictedPolicySpace):
             raise MalformedInputError("every state needs at least one generator")
         if any(g.ndim != 2 or g.shape[1] != gens[0].shape[1] for g in gens):
             raise MalformedInputError("generator strategies must share one length")
+        for row in np.concatenate(gens):
+            check_strategy(row)
         for stacked in gens:
             stacked.setflags(write=False)
         object.__setattr__(self, "generators", gens)
@@ -324,7 +330,7 @@ class ConvexHullStatewise(RestrictedPolicySpace):
             raise UnsupportedOperationError(
                 f"{total} vertices exceed the enumeration bound"
             )
-        choice = _product_choice([len(per_state) for per_state in self.generators])
+        choice = np.indices([len(g) for g in self.generators]).reshape(self.n_states, -1)
         return np.stack([g[c] for g, c in zip(self.generators, choice)], axis=1)
 
     def vertices(self) -> list[Policy]:
@@ -337,7 +343,7 @@ class ConvexHullStatewise(RestrictedPolicySpace):
         """The product of the states' weight grids: each point's leading
         k_s - 1 weights state by state, and its per-state blends."""
         grids = [simplex_grid(len(per_state), resolution) for per_state in self.generators]
-        choice = _product_choice([len(grid) for grid in grids])
+        choice = np.indices([len(grid) for grid in grids]).reshape(self.n_states, -1)
         params = np.concatenate([grid[c, :-1] for grid, c in zip(grids, choice)], axis=1)
         probs = np.stack(
             [(grid @ g)[c] for grid, g, c in zip(grids, self.generators, choice)], axis=1
@@ -743,31 +749,3 @@ def load_spaces(path, game: StochasticGame) -> list[RestrictedPolicySpace]:
         for i, d in enumerate(data)
     ]
 
-
-def space_equal(
-    a: RestrictedPolicySpace, b: RestrictedPolicySpace, tol: float = 1e-12
-) -> bool:
-    """Structural equality within tol (used by round-trip checks): the same
-    class, shape and file record, numbers compared within tol."""
-    if type(a) is not type(b) or (a.n_states, a.n_actions) != (b.n_states, b.n_actions):
-        return False
-    states = [f"s{k}" for k in range(a.n_states)]
-    return _records_close(space_to_dict(a, states), space_to_dict(b, states), tol)
-
-
-def _records_close(x, y, tol: float) -> bool:
-    if isinstance(x, dict):
-        return (
-            isinstance(y, dict)
-            and x.keys() == y.keys()
-            and all(_records_close(x[key], y[key], tol) for key in x)
-        )
-    if isinstance(x, list):
-        return (
-            isinstance(y, list)
-            and len(x) == len(y)
-            and all(_records_close(u, v, tol) for u, v in zip(x, y))
-        )
-    if isinstance(x, float):
-        return isinstance(y, (int, float)) and abs(x - y) <= tol
-    return x == y

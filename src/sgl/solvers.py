@@ -48,7 +48,13 @@ joint policy.  A grid sweep reports the smallest maximal gap over a product
 parameter lattice together with a refinement bound estimated from adjacent
 lattice differences; a strictly positive minimum exceeding that bound is
 numerical evidence (never an unconditional proof) that no epsilon-
-equilibrium exists in the sweep domain.
+equilibrium exists in the sweep domain.  The sweep works on the arrays
+``param_points`` returns: the opponents' lattice tables are the best-
+response profiles as they are, the joint tables are evaluated in batches,
+and the only ``Policy`` objects it builds are the argmin's.
+
+Public entry points take and return ``Policy`` and ``JointPolicy``;
+inside, profiles, lattices and blends are (|S|, |A|) tables and stacks.
 
 Tie-breaking everywhere is by lowest index, so results are reproducible
 across runs and evaluation orders.
@@ -126,6 +132,10 @@ class EquilibriumCertificate:
 class BestResponseResult:
     """A representative optimal policy within a restricted space.
 
+    ``policy`` is built on first read, by ``build_policy``: routes (a) and
+    (b) hand over the table they chose, route (c) its weights for
+    ``ConvexHullGlobal.policy_of_weights``.  A caller that reads only
+    ``value``, as the existence sweep does, builds no ``Policy``.
     ``tolerance`` is 0 for the exact routes (a)/(b) and a conservative
     accuracy estimate for the grid-searched route (c); ``description``
     sketches the optimal set when it is known (e.g. the optimal face of a
@@ -164,7 +174,8 @@ class SweepResult:
     """An existence sweep's summary and its lattice, by column.
 
     ``params[i]`` (n_i, w_i) holds player i's lattice parameters, one row
-    per lattice point (a player without parameters has one 0.0 column).
+    per lattice point, as ``param_points`` returns them (possibly a
+    read-only view); a player without parameters has one 0.0 column.
     ``gaps`` (N, n_players) holds every joint lattice point's gaps, the
     points in row-major order over the players' lattices, the last player
     fastest.  A point's ``max_gap`` is its gap of the first maximum.

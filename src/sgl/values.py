@@ -15,6 +15,10 @@ batch axis and make one solve over the (B, |S|, |S|) stack, and
 and ``mdp_policy_values`` is its one-run case: the runs' MDP arrays are
 gathered per row, so one ``einsum`` contracts every run, with the bits of
 contracting each run on its own.
+``induce_mdp`` fixes the other players by their (|S|, |A_j|) policy
+tables, not by ``Policy`` objects, so the solvers pass rows of their
+lattices and stacks as they are; ``policy_value`` is the one entry point
+here that takes a validated ``JointPolicy``.
 A residual that is above VALUE_TOL or not a number, or a non-finite
 average gain, raises ArithmeticError, and a NaN in an average-reward
 chain raises MalformedInputError before the stationary solve, so

@@ -1,6 +1,7 @@
 """Restricted policy spaces and implicit games."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from sgl.restrictions import (
     map_policy,
     save_spaces,
     simplex_grid,
-    space_equal,
     space_from_dict,
     space_to_dict,
 )
@@ -38,8 +38,10 @@ from sgl.values import policy_value
 from util import (
     convexity_probe,
     random_game,
+    random_global_hull,
     random_joint_policy,
     random_policy,
+    random_statewise_hull,
     reference_simplex_grid,
 )
 
@@ -150,6 +152,77 @@ class TestSimplexGrid:
             simplex_grid(0, 0.1)
 
 
+
+def pointwise_lattice(space, resolution: float) -> list[tuple[tuple[float, ...], np.ndarray]]:
+    """The lattice one point at a time, as the list of (parameter tuple, Policy)
+    pairs that ``param_points`` returned before it returned arrays, with each
+    policy's table in place of the ``Policy``."""
+    if isinstance(space, DeterministicOnly):
+        return [((float(k),), pol.probs) for k, pol in enumerate(space.vertices())]
+    if isinstance(space, ConvexHullGlobal):
+        stacked = np.stack([g.probs for g in space.generators])
+        points = []
+        for w in simplex_grid(space.k, resolution):
+            probs = np.clip(np.tensordot(w, stacked, axes=1), 0.0, None)
+            points.append((tuple(w[:-1].tolist()), probs / probs.sum(axis=1, keepdims=True)))
+        return points
+    grids = [simplex_grid(len(per_state), resolution) for per_state in space.generators]
+    return [
+        (tuple(x for w in combo for x in w[:-1].tolist()),
+         np.vstack([g.T @ w for g, w in zip(space.generators, combo)]))
+        for combo in itertools.product(*grids)
+    ]
+
+
+def _unit_generators(space) -> bool:
+    if isinstance(space, DeterministicOnly):
+        return True
+    if isinstance(space, ConvexHullGlobal):
+        rows = space.generator_probs.reshape(-1, space.n_actions)
+    else:
+        rows = np.vstack(space.generators)
+    return bool(np.all((rows == 0.0) | (rows == 1.0)))
+
+
+class TestParamPoints:
+    """``param_points`` is (params (n, param_dim()), probs (n, |S|, |A|)) in
+    ``itertools.product`` order, every row a member, and each row the blend
+    the per-point lattice made: bit for bit for unit-vector generators, within
+    1e-15 otherwise (a batched product may round the last bit differently)."""
+
+    @staticmethod
+    def _check(space, resolution: float, membership: bool = True) -> None:
+        params, probs = space.param_points(resolution)
+        reference = pointwise_lattice(space, resolution)
+        assert params.shape == (len(reference), space.param_dim())
+        assert probs.shape == (len(reference), space.n_states, space.n_actions)
+        assert [tuple(row) for row in params.tolist()] == [theta for theta, _ in reference]
+        want = np.stack([table for _, table in reference])
+        if _unit_generators(space):
+            assert probs.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(probs - want)) <= 1e-15
+        if membership:
+            assert all(space.contains(Policy(table)) for table in probs)
+
+    @pytest.mark.parametrize("name", sorted(ALL_SPACES))
+    @pytest.mark.parametrize("resolution", [1.0, 0.5, 0.25])
+    def test_every_variant(self, name, resolution):
+        self._check(ALL_SPACES[name], resolution)
+
+    def test_fine_lattices_of_three_state_spaces(self):
+        for space in (FullSpace(3, 2), StateUniform(3, 2), DeterministicOnly(3, 2)):
+            self._check(space, 0.05, membership=False)
+        self._check(FixedCoordinates(3, 3, ((0, 1, 0.5), (2, 0, 0.25))), 0.1, membership=False)
+
+    def test_random_hulls_within_last_bit(self):
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            n_states, n_actions, k = (int(x) for x in rng.integers(2, 4, size=3))
+            self._check(random_global_hull(rng, n_states, n_actions, k), 0.05, membership=False)
+            self._check(random_statewise_hull(rng, 2, n_actions, k), 0.1, membership=False)
+
+
 class TestConvexity:
     def test_probe_matches_declared_flags(self):
         for name, space in ALL_SPACES.items():
@@ -203,7 +276,8 @@ class TestSerialization:
         for name, space in ALL_SPACES.items():
             data = space_to_dict(space, states)
             back = space_from_dict(data, states, space.n_actions)
-            assert space_equal(space, back), name
+            assert type(back) is type(space), name
+            assert space_to_dict(back, states) == data, name
 
     @pytest.mark.parametrize("name", sorted(SAVED_SPACE_DIGESTS))
     def test_saved_file_bytes_are_pinned(self, tmp_path, name):
@@ -253,6 +327,10 @@ class TestSerialization:
                 ("s0",),
                 2,
             )
+        # Built in memory as well: the lattice hands out generator blends
+        # without a Policy per point, so the generators are checked once here.
+        with pytest.raises(MalformedInputError):
+            ConvexHullStatewise(((np.array([0.5, 0.6]),),))
 
 
 class TestPins:

@@ -871,6 +871,22 @@ class TestSweep:
         assert result.min_max_gap <= 1e-6
         assert result.epsilon_equilibrium_found
 
+    def test_sweep_builds_only_the_argmin_policies(self, monkeypatch):
+        # The lattice, the opponent profiles and route (c)'s answers stay
+        # arrays; only the argmin's joint policy is a validated Policy.
+        game, spaces = fact5_game(), [StateUniform(3, 2)] * 2
+        built = []
+        validate = Policy.__post_init__
+
+        def counted(policy):
+            built.append(policy)
+            validate(policy)
+
+        monkeypatch.setattr(Policy, "__post_init__", counted)
+        result = sweep_existence(game, spaces, 0.05, 1e-8)
+        assert len(built) <= 2
+        assert result.argmin_joint.policies == tuple(built)
+
     def test_fact5_positive_margin_at_coarse_resolution(self, fact5):
         spaces = [StateUniform(3, 2), StateUniform(3, 2)]
         result = sweep_existence(fact5, spaces, resolution=0.05, epsilon=1e-8)
