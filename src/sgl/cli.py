@@ -8,12 +8,15 @@ with ``all`` every experiment into ``<out>/<name>/``.
 
 Restricted spaces come in one way: ``--spaces FILE``, a JSON list with one
 space object per player, read by ``restrictions.load_spaces``.  Without it
-every player has the full policy space (``sweep`` requires it).  ``learn``
-runs a ``full`` entry unrestricted and any global convex hull
-(``convex_hull_global``, ``state_uniform``, ``singleton``) as a hull seat
-over its generators; it refuses every other space with exit 3.  A hull
-seat learns one weight vector per state, so its final joint policy can
-leave a global hull; ``learn`` reports each player's membership as
+every player has the full policy space (``sweep`` requires it).  Every
+variant's convex hull is one hull over blocks of states, and ``solve``,
+``check`` and ``sweep`` pick each best-response route from the game and
+the block structure of that hull, not from the variant's tag.  ``learn``
+runs a ``full`` entry unrestricted and any global convex hull, the hull of
+one block (``convex_hull_global``, ``state_uniform``, ``singleton``), as a
+hull seat over its generators; it refuses every other space with exit 3.
+A hull seat learns one weight vector per state, so its final joint policy
+can leave a global hull; ``learn`` reports each player's membership as
 ``final_in_space``.
 
 Exit codes: 0 on success, 2 for malformed input (bad files, schema

@@ -13,6 +13,8 @@ tables agree without remapping.
 
 Tolerances: STRUCTURAL_TOL guards structural identities (rows summing to
 one, exact payoff equalities) and VALUE_TOL guards solved linear systems.
+Probability rows read from files (transitions, policies, hull generators)
+may miss the simplex by LOAD_TOL; ``load_distribution`` repairs them.
 """
 
 from __future__ import annotations
@@ -533,6 +535,24 @@ def _repr_rows(mat: np.ndarray, sep: str = ";") -> list[str]:
     return repr(mat.tolist())[2:-2].replace(", ", sep).split(f"]{sep}[")
 
 
+def load_distribution(row: np.ndarray, what: str) -> np.ndarray:
+    """A probability row read from a file, allowed LOAD_TOL of slop.
+
+    A row within STRUCTURAL_TOL of the simplex is returned unchanged; any
+    other row within LOAD_TOL is clipped at 0 and renormalized, so what is
+    stored meets the STRUCTURAL_TOL invariant that ``Policy``, the hulls and
+    ``validate`` check.
+    """
+    if not np.all(np.isfinite(row)):
+        raise MalformedInputError(f"non-finite {what} entries: {row.tolist()}")
+    if np.any(row < -LOAD_TOL) or abs(row.sum() - 1.0) > LOAD_TOL:
+        raise MalformedInputError(f"{what} is not a distribution: {row.tolist()}")
+    if np.all(row >= -STRUCTURAL_TOL) and abs(row.sum() - 1.0) <= STRUCTURAL_TOL:
+        return row
+    row = np.clip(row, 0.0, None)
+    return row / row.sum()
+
+
 def _number(value) -> float:
     """A JSON number as a float; a string, boolean or null is malformed."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -630,24 +650,13 @@ def game_from_dict(data: dict) -> StochasticGame:
             if (s, j) in seen:
                 raise MalformedInputError(f"duplicate transition row {state_name}/{key}")
             seen.add((s, j))
-            total = 0.0
             for target, p in dist.items():
                 if target not in state_index:
                     raise MalformedInputError(f"transition to unknown state {target!r}")
-                p = _number(p)
-                if p < -LOAD_TOL:
-                    raise MalformedInputError(f"negative probability in {state_name}/{key}")
-                transition[s, j, state_index[target]] = p
-                total += p
-            if abs(total - 1.0) > LOAD_TOL:
-                raise MalformedInputError(
-                    f"transition row {state_name}/{key} sums to {total!r}"
-                )
-            # Accept up to LOAD_TOL slop from file producers, but store a row
-            # that satisfies the exact structural invariant.
-            if abs(total - 1.0) > STRUCTURAL_TOL:
-                transition[s, j, :] = np.clip(transition[s, j, :], 0.0, None)
-                transition[s, j, :] /= transition[s, j, :].sum()
+                transition[s, j, state_index[target]] = _number(p)
+            transition[s, j] = load_distribution(
+                transition[s, j], f"transition row {state_name}/{key}"
+            )
     if len(seen) != n_states * n_joint:
         raise MalformedInputError("missing transition rows")
     rewards = np.zeros((n, n_states, n_joint))
@@ -714,9 +723,7 @@ def policy_from_dict(data: dict, states: Sequence[str], n_actions: int) -> Polic
         row = np.array([_number(x) for x in row])
         if row.shape != (n_actions,):
             raise MalformedInputError(f"policy row for {name!r} has wrong length")
-        if np.any(row < -LOAD_TOL) or abs(row.sum() - 1.0) > LOAD_TOL:
-            raise MalformedInputError(f"policy row for {name!r} is not a distribution")
-        probs[list(states).index(name)] = row
+        probs[list(states).index(name)] = load_distribution(row, f"policy row for {name!r}")
     return Policy(probs)
 
 

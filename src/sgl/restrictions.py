@@ -1,24 +1,27 @@
 """Restricted policy spaces and implicit games.
 
 A restricted policy space is a non-empty subset of one player's policy
-polytope.  The solvers see it only through a membership test, its extreme
-points (``vertices``), random members, and a parameter lattice for grid
-sweeps.  Membership and members speak ``Policy``; the lattice is two arrays,
-every point's parameters and its (|S|, |A|) policy table, with no ``Policy``
-built per point.  Three classes hold every variant:
+polytope.  The solvers see it only through a membership test, its convex
+hull (``as_hull``), random members, and a parameter lattice for grid
+sweeps.  Membership and members speak ``Policy``; the vertex array and the
+lattice are arrays, with no ``Policy`` built per point.
 
-* ``ConvexHullStatewise``: per-state generator strategies, one (k_s, |A|)
-  array per state, blended with independent per-state weights, so it is
-  closed under per-state blending of members;
-* ``ConvexHullGlobal``: generator policies mixed with one weight vector
-  shared across states, convex but *not* closed under per-state blending;
-  ``blend`` mixes a whole (n, k) weight table over its read-only (k, |S|,
-  |A|) generator array at once;
-* ``DeterministicOnly``: the finite set of pure policies, non-convex once
-  it has two members.
+Every hull is one ``ConvexHull``: a partition of the states into
+blocks, each with a read-only (k_b, |block|, |A|) generator table.  The
+states of a block share one weight vector over its generators (they are
+aliased, as in Singh, Jaakkola & Jordan, ICML 1994) and blocks are weighted
+independently.  Membership, members, the vertex array, the lattice and the
+one ``blend`` of a weight table are written once, over blocks.  Two thin
+subclasses sit at the two ends of aliasing:
 
-Several solver routines hinge on the separation between the two hulls.
-The other named variants are constructor functions returning a hull:
+* ``ConvexHullStatewise``: one block per state, ``generators[s]`` a (k_s,
+  |A|) array; it is closed under per-state blending of members;
+* ``ConvexHullGlobal``: every state in one block, ``generators`` a tuple of
+  policies; it is convex but *not* closed under per-state blending.
+
+``DeterministicOnly``, the finite set of pure policies, is non-convex once
+it has two members; its hull is the whole polytope.  The other named
+variants are constructor functions returning a hull:
 
 * ``FullSpace(n_states, n_actions)``: the statewise hull of the unit
   vectors, the whole policy polytope;
@@ -29,16 +32,17 @@ The other named variants are constructor functions returning a hull:
   all-states-one-action pure policies, one shared strategy in every state;
 * ``Singleton(policy)``: the global hull of one generator.
 
-A state whose generators include every unit vector is the whole simplex,
-so membership there needs no LP.
+A one-state block whose generators include every unit vector is the whole
+simplex, so membership there needs no LP.
 
 Spaces read from and write to JSON objects tagged by ``variant``.  Each
-space keeps the tag it was built under and writes it back: the classes
-write ``convex_hull_statewise``, ``convex_hull_global`` and
-``deterministic_only``; the constructors write ``full``,
-``fixed_coordinates``, ``state_uniform`` and ``singleton`` with their own
-arguments (the shape, pins by state name, or the one policy) rather than
-generators.  ``space_from_dict`` reads all seven tags.
+space keeps the tag it was built under and writes it back: the hull
+subclasses and ``DeterministicOnly`` write ``convex_hull_statewise``,
+``convex_hull_global`` and ``deterministic_only``; the constructors write
+``full``, ``fixed_coordinates``, ``state_uniform`` and ``singleton``
+with their own arguments (the shape, pins by state name, or the one
+policy) rather than generators.  ``space_from_dict`` reads all seven tags;
+probability rows in a file are read by ``games.load_distribution``.
 
 An implicit game rewrites a game from the point of view of limited agents:
 each player's implicit actions are distributions over its explicit actions
@@ -69,6 +73,7 @@ from .games import (
     UnsupportedOperationError,
     _number,
     check_strategy,
+    load_distribution,
     parses,
     validate,
 )
@@ -160,9 +165,13 @@ class RestrictedPolicySpace:
     def random_member(self, rng: np.random.Generator) -> Policy:
         raise NotImplementedError
 
+    def as_hull(self) -> "ConvexHull":
+        """The space's convex hull."""
+        raise NotImplementedError
+
     def vertices(self) -> list[Policy]:
         """Extreme points; exact optimizers of linear objectives live here."""
-        raise NotImplementedError
+        return [Policy(probs) for probs in self.as_hull().vertex_probs()]
 
     def param_dim(self) -> int:
         raise NotImplementedError
@@ -184,49 +193,59 @@ class RestrictedPolicySpace:
             )
 
 
-@dataclass(frozen=True)
-class ConvexHullGlobal(RestrictedPolicySpace):
-    """Mixtures of generator policies sharing one weight vector across states."""
+def _covers_simplex(rows: np.ndarray) -> bool:
+    """Whether the rows include every unit vector, making their hull the simplex."""
+    return bool((rows[:, np.newaxis] == np.eye(rows.shape[1])).all(axis=2).any(axis=0).all())
 
-    generators: tuple[Policy, ...]
-    is_convex: bool = True
-    variant: str = field(default="convex_hull_global", init=False, compare=False, repr=False)
-    generator_probs: np.ndarray = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if not self.generators:
-            raise MalformedInputError("hull needs at least one generator")
-        shape = self.generators[0].probs.shape
-        if any(g.probs.shape != shape for g in self.generators):
-            raise MalformedInputError("hull generators must share one shape")
-        stacked = np.stack([g.probs for g in self.generators])
-        stacked.setflags(write=False)
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "generator_probs", stacked)
+class ConvexHull(RestrictedPolicySpace):
+    """Generator blends over a partition of the states into blocks.
 
-    @property
-    def n_states(self) -> int:  # type: ignore[override]
-        return self.generators[0].n_states
+    ``blocks[b]`` lists the states of block b and ``tables[b]`` is its
+    read-only (k_b, |block|, |A|) generator table; the blocks partition the
+    states and come in order of their first state.  The states of a block
+    share one weight vector over its k_b generators, and blocks are weighted
+    independently, so a weight table has k = sum_b k_b columns, each block's
+    after those of the blocks before it.
+    """
 
-    @property
-    def n_actions(self) -> int:  # type: ignore[override]
-        return self.generators[0].n_actions
+    is_convex = True
 
-    @property
-    def k(self) -> int:
-        return len(self.generators)
+    def __init__(self, blocks: Sequence[Sequence[int]], tables: Sequence[np.ndarray]) -> None:
+        self.blocks = tuple(list(block) for block in blocks)
+        self.tables = tuple(tables)
+        for table in self.tables:
+            table.setflags(write=False)
+        self.n_states = sum(map(len, self.blocks))
+        self.n_actions = self.tables[0].shape[2]
+        self.k = sum(map(len, self.tables))
+        bounds = np.cumsum([0, *map(len, self.tables)])
+        self._columns = tuple(map(slice, bounds[:-1], bounds[1:]))
+        # Consecutive states index as a slice, read and written without a gather.
+        self._rows = tuple(
+            slice(b[0], b[-1] + 1) if np.all(np.diff(b) == 1) else b for b in self.blocks
+        )
+        # A one-state block whose rows include every unit vector is the whole
+        # simplex, so its membership needs no LP.
+        self._whole = tuple(
+            len(block) == 1 and _covers_simplex(table[:, 0])
+            for block, table in zip(self.blocks, self.tables)
+        )
 
-    def as_hull(self) -> "ConvexHullGlobal":
-        """The space itself: every global restriction is already a hull."""
+    def as_hull(self) -> "ConvexHull":
         return self
 
     def blend(self, weights: np.ndarray) -> np.ndarray:
-        """Policy tables (n, |S|, |A|) of an (n, k) weight table, in one product.
+        """Policy tables (n, |S|, |A|) of an (n, k) weight table: one product per
+        block, then one clip and renormalization.
 
         numpy multiplies a lone row on another BLAS path, so outside exact
         (unit-vector) blends a row's last bit can depend on n."""
-        flat = self.generator_probs.reshape(self.k, -1)
-        probs = (weights @ flat).reshape((weights.shape[0], self.n_states, self.n_actions))
+        probs = np.empty((weights.shape[0], self.n_states, self.n_actions))
+        for rows, table, columns in zip(self._rows, self.tables, self._columns):
+            probs[:, rows] = (weights[:, columns] @ table.reshape(len(table), -1)).reshape(
+                (weights.shape[0], table.shape[1], self.n_actions)
+            )
         # Blends of valid rows can drift at machine scale; renormalize exactly.
         np.maximum(probs, 0.0, out=probs)
         probs /= probs.sum(axis=2, keepdims=True)
@@ -235,55 +254,82 @@ class ConvexHullGlobal(RestrictedPolicySpace):
     def policy_of_weights(self, weights: Sequence[float]) -> Policy:
         return Policy(self.blend(np.asarray(weights, dtype=float)[np.newaxis])[0])
 
+    def contains(self, policy: Policy, tol: float = MEMBERSHIP_TOL) -> bool:
+        """One weight-fit LP per block, stopping at the first block that misses."""
+        self._check_shape(policy)
+        return all(
+            whole or _recover_weights_lp(
+                policy.probs[rows].ravel(), table.reshape(len(table), -1)
+            )[0] <= tol
+            for rows, table, whole in zip(self._rows, self.tables, self._whole)
+        )
+
+    def random_member(self, rng: np.random.Generator) -> Policy:
+        return self.policy_of_weights(
+            np.concatenate([rng.dirichlet(np.ones(len(table))) for table in self.tables])
+        )
+
+    def vertex_probs(self) -> np.ndarray:
+        """Every choice of one generator per block, (n, |S|, |A|), in
+        ``itertools.product`` order over the blocks."""
+        total = math.prod(map(len, self.tables))
+        if total > MAX_ENUMERATION:
+            raise UnsupportedOperationError(f"{total} vertices exceed the enumeration bound")
+        choice = np.indices([len(table) for table in self.tables]).reshape(len(self.tables), -1)
+        probs = np.empty((total, self.n_states, self.n_actions))
+        for rows, table, c in zip(self._rows, self.tables, choice):
+            probs[:, rows] = table[c]
+        return probs
+
+    def param_dim(self) -> int:
+        return self.k - len(self.tables)
+
+    def param_points(self, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+        """The product of the blocks' weight grids: each point's leading
+        k_b - 1 weights block by block, and its blend."""
+        grids = [simplex_grid(len(table), resolution) for table in self.tables]
+        choice = np.indices([len(grid) for grid in grids]).reshape(len(grids), -1)
+        weights = np.concatenate([grid[c] for grid, c in zip(grids, choice)], axis=1)
+        params = np.concatenate([grid[c, :-1] for grid, c in zip(grids, choice)], axis=1)
+        return params, self.blend(weights)
+
+
+class ConvexHullGlobal(ConvexHull):
+    """Mixtures of generator policies sharing one weight vector across states:
+    the hull with every state in one block."""
+
+    variant = "convex_hull_global"
+
+    def __init__(self, generators: Sequence[Policy]) -> None:
+        if not generators:
+            raise MalformedInputError("hull needs at least one generator")
+        shape = generators[0].probs.shape
+        if any(g.probs.shape != shape for g in generators):
+            raise MalformedInputError("hull generators must share one shape")
+        self.generators = tuple(generators)
+        super().__init__([range(shape[0])], [np.stack([g.probs for g in generators])])
+        self.generator_probs = self.tables[0]
+
     def recover_weights(self, policy: Policy) -> tuple[float, np.ndarray]:
         self._check_shape(policy)
         return _recover_weights_lp(policy.probs.ravel(), self.generator_probs.reshape(self.k, -1))
 
-    def contains(self, policy: Policy, tol: float = MEMBERSHIP_TOL) -> bool:
-        gap, _ = self.recover_weights(policy)
-        return gap <= tol
 
-    def random_member(self, rng: np.random.Generator) -> Policy:
-        return self.policy_of_weights(rng.dirichlet(np.ones(self.k)))
-
-    def vertices(self) -> list[Policy]:
-        return list(self.generators)
-
-    def param_dim(self) -> int:
-        return self.k - 1
-
-    def param_points(self, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-        """The weight grid: each point's leading k - 1 weights and its blend."""
-        grid = simplex_grid(self.k, resolution)
-        return grid[:, :-1], self.blend(grid)
-
-
-def _covers_simplex(rows: np.ndarray) -> bool:
-    """Whether the rows include every unit vector, making their hull the simplex."""
-    n_actions = rows.shape[1]
-    unit = ((rows == 1.0).sum(axis=1) == 1) & ((rows == 0.0).sum(axis=1) == n_actions - 1)
-    return np.unique(rows[unit].argmax(axis=1)).size == n_actions
-
-
-@dataclass(frozen=True)
-class ConvexHullStatewise(RestrictedPolicySpace):
-    """Per-state convex strategy sets, blended independently at each state.
+class ConvexHullStatewise(ConvexHull):
+    """Per-state convex strategy sets, blended independently at each state:
+    the hull with one block per state.
 
     ``generators[s]`` is a read-only (k_s, |A|) array whose rows are the
     extreme strategies available at state s.  ``pins`` holds the pins of a
     hull built by ``FixedCoordinates``, for the file format.
     """
 
-    generators: tuple[np.ndarray, ...]
-    is_convex: bool = True
-    variant: str = field(default="convex_hull_statewise", init=False, compare=False, repr=False)
-    pins: tuple[tuple[int, int, float], ...] = field(
-        default=(), init=False, compare=False, repr=False
-    )
+    variant = "convex_hull_statewise"
+    pins: tuple[tuple[int, int, float], ...] = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, generators: Sequence[Sequence[np.ndarray]]) -> None:
         try:
-            gens = tuple(np.array(per_state, dtype=float) for per_state in self.generators)
+            gens = tuple(np.array(per_state, dtype=float) for per_state in generators)
         except ValueError as exc:
             raise MalformedInputError("generator strategies must share one length") from exc
         if not gens or any(len(per_state) == 0 for per_state in gens):
@@ -292,63 +338,8 @@ class ConvexHullStatewise(RestrictedPolicySpace):
             raise MalformedInputError("generator strategies must share one length")
         for row in np.concatenate(gens):
             check_strategy(row)
-        for stacked in gens:
-            stacked.setflags(write=False)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_whole", tuple(_covers_simplex(g) for g in gens))
-
-    @property
-    def n_states(self) -> int:  # type: ignore[override]
-        return len(self.generators)
-
-    @property
-    def n_actions(self) -> int:  # type: ignore[override]
-        return self.generators[0].shape[1]
-
-    def contains(self, policy: Policy, tol: float = MEMBERSHIP_TOL) -> bool:
-        self._check_shape(policy)
-        for s, stacked in enumerate(self.generators):
-            if self._whole[s]:
-                continue
-            gap, _ = _recover_weights_lp(policy.probs[s], stacked)
-            if gap > tol:
-                return False
-        return True
-
-    def random_member(self, rng: np.random.Generator) -> Policy:
-        rows = []
-        for stacked in self.generators:
-            w = rng.dirichlet(np.ones(stacked.shape[0]))
-            rows.append(stacked.T @ w)
-        return Policy(np.vstack(rows))
-
-    def _vertex_probs(self) -> np.ndarray:
-        """Every per-state choice of generators, (n, |S|, |A|), in
-        ``itertools.product`` order."""
-        total = math.prod(len(per_state) for per_state in self.generators)
-        if total > MAX_ENUMERATION:
-            raise UnsupportedOperationError(
-                f"{total} vertices exceed the enumeration bound"
-            )
-        choice = np.indices([len(g) for g in self.generators]).reshape(self.n_states, -1)
-        return np.stack([g[c] for g, c in zip(self.generators, choice)], axis=1)
-
-    def vertices(self) -> list[Policy]:
-        return [Policy(probs) for probs in self._vertex_probs()]
-
-    def param_dim(self) -> int:
-        return sum(len(per_state) - 1 for per_state in self.generators)
-
-    def param_points(self, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-        """The product of the states' weight grids: each point's leading
-        k_s - 1 weights state by state, and its per-state blends."""
-        grids = [simplex_grid(len(per_state), resolution) for per_state in self.generators]
-        choice = np.indices([len(grid) for grid in grids]).reshape(self.n_states, -1)
-        params = np.concatenate([grid[c, :-1] for grid, c in zip(grids, choice)], axis=1)
-        probs = np.stack(
-            [(grid @ g)[c] for grid, g, c in zip(grids, self.generators, choice)], axis=1
-        )
-        return params, probs
+        super().__init__([[s] for s in range(len(gens))], [g[:, np.newaxis] for g in gens])
+        self.generators = tuple(table[:, 0] for table in self.tables)
 
 
 @dataclass(frozen=True)
@@ -363,6 +354,9 @@ class DeterministicOnly(RestrictedPolicySpace):
     def is_convex(self) -> bool:  # type: ignore[override]
         return self.n_actions**self.n_states <= 1
 
+    def as_hull(self) -> ConvexHull:
+        return FullSpace(self.n_states, self.n_actions)
+
     def contains(self, policy: Policy, tol: float = MEMBERSHIP_TOL) -> bool:
         self._check_shape(policy)
         near_one = np.abs(policy.probs.max(axis=1) - 1.0) <= tol
@@ -372,15 +366,12 @@ class DeterministicOnly(RestrictedPolicySpace):
         choices = rng.integers(0, self.n_actions, size=self.n_states)
         return Policy.pure(self.n_states, self.n_actions, choices)
 
-    def vertices(self) -> list[Policy]:
-        return FullSpace(self.n_states, self.n_actions).vertices()
-
     def param_dim(self) -> int:
         return 1
 
     def param_points(self, resolution: float) -> tuple[np.ndarray, np.ndarray]:
         """The pure policies in ``vertices`` order, each parameterized by its index."""
-        probs = FullSpace(self.n_states, self.n_actions)._vertex_probs()
+        probs = self.as_hull().vertex_probs()
         return np.arange(len(probs), dtype=float)[:, np.newaxis], probs
 
 
@@ -389,8 +380,8 @@ class DeterministicOnly(RestrictedPolicySpace):
 # ---------------------------------------------------------------------------
 
 
-def _tagged(space: RestrictedPolicySpace, variant: str) -> RestrictedPolicySpace:
-    object.__setattr__(space, "variant", variant)
+def _tagged(space: ConvexHull, variant: str) -> ConvexHull:
+    space.variant = variant
     return space
 
 
@@ -435,7 +426,7 @@ def FixedCoordinates(
         else:
             per_state_rows.append((base,))
     hull = _tagged(ConvexHullStatewise(tuple(per_state_rows)), "fixed_coordinates")
-    object.__setattr__(hull, "pins", pins)
+    hull.pins = pins
     return hull
 
 
@@ -702,14 +693,13 @@ def space_from_dict(
         missing = set(states) - set(raw)
         if missing:
             raise MalformedInputError(f"statewise hull missing states {sorted(missing)}")
-        gens = tuple(
-            tuple(np.array([_number(x) for x in g]) for g in raw[state])
-            for state in states
-        )
-        for per_state in gens:
-            for g in per_state:
-                if g.shape != (n_actions,) or np.any(g < -MEMBERSHIP_TOL) or abs(g.sum() - 1.0) > MEMBERSHIP_TOL:
-                    raise MalformedInputError("statewise generator is not a distribution")
+        gens = []
+        for state in states:
+            what = f"statewise generator for {state!r}"
+            rows = [np.array([_number(x) for x in g]) for g in raw[state]]
+            if any(row.shape != (n_actions,) for row in rows):
+                raise MalformedInputError(f"{what} has wrong length")
+            gens.append([load_distribution(row, what) for row in rows])
         return ConvexHullStatewise(gens)
     if variant == "state_uniform":
         return StateUniform(n_states, n_actions)

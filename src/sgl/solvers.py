@@ -18,29 +18,32 @@ carry mass), and that vertex is re-solved and checked the same way.
 Support enumeration runs the exact re-solve and the certificate on every
 equal-cardinality support pair.
 
-Restricted best responses take one route per input:
+Restricted best responses take one route per input, chosen from the game
+and from the block structure of the space's convex hull (``as_hull``):
 
 (a) single-state games, whatever the space, reduce to maximizing a linear
-    function of the strategy over ``space.vertices()``, exact at a vertex;
-(b) multi-state games with a ``ConvexHullStatewise`` space (``FullSpace``
-    and ``FixedCoordinates`` build these) reduce to an MDP over per-state
-    generator choices, solved by exact policy iteration (discounted) or a
-    gain/bias LP (average reward), which maximizes every state's value
-    simultaneously;
-(c) multi-state games with a ``ConvexHullGlobal`` space (``StateUniform``
-    and ``Singleton`` build these) tie the weights across states, making
-    the value generally non-concave in the weights; these are searched by
-    a dense grid over the weight simplex, evaluated in batched solves of at
-    most ``_BATCH`` policies, then polished by a batched zoom over each
-    coordinate pair.  Many opponent profiles are answered in lockstep, each
-    step's solves shared by every query.  The result carries a
-    Lipschitz-style tolerance estimate from adjacent grid values, which is
-    not a proof, instead of an exactness claim.
+    function of the strategy over the hull's vertex array, exact at a
+    vertex;
+(b) multi-state games whose hull has one block per state (``FullSpace``,
+    ``FixedCoordinates`` and ``ConvexHullStatewise``) reduce to an MDP over
+    per-state generator choices, solved by exact policy iteration
+    (discounted) or a gain/bias LP (average reward), which maximizes every
+    state's value simultaneously;
+(c) multi-state games whose hull is one block (``StateUniform``,
+    ``Singleton`` and ``ConvexHullGlobal``) tie the weights across states,
+    making the value generally non-concave in the weights; these are
+    searched by a dense grid over the weight simplex, evaluated in batched
+    solves of at most ``_BATCH`` policies, then polished by a batched zoom
+    over each coordinate pair.  Many opponent profiles are answered in
+    lockstep, each step's solves shared by every query.  The result carries
+    a Lipschitz-style tolerance estimate from adjacent grid values, which is
+    not a proof, instead of an exactness claim.  A hull with several blocks,
+    some of more than one state, has no route yet and is refused.
 
-Multi-state games with a ``DeterministicOnly`` space take route (b) over the
-unit vectors (``FullSpace``): an optimal pure stationary policy always
-exists (Puterman, *Markov Decision Processes*, 1994), and route (b)'s
-per-state generator choice is pure.
+A ``DeterministicOnly`` space's hull is the whole polytope, so multi-state
+games take route (b) over the unit vectors: an optimal pure stationary
+policy always exists (Puterman, *Markov Decision Processes*, 1994), and
+route (b)'s per-state generator choice is pure.
 
 Equilibrium certificates report per-player regret gaps at the initial
 state: the restricted-best-response value minus the value of the candidate
@@ -84,9 +87,7 @@ from .games import (
     classify,
 )
 from .restrictions import (
-    ConvexHullGlobal,
-    ConvexHullStatewise,
-    DeterministicOnly,
+    ConvexHull,
     FullSpace,
     ImplicitGame,
     MEMBERSHIP_TOL,
@@ -134,7 +135,7 @@ class BestResponseResult:
 
     ``policy`` is built on first read, by ``build_policy``: routes (a) and
     (b) hand over the table they chose, route (c) its weights for
-    ``ConvexHullGlobal.policy_of_weights``.  A caller that reads only
+    ``ConvexHull.policy_of_weights``.  A caller that reads only
     ``value``, as the existence sweep does, builds no ``Policy``.
     ``tolerance`` is 0 for the exact routes (a)/(b) and a conservative
     accuracy estimate for the grid-searched route (c); ``description``
@@ -575,18 +576,21 @@ def _value_scale(game: StochasticGame) -> float:
 
 
 def _matrix_best_response(
-    game: StochasticGame, mdp: InducedMDP, space: RestrictedPolicySpace
+    game: StochasticGame, mdp: InducedMDP, vertices: np.ndarray
 ) -> BestResponseResult:
-    """Route (a): the value is linear in the strategy, so a vertex is exact."""
+    """Route (a): the value is linear in the strategy, so a vertex is exact.
+
+    ``vertices`` is the hull's vertex array.  Each vertex's value is its own
+    dot product: a batched product can round the last bit differently."""
     per_action = mdp.reward[0]
     scale = _value_scale(game)
-    vertices = space.vertices()
-    values = [scale * float(v.probs[0] @ per_action) for v in vertices]
+    values = [scale * float(row @ per_action) for row in vertices[:, 0]]
     best = max(values)
     face = [i for i, val in enumerate(values) if val >= best - 1e-12]
-    vertex = vertices[face[0]]
     description = f"optimal vertex face: indices {face} of {len(vertices)} vertices"
-    return BestResponseResult(lambda: vertex, values[face[0]], description)
+    return BestResponseResult(
+        functools.partial(Policy, vertices[face[0]]), values[face[0]], description
+    )
 
 
 def _policy_iteration_discounted(
@@ -657,13 +661,10 @@ def _gain_bias_lp(meta_r: list[np.ndarray], meta_p: list[np.ndarray]) -> list[in
     return choice
 
 
-def _statewise_best_response(
-    game: StochasticGame,
-    mdp: InducedMDP,
-    space: ConvexHullStatewise,
-) -> BestResponseResult:
-    """Route (b): optimal per-state generator choice in the induced MDP."""
-    generators = space.generators
+def _statewise_best_response(mdp: InducedMDP, hull: ConvexHull) -> BestResponseResult:
+    """Route (b): optimal per-state generator choice in the induced MDP, for a
+    hull whose blocks are single states."""
+    generators = [table[:, 0] for table in hull.tables]
     meta_r = [g @ mdp.reward[s] for s, g in enumerate(generators)]
     meta_p = [g @ mdp.transition[s] for s, g in enumerate(generators)]
     discounted = isinstance(mdp.formulation, Discounted)
@@ -717,7 +718,7 @@ def _weight_grid(k: int, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _hull_values(
-    hull: ConvexHullGlobal, mdps: Sequence[InducedMDP]
+    hull: ConvexHull, mdps: Sequence[InducedMDP]
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The evaluator of route (c)'s queries, one induced MDP each.
 
@@ -807,7 +808,7 @@ def _pair_zooms(
 
 
 def _weight_best_responses(
-    mdps: Iterable[InducedMDP], hull: ConvexHullGlobal
+    mdps: Iterable[InducedMDP], hull: ConvexHull
 ) -> list[BestResponseResult]:
     """Route (c): search the shared-weight simplex; value need not be concave.
 
@@ -824,6 +825,8 @@ def _weight_best_responses(
     largest value change per step between adjacent grid points, times the
     step.
     """
+    if len(hull.blocks) != 1:
+        raise UnsupportedOperationError("route (c) searches the weights of one block")
     k = hull.k
     grid, adjacent, gaps = _weight_grid(k, _GRID_STEP)
     per_group = max(1, min(_GRID_VALUES // grid.shape[0], _BATCH // hull.n_actions))
@@ -887,22 +890,21 @@ def _best_responses(
     """Player i's best response within ``space`` against each opponent profile.
 
     Each profile lists the other players' fixed (|S|, |A_j|) policy tables
-    in player order.  The route is picked once for all of them; route (c) answers
+    in player order.  The route is picked once for all of them, from the
+    game and the block structure of the space's hull; route (c) answers
     them together in lockstep, the others one induced MDP at a time.
     """
     if space.n_states != game.n_states or space.n_actions != game.action_counts[i]:
         raise MalformedInputError("space shape does not match the player")
+    hull = space.as_hull()
     # Induced lazily, so route (c) holds only one group of MDPs at a time.
     mdps = (induce_mdp(game, i, others) for others in profiles)
     if game.is_matrix_game:
-        return [_matrix_best_response(game, mdp, space) for mdp in mdps]
-    if isinstance(space, DeterministicOnly):
-        space = FullSpace(space.n_states, space.n_actions)
-    if isinstance(space, ConvexHullStatewise):
-        return [_statewise_best_response(game, mdp, space) for mdp in mdps]
-    if isinstance(space, ConvexHullGlobal):
-        return _weight_best_responses(mdps, space)
-    raise UnsupportedOperationError(f"unsupported space {type(space).__name__}")
+        vertices = hull.vertex_probs()
+        return [_matrix_best_response(game, mdp, vertices) for mdp in mdps]
+    if all(len(block) == 1 for block in hull.blocks):
+        return [_statewise_best_response(mdp, hull) for mdp in mdps]
+    return _weight_best_responses(mdps, hull)
 
 
 def restricted_best_response(
@@ -997,10 +999,9 @@ def restricted_equilibrium_via_implicit(
     taus = []
     names = []
     for space in spaces:
-        gens = space.vertices()
-        tau = np.stack([g.probs[0] for g in gens])[np.newaxis, :, :]
-        taus.append(tau)
-        names.append(tuple(f"g{k}" for k in range(len(gens))))
+        vertices = space.as_hull().vertex_probs()
+        taus.append(vertices[np.newaxis, :, 0, :])
+        names.append(tuple(f"g{k}" for k in range(len(vertices))))
     ig = build_implicit(game, TauMapping(tuple(taus), tuple(names)))
     value, row_w, col_w = minimax_zero_sum_matrix(ig.game)
     implicit_joint = JointPolicy(
@@ -1138,19 +1139,17 @@ def best_response_convexity_test(
     br = restricted_best_response(game, i, others, space)
     value_tol = max(1e-9, br.tolerance)
     try:
-        extremes = space.vertices()
+        extremes = space.as_hull().vertex_probs()
     except UnsupportedOperationError:
-        extremes = []
-    candidates = [br.policy] + extremes
-    values = mdp_policy_values(mdp, np.stack([c.probs for c in candidates]))[
-        :, mdp.initial_index
-    ]
+        extremes = np.empty((0, space.n_states, space.n_actions))
+    candidates = np.concatenate([br.policy.probs[np.newaxis], extremes])
+    values = mdp_policy_values(mdp, candidates)[:, mdp.initial_index]
     v_star = max([br.value, *values[1:]])
-    distinct: list[Policy] = []
+    distinct: list[np.ndarray] = []
     for cand, val in zip(candidates, values):
         if val < v_star - value_tol:
             continue
-        if not any(np.max(np.abs(cand.probs - d.probs)) <= 1e-9 for d in distinct):
+        if not any(np.max(np.abs(cand - d)) <= 1e-9 for d in distinct):
             distinct.append(cand)
     if len(distinct) < 2:
         return True
@@ -1160,9 +1159,7 @@ def best_response_convexity_test(
     for trial in range(trials):
         a_idx, b_idx = pairs[trial % len(pairs)]
         alpha = 0.5 if trial < len(pairs) else float(rng.uniform(0.05, 0.95))
-        blends.append(
-            alpha * distinct[a_idx].probs + (1.0 - alpha) * distinct[b_idx].probs
-        )
+        blends.append(alpha * distinct[a_idx] + (1.0 - alpha) * distinct[b_idx])
     if not blends:
         return True
     blend_values = mdp_policy_values(mdp, np.stack(blends))[:, mdp.initial_index]

@@ -182,6 +182,31 @@ class TestCheck:
         assert code == 2
 
 
+    @pytest.mark.parametrize("slop, code", [(5e-10, 0), (2e-9, 2)])
+    @pytest.mark.parametrize(
+        "entry", ["policy", "singleton", "convex_hull_global", "convex_hull_statewise"]
+    )
+    def test_rows_within_load_tolerance_load(self, tmp_path, rps_file, entry, slop, code):
+        # A probability row may miss the simplex by LOAD_TOL = 1e-9 in any
+        # file that holds one; it is renormalized on reading.
+        row, sloppy = [0.5, 0.5, 0.0], [0.5, 0.5 + slop, 0.0]
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(json.dumps(
+            [{"s0": sloppy if entry == "policy" else row}, {"s0": [1 / 3] * 3}]
+        ))
+        argv = ["check", "--game", str(rps_file), "--policy", str(policy_path)]
+        if entry != "policy":
+            space = {
+                "singleton": {"policy": {"s0": sloppy}},
+                "convex_hull_global": {"generators": [{"s0": sloppy}]},
+                "convex_hull_statewise": {"generators": {"s0": [sloppy]}},
+            }[entry]
+            spaces_path = tmp_path / "spaces.json"
+            spaces_path.write_text(json.dumps([{"variant": entry, **space}, {"variant": "full"}]))
+            argv += ["--spaces", str(spaces_path)]
+        assert main(argv) == code
+
+
     def test_spaces_shape_mismatch_exit_2(self, tmp_path, rps_file):
         spaces_path = tmp_path / "spaces.json"
         spaces_path.write_text(json.dumps(

@@ -13,6 +13,8 @@ from sgl.games import (
     JointPolicy,
     MalformedInputError,
     Policy,
+    UnsupportedOperationError,
+    fact5_game,
     rps,
 )
 from sgl.restrictions import (
@@ -34,6 +36,7 @@ from sgl.restrictions import (
     space_from_dict,
     space_to_dict,
 )
+from sgl.solvers import restricted_best_response
 from sgl.values import policy_value
 from util import (
     convexity_probe,
@@ -42,6 +45,9 @@ from util import (
     random_joint_policy,
     random_policy,
     random_statewise_hull,
+    reference_hull_contains,
+    reference_hull_vertices,
+    reference_param_dim,
     reference_simplex_grid,
 )
 
@@ -137,6 +143,54 @@ class TestMembership:
         for name, space in ALL_SPACES.items():
             for _ in range(20):
                 assert space.contains(space.random_member(rng)), name
+
+
+class TestSharedHullMethods:
+    """The one hull implementation against each class's own former code."""
+
+    @staticmethod
+    def _hulls():
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            n_states, n_actions, k = (int(x) for x in rng.integers((2, 2, 1), (5, 5, 5)))
+            yield rng, random_global_hull(rng, n_states, n_actions, k)
+            n_states, n_actions = (int(x) for x in rng.integers(2, 5, size=2))
+            yield rng, ConvexHullStatewise(tuple(
+                tuple(rng.dirichlet(np.ones(n_actions)) for _ in range(rng.integers(1, 5)))
+                for _ in range(n_states)
+            ))
+
+    def test_membership_vertices_and_dimension_match_per_class_oracles(self):
+        for rng, hull in self._hulls():
+            members = [hull.random_member(rng) for _ in range(2)]
+            alphas = rng.uniform(size=(hull.n_states, 1))
+            per_state = Policy(alphas * members[0].probs + (1 - alphas) * members[1].probs)
+            queries = [*members, per_state, random_policy(rng, hull.n_states, hull.n_actions)]
+            for policy in queries:
+                assert hull.contains(policy) == reference_hull_contains(hull, policy)
+            assert all(hull.contains(member) for member in members)
+            vertices = np.stack([v.probs for v in hull.vertices()])
+            assert vertices.tobytes() == reference_hull_vertices(hull).tobytes()
+            assert hull.param_dim() == reference_param_dim(hull)
+
+    @pytest.mark.parametrize("blocks", [[[0, 1], [2]], [[0, 2], [1]]])
+    def test_mixed_partition_shares_the_methods_and_has_no_route_yet(self, blocks):
+        # Two states aliased in one block, the third alone.
+        rng = np.random.default_rng(3)
+        pair = np.stack([rng.dirichlet(np.ones(2), size=2) for _ in range(2)])
+        hull = restrictions.ConvexHull(blocks, [pair, np.eye(2)[:, np.newaxis]])
+        assert (hull.n_states, hull.k, hull.param_dim()) == (3, 4, 2)
+        assert all(hull.contains(hull.random_member(rng)) for _ in range(10))
+        want = np.empty((4, 3, 2))
+        for v, (a, b) in enumerate(itertools.product((0, 1), (0, 1))):
+            want[v, blocks[0]], want[v, blocks[1]] = pair[a], np.eye(2)[b]
+        assert hull.vertex_probs().tobytes() == want.tobytes()
+        # Two generators fit one row of the block with one weight; not both.
+        mixed = np.full((3, 2), 0.5)
+        mixed[blocks[0]] = [pair[0][0], pair[1][1]]
+        assert not hull.contains(Policy(mixed))
+        with pytest.raises(UnsupportedOperationError):
+            restricted_best_response(fact5_game(), 0, [Policy.uniform(3, 2)], hull)
 
 
 class TestSimplexGrid:

@@ -871,10 +871,14 @@ class TestSweep:
         assert result.min_max_gap <= 1e-6
         assert result.epsilon_equilibrium_found
 
-    def test_sweep_builds_only_the_argmin_policies(self, monkeypatch):
-        # The lattice, the opponent profiles and route (c)'s answers stay
-        # arrays; only the argmin's joint policy is a validated Policy.
-        game, spaces = fact5_game(), [StateUniform(3, 2)] * 2
+    @pytest.mark.parametrize("game, spaces", [
+        (fact5_game(), [StateUniform(3, 2)] * 2),
+        (rps(), [FullSpace(1, 3)] * 2),
+    ], ids=["fact5", "rps-full"])
+    def test_sweep_builds_only_the_argmin_policies(self, monkeypatch, game, spaces):
+        # The lattice, the opponent profiles, route (a)'s vertex array and
+        # route (c)'s answers stay arrays; only the argmin's joint policy is
+        # a validated Policy.
         built = []
         validate = Policy.__post_init__
 

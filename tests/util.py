@@ -124,6 +124,43 @@ def random_statewise_hull(
     )
 
 
+def reference_hull_contains(
+    space: ConvexHullGlobal | ConvexHullStatewise, policy: Policy, tol: float = MEMBERSHIP_TOL
+) -> bool:
+    """Hull membership as each hull class tested it on its own: one weight
+    fit over every state's row for a global hull; one per state for a
+    statewise hull, skipping a state whose generators include every unit
+    vector."""
+    from sgl.restrictions import _recover_weights_lp
+
+    if isinstance(space, ConvexHullGlobal):
+        stacked = np.stack([g.probs for g in space.generators]).reshape(len(space.generators), -1)
+        return _recover_weights_lp(policy.probs.ravel(), stacked)[0] <= tol
+    for s, stacked in enumerate(space.generators):
+        n_actions = stacked.shape[1]
+        unit = ((stacked == 1.0).sum(axis=1) == 1) & ((stacked == 0.0).sum(axis=1) == n_actions - 1)
+        if np.unique(stacked[unit].argmax(axis=1)).size == n_actions:
+            continue
+        if _recover_weights_lp(policy.probs[s], stacked)[0] > tol:
+            return False
+    return True
+
+
+def reference_hull_vertices(space: ConvexHullGlobal | ConvexHullStatewise) -> np.ndarray:
+    """Vertex tables as each hull class listed them: a global hull's
+    generators, or every per-state generator choice in ``itertools.product``
+    order."""
+    if isinstance(space, ConvexHullGlobal):
+        return np.stack([g.probs for g in space.generators])
+    return np.array([np.vstack(choice) for choice in itertools.product(*space.generators)])
+
+
+def reference_param_dim(space: ConvexHullGlobal | ConvexHullStatewise) -> int:
+    if isinstance(space, ConvexHullGlobal):
+        return len(space.generators) - 1
+    return sum(len(per_state) - 1 for per_state in space.generators)
+
+
 def convexity_probe(
     space: RestrictedPolicySpace, trials: int = 200, seed: int = 0
 ) -> bool:
