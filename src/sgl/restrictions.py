@@ -56,6 +56,7 @@ policy; `map_policy` performs that mapping.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -219,11 +220,11 @@ class ConvexHull(RestrictedPolicySpace):
         self.n_states = sum(map(len, self.blocks))
         self.n_actions = self.tables[0].shape[2]
         self.k = sum(map(len, self.tables))
-        bounds = np.cumsum([0, *map(len, self.tables)])
+        bounds = [0, *itertools.accumulate(map(len, self.tables))]
         self._columns = tuple(map(slice, bounds[:-1], bounds[1:]))
         # Consecutive states index as a slice, read and written without a gather.
         self._rows = tuple(
-            slice(b[0], b[-1] + 1) if np.all(np.diff(b) == 1) else b for b in self.blocks
+            slice(b[0], b[-1] + 1) if b == list(range(b[0], b[-1] + 1)) else b for b in self.blocks
         )
         # A one-state block whose rows include every unit vector is the whole
         # simplex, so its membership needs no LP.
