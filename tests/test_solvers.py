@@ -871,14 +871,8 @@ class TestSweep:
         assert result.min_max_gap <= 1e-6
         assert result.epsilon_equilibrium_found
 
-    @pytest.mark.parametrize("game, spaces", [
-        (fact5_game(), [StateUniform(3, 2)] * 2),
-        (rps(), [FullSpace(1, 3)] * 2),
-    ], ids=["fact5", "rps-full"])
-    def test_sweep_builds_only_the_argmin_policies(self, monkeypatch, game, spaces):
-        # The lattice, the opponent profiles, route (a)'s vertex array and
-        # route (c)'s answers stay arrays; only the argmin's joint policy is
-        # a validated Policy.
+    @staticmethod
+    def _assert_only_argmin_policies_built(monkeypatch, game, spaces):
         built = []
         validate = Policy.__post_init__
 
@@ -890,6 +884,19 @@ class TestSweep:
         result = sweep_existence(game, spaces, 0.05, 1e-8)
         assert len(built) <= 2
         assert result.argmin_joint.policies == tuple(built)
+
+    def test_sweep_builds_only_the_argmin_policies(self, monkeypatch):
+        # The lattice, the opponent profiles and route (c)'s answers stay
+        # arrays; only the argmin's joint policy is a validated Policy.
+        self._assert_only_argmin_policies_built(
+            monkeypatch, fact5_game(), [StateUniform(3, 2)] * 2
+        )
+
+    def test_full_space_sweep_builds_only_the_argmin_policies(self, monkeypatch):
+        # Route (a)'s vertex array stays an array too.
+        self._assert_only_argmin_policies_built(
+            monkeypatch, rps(), [FullSpace(1, 3)] * 2
+        )
 
     def test_fact5_positive_margin_at_coarse_resolution(self, fact5):
         spaces = [StateUniform(3, 2), StateUniform(3, 2)]
