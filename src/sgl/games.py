@@ -15,6 +15,9 @@ Tolerances: STRUCTURAL_TOL guards structural identities (rows summing to
 one, exact payoff equalities) and VALUE_TOL guards solved linear systems.
 Probability rows read from files (transitions, policies, hull generators)
 may miss the simplex by LOAD_TOL; ``load_distribution`` repairs them.
+
+``Policy``, ``JointPolicy`` and ``StochasticGame`` hold arrays, which have
+no single truth value, so they compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ def _frozen_array(a: np.ndarray | Sequence, dtype=float) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Policy:
     """One player's per-state mixed strategies, as a (|S|, |A_i|) array."""
 
@@ -132,7 +135,7 @@ class Policy:
         return Policy(np.tile(np.asarray(strategy, dtype=float), (n_states, 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointPolicy:
     """One policy per player, in player order."""
 
@@ -167,7 +170,7 @@ class JointPolicy:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticGame:
     """The tuple (n, S, A_1..n, T, R_1..n) plus an initial state and criterion.
 

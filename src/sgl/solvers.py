@@ -14,7 +14,8 @@ those floats before the exact re-solve.  Ties go to the lexicographically
 least optimal strategy: a side whose optimal set an exact rank test shows
 to be a point keeps its vertex; any other side takes one lexicographic LP
 per row tight against the opponent's certified optimum (no other row can
-carry mass), and that vertex is re-solved and checked the same way.
+carry mass) except the last, which the simplex sum fixes, and that vertex
+is re-solved and checked the same way.
 Support enumeration runs the exact re-solve and the certificate on every
 equal-cardinality support pair.
 
@@ -26,9 +27,9 @@ and from the block structure of the space's convex hull (``as_hull``):
     vertex;
 (b) multi-state games whose hull has one block per state (``FullSpace``,
     ``FixedCoordinates`` and ``ConvexHullStatewise``) reduce to an MDP over
-    per-state generator choices, solved by exact policy iteration
-    (discounted) or a gain/bias LP (average reward), which maximizes every
-    state's value simultaneously;
+    per-state generator choices, solved by Howard's policy iteration under
+    both criteria (the multichain form for the average reward), which
+    maximizes every state's value simultaneously and takes no LP;
 (c) multi-state games whose hull is one block (``StateUniform``,
     ``Singleton`` and ``ConvexHullGlobal``) tie the weights across states,
     making the value generally non-concave in the weights; these are
@@ -99,6 +100,7 @@ from .restrictions import (
 )
 from .values import (
     InducedMDP,
+    _closed_classes,
     induce_mdp,
     mdp_policy_value,
     mdp_policy_values,
@@ -275,8 +277,9 @@ def _minimax_lp(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
 def _lexmin_strategy(mat: np.ndarray, v_star: float, free: Sequence[int]) -> np.ndarray:
     """Lexicographically-least optimal strategy of the row player of ``mat``
-    (value ``v_star``), via one coordinate LP per row in ``free``, in order;
-    every other row is held at 0 by its bounds."""
+    (value ``v_star``), via one coordinate LP per row in ``free``, in order,
+    but the last: once every other free row is pinned, the simplex sum fixes
+    the last one.  Every other row is held at 0 by its bounds."""
     k = mat.shape[0]
     a_ub, b_ub, a_eq, _ = _security_constraints(mat)
     bounds = [(0.0, None if i in free else 0.0) for i in range(k)] + [(None, None)]
@@ -287,8 +290,8 @@ def _lexmin_strategy(mat: np.ndarray, v_star: float, free: Sequence[int]) -> np.
     pin_v[0, -1] = -1.0
     rows.append(pin_v)
     rhs.append(np.array([-(v_star - _LEX_SLACK)]))
-    x = None
-    for coord in free:
+    x = np.eye(k)[free[0]] if len(free) == 1 else None
+    for coord in free[:-1]:
         c = np.zeros(k + 1)
         c[coord] = 1.0
         res = linprog(
@@ -593,77 +596,108 @@ def _matrix_best_response(
     )
 
 
+def _improve(choice: list[int], scores: Iterable[np.ndarray]) -> bool:
+    """One improvement step of policy iteration, in place; whether it moved.
+
+    ``scores`` yields each state's score of every generator.  A state
+    switches only on strict improvement, to the lowest-index maximizer.
+    """
+    improved = False
+    for s, q in enumerate(scores):
+        best = int(np.argmax(q))
+        if q[best] > q[choice[s]] + 1e-12:
+            choice[s] = best
+            improved = True
+    return improved
+
+
+def _max_iterations(meta_r: list[np.ndarray]) -> int:
+    return 200 * sum(len(r) for r in meta_r) + 50
+
+
 def _policy_iteration_discounted(
     gamma: float, meta_r: list[np.ndarray], meta_p: list[np.ndarray]
 ) -> tuple[list[int], np.ndarray]:
     """Exact policy iteration over per-state generator choices.
 
     ``meta_r[s]`` and ``meta_p[s]`` hold each generator's reward and
-    transition row at state s.  Switches only on strict improvement and
-    breaks ties toward the lowest index, so the iteration terminates at a
-    simultaneous per-state optimum.
+    transition row at state s.  Each step evaluates the choice and improves
+    it by ``_improve``, so the iteration terminates at a simultaneous
+    per-state optimum.
     """
     s_count = len(meta_r)
     choice = [0] * s_count
-    for _ in range(200 * sum(len(r) for r in meta_r) + 50):
+    for _ in range(_max_iterations(meta_r)):
         p = np.vstack([meta_p[s][choice[s]] for s in range(s_count)])
         r = np.array([meta_r[s][choice[s]] for s in range(s_count)])
         v = np.linalg.solve(np.eye(s_count) - gamma * p, r)
-        improved = False
-        for s in range(s_count):
-            q = meta_r[s] + gamma * meta_p[s] @ v
-            best = int(np.argmax(q))
-            if q[best] > q[choice[s]] + 1e-12:
-                choice[s] = best
-                improved = True
-        if not improved:
+        if not _improve(choice, (meta_r[s] + gamma * meta_p[s] @ v for s in range(s_count))):
             return choice, v
     raise ArithmeticError("policy iteration failed to terminate")
 
 
-def _gain_bias_lp(meta_r: list[np.ndarray], meta_p: list[np.ndarray]) -> list[int]:
-    """Average-reward optimal per-state generator choice (unichain LP).
+def _gain_and_bias(p: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Gain g and bias h of a chain with rewards r: (g, h, several closed classes).
 
-    Minimizes the gain g subject to g + h(s) >= r(s, k) + P(s, k) h for all
-    meta-actions k, with one bias coordinate pinned to zero, then picks the
-    lowest-index maximizer of r(s, k) + P(s, k) h at each state.
+    Solves g = P g and g + h = r + P h with h = 0 at the first state of
+    each closed class.  Each pin replaces a row of g = P g at a state of its
+    class, the class's one redundant row, so the system is nonsingular
+    whatever the number of closed classes (Puterman, *Markov Decision
+    Processes*, 1994, §9.2).
+    """
+    n = len(r)
+    labels, closed = _closed_classes(p > 0.0)
+    rest = np.eye(n) - p
+    a = np.block([[rest, np.zeros((n, n))], [np.eye(n), rest]])
+    b = np.concatenate([np.zeros(n), r])
+    pinned = np.unique(labels, return_index=True)[1][closed]
+    a[pinned] = 0.0
+    a[pinned, n + pinned] = 1.0
+    g, h = np.split(np.linalg.solve(a, b), 2)
+    return g, h, closed.size > 1
+
+
+def _policy_iteration_average(meta_r: list[np.ndarray], meta_p: list[np.ndarray]) -> list[int]:
+    """Howard's policy iteration for the average reward, multichain form.
+
+    Arguments as for ``_policy_iteration_discounted``, and the same rule
+    improves the choice.  A choice whose chain has several closed classes
+    first improves P g, each state's gain; only when no state can, it
+    improves r + P h among the generators that keep P g at its best.  A
+    unichain chain's gain is constant, so there it improves r + P h alone.
+    The iteration ends at a choice that maximizes every state's gain.
     """
     s_count = len(meta_r)
-    # Variables: g, h_0 .. h_{S-2} (h_{S-1} = 0).
-    n_vars = s_count  # 1 gain + (S - 1) bias coordinates
-    rows = []
-    rhs = []
-    for s in range(s_count):
-        for k in range(meta_r[s].shape[0]):
-            row = np.zeros(n_vars)
-            row[0] = -1.0
-            if s < s_count - 1:
-                row[1 + s] -= 1.0
-            row[1:] += meta_p[s][k][: s_count - 1]
-            rows.append(row)
-            rhs.append(-meta_r[s][k])
-    res = linprog(
-        c=np.eye(n_vars)[0],
-        A_ub=np.asarray(rows),
-        b_ub=np.asarray(rhs),
-        bounds=[(None, None)] * n_vars,
-        method="highs",
-    )
-    if not res.success:
-        raise ArithmeticError(f"average-reward LP failed: {res.message}")
-    h = np.zeros(s_count)
-    h[: s_count - 1] = res.x[1:]
-    choice = []
-    for s in range(s_count):
-        q = meta_r[s] + meta_p[s] @ h
-        best = float(q.max())
-        choice.append(min(k for k in range(q.shape[0]) if q[k] >= best - 1e-8))
-    return choice
+    choice = [0] * s_count
+    for _ in range(_max_iterations(meta_r)):
+        p = np.vstack([meta_p[s][choice[s]] for s in range(s_count)])
+        r = np.array([meta_r[s][choice[s]] for s in range(s_count)])
+        g, h, multichain = _gain_and_bias(p, r)
+        if not multichain:
+            scores = (meta_r[s] + meta_p[s] @ h for s in range(s_count))
+        else:
+            gains = [meta_p[s] @ g for s in range(s_count)]
+            if _improve(choice, gains):
+                continue
+            scores = (
+                np.where(q >= q.max() - 1e-12, meta_r[s] + meta_p[s] @ h, -np.inf)
+                for s, q in enumerate(gains)
+            )
+        if not _improve(choice, scores):
+            return choice
+    raise ArithmeticError("policy iteration failed to terminate")
 
 
 def _statewise_best_response(mdp: InducedMDP, hull: ConvexHull) -> BestResponseResult:
     """Route (b): optimal per-state generator choice in the induced MDP, for a
-    hull whose blocks are single states."""
+    hull whose blocks are single states.
+
+    Policy iteration finds the choice, discounted or average reward.  The
+    value is the chosen table's, from the discounted iteration's last solve
+    or from ``mdp_policy_value``; an average-reward choice optimal at every
+    state may need several closed classes, and then that value raises
+    ErgodicityError.
+    """
     generators = [table[:, 0] for table in hull.tables]
     meta_r = [g @ mdp.reward[s] for s, g in enumerate(generators)]
     meta_p = [g @ mdp.transition[s] for s, g in enumerate(generators)]
@@ -671,7 +705,7 @@ def _statewise_best_response(mdp: InducedMDP, hull: ConvexHull) -> BestResponseR
     if discounted:
         choice, v = _policy_iteration_discounted(mdp.formulation.gamma, meta_r, meta_p)
     else:
-        choice = _gain_bias_lp(meta_r, meta_p)
+        choice = _policy_iteration_average(meta_r, meta_p)
     probs = np.vstack([generators[s][choice[s]] for s in range(mdp.n_states)])
     if not discounted:
         v = mdp_policy_value(mdp, probs)
@@ -945,6 +979,17 @@ def check_equilibrium(
             raise MalformedInputError(
                 f"player {i} policy lies outside its restricted space"
             )
+    return _certificate(game, joint, spaces, epsilon)
+
+
+def _certificate(
+    game: StochasticGame,
+    joint: JointPolicy,
+    spaces: Sequence[RestrictedPolicySpace],
+    epsilon: float,
+) -> EquilibriumCertificate:
+    """``check_equilibrium``'s certificate of a joint policy known to lie in
+    the spaces."""
     current = policy_value(game, joint)
     gaps = []
     for i, space in enumerate(spaces):
@@ -988,7 +1033,9 @@ def restricted_equilibrium_via_implicit(
     contributes its pure actions), the implicit matrix game is solved by
     minimax LP, and the optimal implicit mixtures map back to explicit
     strategies.  Non-convex spaces are refused: the mixtures would lie
-    outside them.
+    outside them.  Each explicit strategy is a blend of its own space's
+    vertices, so it lies in the space by construction: the certificate
+    takes the gaps of ``check_equilibrium`` without its membership LPs.
     """
     if game.n_players != 2 or not game.is_matrix_game:
         raise UnsupportedOperationError("implicit route needs a 2-player matrix game")
@@ -1008,7 +1055,7 @@ def restricted_equilibrium_via_implicit(
         (Policy(row_w[np.newaxis, :]), Policy(col_w[np.newaxis, :]))
     )
     explicit_joint = map_policy(ig, implicit_joint)
-    certificate = check_equilibrium(game, explicit_joint, spaces, epsilon)
+    certificate = _certificate(game, explicit_joint, spaces, epsilon)
     return RestrictedMatrixEquilibrium(
         value=value,
         weights=(row_w, col_w),

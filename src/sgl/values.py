@@ -95,18 +95,27 @@ def _discounted_values(p: np.ndarray, r: np.ndarray, gamma: float) -> np.ndarray
     return values
 
 
-def _require_unichain(support: np.ndarray) -> None:
-    """Raise unless a chain's (|S|, |S|) support has exactly one closed class.
+def _closed_classes(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A chain's communicating classes from its (|S|, |S|) support.
 
-    Transient states may feed into that class: d (P - I) = 0, sum(d) = 1 is
-    uniquely solvable for any unichain chain, with d zero off the class.
+    Returns (each state's class label, the sorted labels of the closed
+    classes, those no edge leaves).
     """
     _, labels = connected_components(
         support.astype(np.int8), directed=True, connection="strong"
     )
     src, dst = np.nonzero(support)
     leaving = labels[src[labels[src] != labels[dst]]]
-    closed = np.setdiff1d(labels, leaving)
+    return labels, np.setdiff1d(labels, leaving)
+
+
+def _require_unichain(support: np.ndarray) -> None:
+    """Raise unless a chain's (|S|, |S|) support has exactly one closed class.
+
+    Transient states may feed into that class: d (P - I) = 0, sum(d) = 1 is
+    uniquely solvable for any unichain chain, with d zero off the class.
+    """
+    closed = _closed_classes(support)[1]
     if closed.size != 1:
         raise ErgodicityError(
             f"chain induced by the policy has {closed.size} closed classes, not one"

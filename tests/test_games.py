@@ -282,6 +282,19 @@ class TestPolicies:
         with pytest.raises(MalformedInputError):
             policy_from_dict(data, fact5.states, 2)
 
+    def test_equality_and_hash_are_identity(self):
+        # Their array fields have no single truth value, so == and hash
+        # would raise; they compare by identity instead.
+        first, second = Policy([[0.5, 0.5]]), Policy([[0.5, 0.5]])
+        pairs = [
+            (first, second),
+            (JointPolicy((first, second)), JointPolicy((first, second))),
+            (rps(), rps()),
+        ]
+        for a, b in pairs:
+            assert a == a and a != b
+            assert len({a, b}) == 2 and hash(a) == hash(a)
+
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_random_policies_valid(self, n_states, n_actions, seed):

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from sgl import solvers
+from sgl import restrictions, solvers
 from sgl.games import (
     Average,
     Discounted,
+    ErgodicityError,
     StochasticGame,
     JointPolicy,
     MalformedInputError,
@@ -48,11 +49,15 @@ from util import (
     grid_minimax_value,
     hull_grid_max,
     pure_policy_values,
+    random_average_mdp,
     random_game,
     random_global_hull,
     random_joint_policy,
     random_policy,
     random_statewise_hull,
+    reference_best_gains,
+    reference_gain_bias_lp,
+    reference_gains,
     reference_minimax,
     reference_support_enumeration,
     reference_sweep_rows,
@@ -244,7 +249,7 @@ class TestExactMinimax:
                 assert set(coords[side]) <= tight[side]
                 assert coords[side] == sorted(set(coords[side]))
             counts.append(len(issued))
-        assert counts[13] == 3 and counts[18] == 7
+        assert counts[13] == 2 and counts[18] == 5
 
     def test_tampered_lp_never_passes_unchecked(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -553,6 +558,123 @@ class TestRestrictedBestResponse:
             assert mdp_policy_value(mdp, other.probs)[0] <= br.value + 1e-10
 
 
+def _two_state_game(moves: dict) -> StochasticGame:
+    """One player, states s0 and s1, actions 0 and 1, average reward:
+    ``moves[(state, action)]`` is (next state, reward)."""
+    transition = np.zeros((2, 2, 2))
+    rewards = np.zeros((1, 2, 2))
+    for (s, a), (dst, reward) in moves.items():
+        transition[s, a, dst] = 1.0
+        rewards[0, s, a] = reward
+    return StochasticGame(("s0", "s1"), (("a0", "a1"),), transition, rewards, "s0", Average())
+
+
+@pytest.fixture
+def module_lp_calls(monkeypatch):
+    """Counts the LPs that the solvers and restrictions modules hand to scipy."""
+    calls = {"solvers": [], "restrictions": []}
+
+    def counting(name):
+        def call(*args, **kwargs):
+            calls[name].append(1)
+            return linprog(*args, **kwargs)
+        return call
+
+    for name, module in (("solvers", solvers), ("restrictions", restrictions)):
+        monkeypatch.setattr(module, "linprog", counting(name))
+    return calls
+
+
+class TestAverageRouteB:
+    """Average-reward route (b) is Howard's policy iteration: it takes no LP,
+    and a choice whose chain has several closed classes takes the multichain
+    step instead of failing."""
+
+    @staticmethod
+    def _mdps() -> list[StochasticGame]:
+        rng = np.random.default_rng(61)
+        return [
+            random_average_mdp(rng, int(rng.integers(2, 7)), int(rng.integers(2, 4)))
+            for _ in range(240)
+        ]
+
+    def test_never_below_gain_bias_lp(self):
+        # The unichain gain/bias LP that route (b) used before is exact only
+        # when its lowest-index tie-break lands on an optimal choice; at an
+        # absorbing or transient state it can pick a worse one.  Wherever
+        # its choice is unichain, policy iteration must equal it when it is
+        # optimal and beat it when it is not, and reach the best gain.
+        agree = short = 0
+        mdps = self._mdps()
+        for game in mdps:
+            n, k = game.n_states, game.action_counts[0]
+            mdp = induce_mdp(game, 0, [])
+            choice = reference_gain_bias_lp(list(mdp.reward), list(mdp.transition))
+            try:
+                want = mdp_policy_value(mdp, np.eye(k)[choice])[0]
+            except ErgodicityError:
+                continue  # the LP's choice has several closed classes
+            best = reference_best_gains(game)
+            if np.ptp(best) > 1e-9:
+                # Only a choice with several closed classes is optimal at
+                # every state, and the unichain check refuses its value.
+                with pytest.raises(ErgodicityError):
+                    restricted_best_response(game, 0, [], FullSpace(n, k))
+                continue
+            br = restricted_best_response(game, 0, [], FullSpace(n, k))
+            best = best[game.initial_index]
+            assert br.value == pytest.approx(best, abs=1e-9)
+            if abs(want - best) <= 1e-9:
+                assert br.value == pytest.approx(want, abs=1e-9)
+                agree += 1
+            else:
+                assert want < br.value
+                short += 1
+        assert agree >= 100 and short >= 1 and agree + short < len(mdps)
+
+    def test_attains_every_state_best_gain(self):
+        # Multichain MDPs too, where no unichain LP applies and the chosen
+        # policy's value is refused by the unichain check.
+        multichain = 0
+        for game in self._mdps():
+            n = game.n_states
+            t, r = game.transition, game.rewards[0]
+            choice = solvers._policy_iteration_average(list(r), list(t))
+            rows = np.arange(n)
+            got = reference_gains(t[rows, choice][np.newaxis], r[rows, choice][np.newaxis])[0]
+            best = reference_best_gains(game)
+            assert np.allclose(got, best, rtol=0.0, atol=1e-9)
+            multichain += np.ptp(best) > 1e-6
+        assert multichain >= 20
+
+    def test_go_stay_game(self):
+        # (stay, stay), the first choice visited, has two closed classes.
+        game = _two_state_game({(0, 0): (0, 0.0), (0, 1): (1, 0.0),
+                                (1, 0): (1, 0.0), (1, 1): (0, 1.0)})
+        br = restricted_best_response(game, 0, [], FullSpace(2, 2))
+        assert br.value == 0.5
+        assert br.policy.probs.tolist() == [[0.0, 1.0], [0.0, 1.0]]
+
+    def test_stay_switch_game(self):
+        # Staying in s0 pays 1.  Both (stay, stay) and (stay, switch) have
+        # gain 1 from s0, but only the second is unichain; the gain/bias LP
+        # picked the first, whose value then failed the unichain check.
+        game = _two_state_game({(0, 0): (0, 1.0), (0, 1): (1, 0.0),
+                                (1, 0): (1, 0.0), (1, 1): (0, 0.0)})
+        br = restricted_best_response(game, 0, [], FullSpace(2, 2))
+        assert br.value == 1.0
+        assert br.policy.probs.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_takes_no_lp(self, module_lp_calls):
+        rng = np.random.default_rng(67)
+        game = random_game(rng, n_states=4, action_counts=(3, 2), average=True)
+        opponent = [random_policy(rng, 4, 2)]
+        for space in (FullSpace(4, 3), random_statewise_hull(rng, 4, 3),
+                      DeterministicOnly(4, 3)):
+            restricted_best_response(game, 0, opponent, space)
+        assert module_lp_calls == {"solvers": [], "restrictions": []}
+
+
 class TestLockstepRouteC:
     """Route (c) answers many opponent profiles in lockstep; every answer must
     be bit-identical to asking it alone and to the one-query reference."""
@@ -840,6 +962,20 @@ class TestImplicitRoute:
             )
             assert sol.certificate.verdict
             assert all((w >= 0).all() for w in sol.weights)
+
+    def test_takes_no_membership_lp(self, rps_game, rps_column_hull, module_lp_calls):
+        # The explicit joint is a blend of each space's own vertices, so the
+        # certificate needs no membership LP: every LP is the implicit
+        # game's minimax, and the gaps are check_equilibrium's.
+        spaces = [FullSpace(1, 3), rps_column_hull]
+        sol = restricted_equilibrium_via_implicit(rps_game, spaces)
+        assert module_lp_calls["restrictions"] == []
+        taken = len(module_lp_calls["solvers"])
+        minimax_zero_sum_matrix(sol.implicit.game)
+        assert len(module_lp_calls["solvers"]) == 2 * taken
+        checked = check_equilibrium(rps_game, sol.explicit_joint, spaces, 1e-8)
+        assert len(module_lp_calls["restrictions"]) == 1
+        assert checked.gaps == sol.certificate.gaps
 
     def test_rejects_general_sum(self, bos_game):
         with pytest.raises(UnsupportedOperationError):

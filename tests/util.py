@@ -8,7 +8,9 @@ these oracles, never by the code under test.  ``reference_self_play`` is
 the per-iteration self-play loop over the public single-step rules, the
 oracle for ``self_play``'s generated kernel; it logs ``CheckpointRow``s,
 and the row-wise writers and statistics here are the oracles for the
-columnar ``TrajectoryLog``.
+columnar ``TrajectoryLog``.  ``reference_gain_bias_lp`` is the unichain
+LP that average-reward route (b) used before policy iteration, and
+``reference_best_gains`` the brute-force optimum both are checked against.
 """
 
 from __future__ import annotations
@@ -583,6 +585,102 @@ def pure_policy_values(
         rhs[:, -1, 0] = 1.0
         values = np.einsum("bs,bs->b", np.linalg.solve(system, rhs)[:, :, 0], reward)
     return dict(zip(choices, values.tolist()))
+
+
+def random_average_mdp(rng: np.random.Generator, n_states: int, n_actions: int) -> StochasticGame:
+    """A one-player average-reward game whose chains need not be unichain.
+
+    Each (state, action) row is, with equal odds, a self-loop (absorbing),
+    a jump to one state, a Dirichlet draw over a random subset of states
+    (sparse), or a Dirichlet draw over all states.  Many policies leave
+    states transient or split the chain into several closed classes.
+    """
+    transition = np.zeros((n_states, n_actions, n_states))
+    for s in range(n_states):
+        for a in range(n_actions):
+            kind = rng.integers(0, 4)
+            if kind == 0:
+                transition[s, a, s] = 1.0
+            elif kind == 1:
+                transition[s, a, rng.integers(0, n_states)] = 1.0
+            elif kind == 2:
+                size = int(rng.integers(1, n_states + 1))
+                targets = rng.choice(n_states, size=size, replace=False)
+                transition[s, a, targets] = rng.dirichlet(np.ones(size))
+            else:
+                transition[s, a] = rng.dirichlet(np.ones(n_states))
+    rewards = rng.uniform(-1.0, 1.0, size=(1, n_states, n_actions))
+    return StochasticGame(
+        tuple(f"s{s}" for s in range(n_states)),
+        (tuple(f"a{a}" for a in range(n_actions)),),
+        transition, rewards, "s0", Average(),
+    )
+
+
+def reference_gains(chains: np.ndarray, rewards: np.ndarray) -> np.ndarray:
+    """Every state's long-run average reward under a stack of chains.
+
+    (B, |S|, |S|) chains and (B, |S|) rewards give (B, |S|) gains, for any
+    chain, unichain or not: the Cesaro limit P* of P equals the limit of
+    the powers of the aperiodic lazy chain (I + P) / 2, taken here by 64
+    squarings with the rows renormalized after each.
+    """
+    lazy = 0.5 * (np.eye(chains.shape[-1]) + chains)
+    for _ in range(64):
+        lazy = lazy @ lazy
+        lazy /= lazy.sum(axis=2, keepdims=True)
+    return np.einsum("bst,bt->bs", lazy, rewards)
+
+
+def reference_best_gains(game: StochasticGame) -> np.ndarray:
+    """Every state's best long-run average reward in a one-player game.
+
+    The maximum, state by state, of ``reference_gains`` over all |A|^|S|
+    pure stationary policies, one of which is optimal at every state.
+    """
+    rows = np.arange(game.n_states)
+    pure = np.array(list(itertools.product(range(game.action_counts[0]), repeat=game.n_states)))
+    return reference_gains(game.transition[rows, pure], game.rewards[0][rows, pure]).max(axis=0)
+
+
+def reference_gain_bias_lp(meta_r: list[np.ndarray], meta_p: list[np.ndarray]) -> list[int]:
+    """Average-reward optimal per-state generator choice (unichain LP).
+
+    Minimizes the gain g subject to g + h(s) >= r(s, k) + P(s, k) h for all
+    meta-actions k, with one bias coordinate pinned to zero, then picks the
+    lowest-index maximizer of r(s, k) + P(s, k) h at each state.
+    """
+    s_count = len(meta_r)
+    # Variables: g, h_0 .. h_{S-2} (h_{S-1} = 0).
+    n_vars = s_count  # 1 gain + (S - 1) bias coordinates
+    rows = []
+    rhs = []
+    for s in range(s_count):
+        for k in range(meta_r[s].shape[0]):
+            row = np.zeros(n_vars)
+            row[0] = -1.0
+            if s < s_count - 1:
+                row[1 + s] -= 1.0
+            row[1:] += meta_p[s][k][: s_count - 1]
+            rows.append(row)
+            rhs.append(-meta_r[s][k])
+    res = linprog(
+        c=np.eye(n_vars)[0],
+        A_ub=np.asarray(rows),
+        b_ub=np.asarray(rhs),
+        bounds=[(None, None)] * n_vars,
+        method="highs",
+    )
+    if not res.success:
+        raise ArithmeticError(f"average-reward LP failed: {res.message}")
+    h = np.zeros(s_count)
+    h[: s_count - 1] = res.x[1:]
+    choice = []
+    for s in range(s_count):
+        q = meta_r[s] + meta_p[s] @ h
+        best = float(q.max())
+        choice.append(min(k for k in range(q.shape[0]) if q[k] >= best - 1e-8))
+    return choice
 
 
 def hull_grid_max(
