@@ -1,23 +1,20 @@
 """Equilibrium computation and certification.
 
 Both matrix-game solvers, minimax and bimatrix support enumeration, share
-one exact core.  The payoffs times one power of two are integers;
-fraction-free elimination solves a strategy's indifference system on a
-given support in rationals, and one Nash certificate checks a pair
-exactly: both lie on the simplex and each support lies inside that
-player's best-response set.  Entries and values returned are the correctly
-rounded exact ones for the game as stored, so none is negative.
+one exact core.  The payoffs times one power of two are integers, and one
+Nash certificate checks a pair exactly: both lie on the simplex and each
+support lies inside that player's best-response set.  Entries and values
+returned are the correctly rounded exact ones for the game as stored, so
+none is negative.
 
-Minimax solves one LP with HiGHS (the row strategy is its primal, the
-column strategy its dual) and reads each support and equation order off
-those floats before the exact re-solve.  Ties go to the lexicographically
-least optimal strategy: a side whose optimal set an exact rank test shows
-to be a point keeps its vertex; any other side takes one lexicographic LP
-per row tight against the opponent's certified optimum (no other row can
-carry mass) except the last, which the simplex sum fixes, and that vertex
-is re-solved and checked the same way.
-Support enumeration runs the exact re-solve and the certificate on every
-equal-cardinality support pair.
+Minimax runs one exact simplex per side on those integers (Edmonds'
+integer-preserving pivots, so every division is exact): from the slack
+basis to the optimum of the shifted game's LP, then down to the
+lexicographically least optimal strategy over the columns whose reduced
+costs are zero.  It calls no LP solver, and the pair is certified before
+it is returned.  Support enumeration solves each equal-cardinality support
+pair's indifference systems by fraction-free elimination in rationals and
+certifies the pair.
 
 Restricted best responses take one route per input, chosen from the game
 and from the block structure of the space's convex hull (``as_hull``):
@@ -75,7 +72,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .games import (
     Discounted,
@@ -109,8 +105,6 @@ from .values import (
     policy_values,
 )
 
-_LEX_SLACK = 1e-10
-_SUPPORT_TOL = 1e-9
 _MAX_SUPPORT_ACTIONS = 5
 
 
@@ -233,7 +227,7 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# Zero-sum matrix games: minimax LP
+# Zero-sum matrix games: exact minimax simplex
 # ---------------------------------------------------------------------------
 
 
@@ -244,75 +238,6 @@ def _zero_sum_matrix(game: StochasticGame) -> np.ndarray:
     if not classify(game).is_zero_sum:
         raise UnsupportedOperationError("minimax needs a zero-sum game")
     return game.payoff_matrix(0)
-
-
-def _security_constraints(mat: np.ndarray):
-    """Constraints of the row player's security LP over (x, v), in linprog form.
-
-    max v subject to x^T M >= v columnwise, x on the simplex; the column
-    player's program is the same on -M^T.  Returns (A_ub, b_ub, A_eq, bounds).
-    """
-    k, other = mat.shape
-    a_ub = np.hstack([-mat.T, np.ones((other, 1))])
-    a_eq = np.zeros((1, k + 1))
-    a_eq[0, :k] = 1.0
-    return a_ub, np.zeros(other), a_eq, [(0.0, None)] * k + [(None, None)]
-
-
-def _minimax_lp(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """One HiGHS solve of the row LP: (row strategy, column strategy, value).
-
-    The row strategy is the primal; the column strategy is the dual of the
-    security constraints, an optimal vertex of the column player's LP.
-    """
-    a_ub, b_ub, a_eq, bounds = _security_constraints(m)
-    c = np.zeros(m.shape[0] + 1)
-    c[-1] = -1.0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=bounds,
-                  method="highs")
-    if not res.success:
-        raise ArithmeticError(f"minimax LP failed: {res.message}")
-    return np.asarray(res.x[:-1]), -np.asarray(res.ineqlin.marginals), float(res.x[-1])
-
-
-def _lexmin_strategy(mat: np.ndarray, v_star: float, free: Sequence[int]) -> np.ndarray:
-    """Lexicographically-least optimal strategy of the row player of ``mat``
-    (value ``v_star``), via one coordinate LP per row in ``free``, in order,
-    but the last: once every other free row is pinned, the simplex sum fixes
-    the last one.  Every other row is held at 0 by its bounds."""
-    k = mat.shape[0]
-    a_ub, b_ub, a_eq, _ = _security_constraints(mat)
-    bounds = [(0.0, None if i in free else 0.0) for i in range(k)] + [(None, None)]
-    rows = [a_ub]
-    rhs = [b_ub]
-    # Pin optimality: v >= v_star - slack.
-    pin_v = np.zeros((1, k + 1))
-    pin_v[0, -1] = -1.0
-    rows.append(pin_v)
-    rhs.append(np.array([-(v_star - _LEX_SLACK)]))
-    x = np.eye(k)[free[0]] if len(free) == 1 else None
-    for coord in free[:-1]:
-        c = np.zeros(k + 1)
-        c[coord] = 1.0
-        res = linprog(
-            c,
-            A_ub=np.vstack(rows),
-            b_ub=np.concatenate(rhs),
-            A_eq=a_eq,
-            b_eq=[1.0],
-            bounds=bounds,
-            method="highs",
-        )
-        if not res.success:
-            break
-        x = np.asarray(res.x)
-        pin = np.zeros((1, k + 1))
-        pin[0, coord] = 1.0
-        rows.append(pin)
-        rhs.append(np.array([x[coord] + _LEX_SLACK]))
-    if x is None:
-        raise ArithmeticError("lexicographic refinement failed")
-    return x[:k]
 
 
 # An exact strategy is (numerators, common positive denominator); a value is
@@ -327,6 +252,92 @@ def _integer_matrix(m: np.ndarray) -> tuple[list[list[int]], int]:
     ratios = [[e.as_integer_ratio() for e in row] for row in m.tolist()]
     scale = max(d for row in ratios for _, d in row)
     return [[n * (scale // d) for n, d in row] for row in ratios], scale
+
+
+def _pivot(t: list[list[int]], basis: list[int], r: int, k: int, d: int) -> int:
+    """Edmonds' integer-preserving pivot of tableau t on row r, column k.
+
+    t holds the true tableau times d, the previous pivot; every other row
+    becomes (p * row - f * pivot row) // d, each division exact, and row r
+    stays as it is.  Returns the new multiplier, the pivot p.
+    """
+    pivot_row = t[r]
+    p = pivot_row[k]
+    for i, row in enumerate(t):
+        f = row[k]
+        if i != r:
+            t[i] = [(p * e - f * q) // d for e, q in zip(row, pivot_row)]
+    basis[r] = k
+    return p
+
+
+def _optimize(
+    t: list[list[int]], basis: list[int], d: int, fixed: set[int], target: int | None
+) -> int:
+    """Simplex pivots on t until no free column improves the objective.
+
+    The objective is the last row of t, to maximize, when ``target`` is
+    None, else the variable ``target``, to minimize; a column is free when
+    it is neither basic nor in ``fixed``.  Dantzig's rule picks the column
+    of steepest improvement until a pivot is degenerate, Bland's rule
+    (lowest index) after it, so the method cannot cycle; the ratio test
+    breaks ties by the lowest basic variable.  Returns the multiplier d.
+    """
+    rhs = len(t[0]) - 1
+    bland = False
+    while True:
+        if target is None:
+            gains = t[-1]
+        elif target in basis:
+            gains = [-e for e in t[basis.index(target)]]
+        else:
+            return d
+        candidates = [j for j in range(rhs) if gains[j] < 0 and j not in fixed
+                      and j not in basis]
+        if not candidates:
+            return d
+        k = candidates[0] if bland else min(candidates, key=gains.__getitem__)
+        r = None
+        for i, row in enumerate(t[:-1]):
+            if row[k] > 0 and (r is None or row[rhs] * t[r][k] < t[r][rhs] * row[k]
+                               or row[rhs] * t[r][k] == t[r][rhs] * row[k]
+                               and basis[i] < basis[r]):
+                r = i
+        bland = bland or t[r][rhs] == 0
+        d = _pivot(t, basis, r, k, d)
+
+
+def _lexmin_minimizer(p: list[list[int]]) -> tuple[list[int], int]:
+    """The column player's lexicographically least optimal strategy in p.
+
+    With c an integer that makes every entry of p + c at least 1, the
+    optimal strategies are w / sum(w) for the optimal w of: maximize
+    sum(w) subject to (p + c) w <= 1, w >= 0, whose slack basis is
+    feasible.  After that optimum, w_0, w_1, ... are minimized in turn, each
+    over the columns that leave every earlier objective at its optimum.
+    Returns (numerators, their sum).
+    """
+    m, n = len(p), len(p[0])
+    c = 1 - min(map(min, p))
+    t = [[e + c for e in row] + [int(i == r) for i in range(m)] + [1]
+         for r, row in enumerate(p)]
+    t.append([-1] * n + [0] * (m + 1))
+    basis = list(range(n, n + m))
+    d = _optimize(t, basis, 1, set(), None)
+    fixed = {j for j, e in enumerate(t[-1][:-1]) if e}
+    for k in range(n):
+        if len(fixed) == n:  # every nonbasic column is fixed: one optimum
+            break
+        d = _optimize(t, basis, d, fixed, k)
+        if k in basis:
+            fixed.update(j for j, e in enumerate(t[basis.index(k)][:-1]) if e < 0)
+        else:
+            fixed.add(k)
+    w = [0] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            w[j] = t[i][-1]
+    return w, sum(w)
 
 
 def _eliminate(rows: list[list[int]], n: int):
@@ -419,92 +430,38 @@ def _certify(a: list[list[int]], b: list[list[int]], row, col):
     )
 
 
-def _lp_system(x: np.ndarray, payoff: np.ndarray) -> tuple[list[int], list[int]]:
-    """Support and equation order of a float LP vertex x: its entries above
-    _SUPPORT_TOL, and the columns from the tightest ``payoff`` up."""
-    support = np.flatnonzero(x > _SUPPORT_TOL).tolist()
-    return support, np.argsort(payoff, kind="stable").tolist()
-
-
-def _certified_pair(m, a, b, x, y, value=None):
-    """Exact re-solve of float optimal vertices (x, y) and their certificate.
-
-    ``b`` is the integer -a^T; ``value`` is the exact value when known.
-    Returns (row, column, value, rows tight against y, columns tight
-    against x), or None.
-    """
-    row = _exact_strategy(a, *_lp_system(x, x @ m), value)
-    col = _exact_strategy(
-        b, *_lp_system(y, -(m @ y)), None if value is None else -value
-    )
-    if row is None or col is None:
-        return None
-    cert = _certify(a, b, row, col)
-    return None if cert is None else (row, col, *cert)
-
-
-def _is_point(p, tight_rows, other_support) -> bool:
-    """Whether a rank test shows the row player's optimal set in ``p`` is a point.
-
-    Exact, for a certified optimal pair (x, z) with x on rows of ``p``:
-    ``tight_rows`` are the rows tight against z and ``other_support`` is z's
-    support.  By complementary slackness every optimal strategy is zero off
-    the tight rows, sums to 1 and meets (x^T p)_j = value on z's support; it
-    is x alone when those equations have full column rank over the tight
-    rows.  A side that fails the test is treated as wide.
-    """
-    n = len(tight_rows)
-    rows = [[p[i][j] for i in tight_rows] for j in other_support] + [[1] * n]
-    return len(_eliminate(rows, n)[1]) == n
-
-
 def minimax_zero_sum_matrix(
     game: StochasticGame,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Value and an optimal strategy pair for a zero-sum matrix game.
 
-    Returns (value to the row player, row strategy, column strategy).  One
-    HiGHS LP gives an optimal vertex pair (primal and dual); it is re-solved
-    exactly in integers and certified exactly: both strategies lie on the
-    simplex and the row security equals the column security.  The returned
-    entries and value are the correctly rounded exact ones, so no entry is
-    negative.  Ties among optimal strategies resolve to the
-    lexicographically least one: a side that fails the rank test of
-    ``_is_point`` is re-solved by one lexicographic LP per row tight
-    against the opponent's certified strategy (every other row held at 0),
-    then re-solved and certified exactly in the same way.  Raises
-    ArithmeticError rather than return an unchecked pair.
-    The value follows the game's reward criterion: the one-shot payoff
-    under averaging, scaled by 1/(1-gamma) under discounting.
+    Returns (value to the row player, row strategy, column strategy), each
+    strategy the lexicographically least optimal one.  Both come from
+    ``_lexmin_minimizer`` on the integer matrix, the row strategy as the
+    minimizer of -M^T, in exact integers with no LP; the pair is certified
+    exactly before it is returned (both strategies lie on the simplex and
+    the row security equals the column security), and ArithmeticError is
+    raised rather than return an unchecked pair.  The returned entries and
+    value are the correctly rounded exact ones, so no entry is negative,
+    whatever the magnitudes of the payoffs.  The integer pivots cost more
+    than a float LP on large games: on uniform games, one call took about
+    0.001 s at 8x8, 0.012 s at 15x15, 0.13 s at 25x25 and 1.4 s at 40x40,
+    against 0.002, 0.004, 0.012 and 0.08 s with HiGHS (one core, Python
+    3.11).  The value follows the game's reward criterion: the one-shot
+    payoff under averaging, scaled by 1/(1-gamma) under discounting.
     """
-    m = _zero_sum_matrix(game)
-    a, scale = _integer_matrix(m)
+    a, scale = _integer_matrix(_zero_sum_matrix(game))
     b = [[-e for e in column] for column in zip(*a)]
-    x, y, v_lp = _minimax_lp(m)
-    pair = _certified_pair(m, a, b, x, y)
-    if pair is not None:
-        row, col, v, tight_rows, tight_cols = pair
-        support_x = [i for i, p in enumerate(row[0]) if p]
-        support_y = [j for j, q in enumerate(col[0]) if q]
-        row_wide = not _is_point(a, tight_rows, support_y)
-        col_wide = not _is_point(b, tight_cols, support_x)
-        if row_wide or col_wide:
-            v_float = float(v / scale)
-            if row_wide:
-                x = _lexmin_strategy(m, v_float, tight_rows)
-            if col_wide:
-                y = _lexmin_strategy(-m.T, -v_float, tight_cols)
-            pair = _certified_pair(m, a, b, x, y, v)
-    if pair is None:
-        x = _lexmin_strategy(m, v_lp, range(m.shape[0]))
-        y = _lexmin_strategy(-m.T, -v_lp, range(m.shape[1]))
-        pair = _certified_pair(m, a, b, x, y)
-    if pair is None:
-        raise ArithmeticError("the minimax LP's solution failed its exact certificate")
-    (xn, xd), (yn, yd), v = pair[:3]
-    row = np.array([p / xd for p in xn])
-    col = np.array([q / yd for q in yn])
-    return float(v / scale) * _value_scale(game), row, col
+    row, col = _lexmin_minimizer(b), _lexmin_minimizer(a)
+    cert = _certify(a, b, row, col)
+    if cert is None:
+        raise ArithmeticError("the minimax simplex's solution failed its exact certificate")
+    (xn, xd), (yn, yd) = row, col
+    return (
+        float(cert[0] / scale) * _value_scale(game),
+        np.array([p / xd for p in xn]),
+        np.array([q / yd for q in yn]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1030,12 +987,13 @@ def restricted_equilibrium_via_implicit(
     """Solve a restricted zero-sum matrix game through its implicit game.
 
     Each space's vertices become the implicit actions (the full space
-    contributes its pure actions), the implicit matrix game is solved by
-    minimax LP, and the optimal implicit mixtures map back to explicit
-    strategies.  Non-convex spaces are refused: the mixtures would lie
-    outside them.  Each explicit strategy is a blend of its own space's
-    vertices, so it lies in the space by construction: the certificate
-    takes the gaps of ``check_equilibrium`` without its membership LPs.
+    contributes its pure actions), the implicit matrix game is solved
+    exactly by ``minimax_zero_sum_matrix``, and its lexicographically least
+    optimal implicit mixtures map back to explicit strategies.  Non-convex
+    spaces are refused: the mixtures would lie outside them.  Each explicit
+    strategy is a blend of its own space's vertices, so it lies in the space
+    by construction: the certificate takes the gaps of ``check_equilibrium``
+    without its membership LPs.
     """
     if game.n_players != 2 or not game.is_matrix_game:
         raise UnsupportedOperationError("implicit route needs a 2-player matrix game")

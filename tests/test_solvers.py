@@ -1,6 +1,8 @@
 """Equilibrium solvers against hand-derived and brute-force oracles."""
 
+import hashlib
 import itertools
+import sys
 import weakref
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from sgl import restrictions, solvers
+from sgl import solvers
 from sgl.games import (
     Average,
     Discounted,
@@ -19,6 +21,7 @@ from sgl.games import (
     Policy,
     UnsupportedOperationError,
     bach_stravinsky,
+    blotto_4_3,
     fact5_game,
     matrix_game,
     rps,
@@ -56,6 +59,7 @@ from util import (
     random_policy,
     random_statewise_hull,
     reference_best_gains,
+    reference_exact_lexmin,
     reference_gain_bias_lp,
     reference_gains,
     reference_minimax,
@@ -147,17 +151,42 @@ def _lp_value(m: np.ndarray) -> float:
     return float(res.x[-1])
 
 
+def _count_lps(monkeypatch, record) -> None:
+    """Replaces every binding of scipy's linprog in an sgl module by one that
+    calls ``record`` with the module's short name first."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sgl.") and getattr(module, "linprog", None) is linprog:
+            def counting(*args, _name=name.removeprefix("sgl."), **kwargs):
+                record(_name)
+                return linprog(*args, **kwargs)
+            monkeypatch.setattr(module, "linprog", counting)
+
+
 @pytest.fixture
 def linprog_calls(monkeypatch):
-    """Counts the LPs that the solvers module hands to scipy."""
+    """Counts the LPs that any sgl module hands to scipy."""
     calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(solvers, "linprog", counting)
+    _count_lps(monkeypatch, calls.append)
     return calls
+
+
+def _pinned_games() -> list[StochasticGame]:
+    """The 25 integer games, 1,500 uniform games from default_rng(41), 400
+    integer games in -2..2 from default_rng(2024), Blotto and RPS."""
+    out = [matrix_game([m, -m]) for m in _integer_games()]
+    rng = np.random.default_rng(41)
+    for _ in range(1500):
+        m = rng.uniform(-1.0, 1.0, size=tuple(rng.integers(3, 9, size=2)))
+        out.append(matrix_game([m, -m]))
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        m = rng.integers(-2, 3, size=tuple(rng.integers(2, 9, size=2))).astype(float)
+        out.append(matrix_game([m, -m]))
+    return out + [blotto_4_3(), rps()]
+
+
+def _floats(strategy) -> list[float]:
+    return [float(p) for p in strategy]
 
 
 class TestExactMinimax:
@@ -189,7 +218,8 @@ class TestExactMinimax:
             assert np.allclose(col, ref_col, rtol=0.0, atol=1e-9)
 
     def test_completely_mixed_game_takes_one_lp(self, linprog_calls):
-        # The recipe of a planted game: x^T A = v 1^T and A y = v 1.
+        # The recipe of a planted game: x^T A = v 1^T and A y = v 1.  The
+        # exact simplex takes no LP, and its answer is the exact one.
         rng = np.random.default_rng(7)
         x, y = rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(6))
         v = float(rng.uniform(-0.5, 0.5))
@@ -197,80 +227,110 @@ class TestExactMinimax:
         b = rng.uniform(-1.0, 1.0, size=(6, 6))
         a = (np.eye(6) - np.outer(one, x)) @ b @ (np.eye(6) - np.outer(y, one)) + v
         value, row, col = minimax_zero_sum_matrix(matrix_game([a, -a]))
-        assert len(linprog_calls) == 1
+        assert linprog_calls == []
+        ref_value, ref_row, ref_col = reference_exact_lexmin(a)
+        assert value == float(ref_value)
+        assert row.tolist() == _floats(ref_row) and col.tolist() == _floats(ref_col)
         assert value == pytest.approx(v, abs=1e-12)
         assert np.allclose(row, x, atol=1e-12) and np.allclose(col, y, atol=1e-12)
 
     def test_blotto_lexmin_only_on_the_wide_side(self, blotto_game, linprog_calls):
-        # The row optimum is unique; the column optima form a segment.
-        minimax_zero_sum_matrix(blotto_game)
-        assert len(linprog_calls) <= 1 + 4
+        # The row optimum is unique; the column optima form a segment, whose
+        # lexicographically least vertex the simplex returns exactly, and
+        # without an LP.
+        value, row, col = minimax_zero_sum_matrix(blotto_game)
+        assert linprog_calls == []
+        assert value == float(Fraction(14, 9))
+        assert row.tolist() == _floats([Fraction(4, 9), 0, Fraction(1, 9), 0, Fraction(4, 9)])
+        assert col.tolist() == _floats(
+            [Fraction(1, 30), Fraction(8, 15), Fraction(16, 45), Fraction(7, 90)]
+        )
 
-    def test_lexmin_lps_only_on_tight_rows(self, monkeypatch):
+    def test_lexmin_lps_only_on_tight_rows(self):
         # By complementary slackness every optimal strategy is zero off the
-        # rows tight against an optimal opponent strategy, here the minimax
-        # LP's opponent vertex, so the tie-break gives no LP to any other
-        # row.  Integer games have small exact denominators, so
-        # limit_denominator recovers that vertex exactly from its floats;
-        # the exact optimality check below confirms the recovery.
-        issued = []
-
-        def recording(c, *args, **kwargs):
-            res = linprog(c, *args, **kwargs)
-            issued.append((np.asarray(c), kwargs["A_ub"], res))
-            return res
-
-        def exact(strategy):
-            return [Fraction(p).limit_denominator(10**6) for p in strategy]
-
-        monkeypatch.setattr(solvers, "linprog", recording)
-        counts = []
+        # rows tight against an optimal opponent strategy, so the returned
+        # strategies are zero there; they are the exact oracle's
+        # lexicographically least optimal strategies, wide optimal sets
+        # included.
         for m in _integer_games():
-            issued.clear()
-            value, _, _ = minimax_zero_sum_matrix(matrix_game([m, -m]))
-            c, _, res = issued[0]
-            assert c[-1] == -1.0  # the minimax LP
-            x, y = exact(res.x[:-1]), exact(-res.ineqlin.marginals)
-            a = [[Fraction(e) for e in r] for r in m.tolist()]
-            row_pay = [sum(e * q for e, q in zip(r, y)) for r in a]
-            col_pay = [sum(p * r[j] for p, r in zip(x, a)) for j in range(m.shape[1])]
-            assert sum(x) == 1 and sum(y) == 1 and min(x + y) >= 0
-            assert max(row_pay) == min(col_pay) and float(max(row_pay)) == value
-            tight = {"row": {i for i, u in enumerate(row_pay) if u == max(row_pay)},
-                     "col": {j for j, u in enumerate(col_pay) if u == min(col_pay)}}
-            coords = {"row": [], "col": []}
-            for c, a_ub, _ in issued[1:]:
-                k = len(c) - 1
-                side = "row" if np.array_equal(a_ub[: m.shape[1], :k], -m.T) else "col"
-                assert side == "row" or np.array_equal(a_ub[: m.shape[0], :k], m)
-                assert np.count_nonzero(c) == 1 and c[-1] == 0.0
-                coords[side].append(int(np.flatnonzero(c)[0]))
-            for side in ("row", "col"):
-                assert set(coords[side]) <= tight[side]
-                assert coords[side] == sorted(set(coords[side]))
-            counts.append(len(issued))
-        assert counts[13] == 2 and counts[18] == 5
+            value, row, col = minimax_zero_sum_matrix(matrix_game([m, -m]))
+            ref_value, ref_row, ref_col = reference_exact_lexmin(m)
+            a = m.astype(int).tolist()
+            row_pay = [sum(e * q for e, q in zip(r, ref_col)) for r in a]
+            col_pay = [sum(p * r[j] for p, r in zip(ref_row, a)) for j in range(m.shape[1])]
+            assert max(row_pay) == ref_value == min(col_pay)
+            assert all(p == 0.0 for p, u in zip(row, row_pay) if u < ref_value)
+            assert all(q == 0.0 for q, u in zip(col, col_pay) if u > ref_value)
+            assert value == float(ref_value)
+            assert row.tolist() == _floats(ref_row) and col.tolist() == _floats(ref_col)
 
     def test_tampered_lp_never_passes_unchecked(self, monkeypatch):
+        # Tampered simplex numerators must fail the exact certificate: off
+        # the simplex on integer games, and moved by one unit, so still on
+        # it, on uniform games, whose optimal strategies are unique.
+        lexmin = solvers._lexmin_minimizer
+
+        def off_simplex(p):
+            w, total = lexmin(p)
+            return [w[0] + 1] + w[1:], total
+
+        def moved(p):
+            w, total = lexmin(p)
+            i = w.index(max(w))
+            w[i] -= 1
+            w[(i + 1) % len(w)] += 1
+            return w, total
+
         rng = np.random.default_rng(11)
+        uniform = [rng.uniform(-1, 1, size=(5, 6)) for _ in range(8)]
+        for tamper, games in ((off_simplex, _integer_games()[:8]), (moved, uniform)):
+            monkeypatch.setattr(solvers, "_lexmin_minimizer", tamper)
+            for m in games:
+                with pytest.raises(ArithmeticError):
+                    minimax_zero_sum_matrix(matrix_game([m, -m]))
 
-        def tampered(*args, **kwargs):
-            res = linprog(*args, **kwargs)
-            if res.success:
-                res.x = res.x + 1e-7 * rng.uniform(-1.0, 1.0, size=res.x.shape)
-            return res
+    def test_extreme_magnitudes_solved_exactly(self):
+        # Payoffs near the ends of the float range: exact integers scale them
+        # without loss, where a float LP's tolerances or model checks fail.
+        pennies = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        eps, big = Fraction(1e-300), Fraction(10**10)
+        mixed = (big + 1) / (big + 2 - eps)
+        cases = [
+            (pennies * 1e-300, Fraction(0), [Fraction(1, 2)] * 2, [Fraction(1, 2)] * 2),
+            (pennies * 1e300, Fraction(0), [Fraction(1, 2)] * 2, [Fraction(1, 2)] * 2),
+            (np.array([[1e-300, 1.0], [1.0, -1e10]]), (1 + big * eps) / (big + 2 - eps),
+             [mixed, 1 - mixed], [mixed, 1 - mixed]),
+        ]
+        for m, want_value, want_row, want_col in cases:
+            value, row, col = minimax_zero_sum_matrix(matrix_game([m, -m]))
+            assert value == float(want_value)
+            assert row.tolist() == _floats(want_row) and col.tolist() == _floats(want_col)
+            a, scale = solvers._integer_matrix(m)
+            b = [[-e for e in column] for column in zip(*a)]
+            cert = solvers._certify(
+                a, b, solvers._lexmin_minimizer(b), solvers._lexmin_minimizer(a)
+            )
+            assert cert is not None and cert[0] / scale == want_value
 
-        monkeypatch.setattr(solvers, "linprog", tampered)
-        games = _integer_games()[:8] + [rng.uniform(-1, 1, size=(5, 6)) for _ in range(8)]
-        for m in games:
-            try:
-                value, row, col = minimax_zero_sum_matrix(matrix_game([m, -m]))
-            except ArithmeticError:
-                continue
-            assert (row >= 0).all() and (col >= 0).all()
-            assert abs(row.sum() - 1.0) <= 1e-15 and abs(col.sum() - 1.0) <= 1e-15
-            assert abs((row @ m).min() - value) <= 1e-12
-            assert abs((m @ col).max() - value) <= 1e-12
+    def test_outputs_pinned(self):
+        # Value and strategy bytes of 1,927 games, pinned to those of the
+        # LP-based solver the exact simplex replaced.
+        digest = hashlib.sha256()
+        for game in _pinned_games():
+            value, row, col = minimax_zero_sum_matrix(game)
+            digest.update(np.float64(value).tobytes() + row.tobytes() + col.tobytes())
+        assert digest.hexdigest() == (
+            "c71ee96e680691b0d57e49312ea1286c6bc8951c2cabda1264749677409ca59a"
+        )
+
+    def test_matches_exact_oracle_on_small_integer_games(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            m = rng.integers(-2, 3, size=tuple(rng.integers(1, 5, size=2))).astype(float)
+            value, row, col = minimax_zero_sum_matrix(matrix_game([m, -m]))
+            ref_value, ref_row, ref_col = reference_exact_lexmin(m)
+            assert value == float(ref_value)
+            assert row.tolist() == _floats(ref_row) and col.tolist() == _floats(ref_col)
 
 
 class TestNonFiniteRewards:
@@ -571,17 +631,10 @@ def _two_state_game(moves: dict) -> StochasticGame:
 
 @pytest.fixture
 def module_lp_calls(monkeypatch):
-    """Counts the LPs that the solvers and restrictions modules hand to scipy."""
+    """Counts the LPs that each sgl module hands to scipy, by module; the
+    solvers and restrictions entries are always there."""
     calls = {"solvers": [], "restrictions": []}
-
-    def counting(name):
-        def call(*args, **kwargs):
-            calls[name].append(1)
-            return linprog(*args, **kwargs)
-        return call
-
-    for name, module in (("solvers", solvers), ("restrictions", restrictions)):
-        monkeypatch.setattr(module, "linprog", counting(name))
+    _count_lps(monkeypatch, lambda name: calls.setdefault(name, []).append(1))
     return calls
 
 

@@ -11,14 +11,19 @@ and the row-wise writers and statistics here are the oracles for the
 columnar ``TrajectoryLog``.  ``reference_gain_bias_lp`` is the unichain
 LP that average-reward route (b) used before policy iteration, and
 ``reference_best_gains`` the brute-force optimum both are checked against.
+``reference_minimax`` solves a matrix game by float LPs;
+``reference_exact_lexmin`` enumerates every vertex of each player's
+optimal set in rationals, the exact oracle for minimax's tie-break.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import itemgetter
 from typing import Sequence
 
@@ -315,6 +320,79 @@ def reference_minimax(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     row = _reference_polish(m, _reference_lexmin(m, v_row, a_ub_r, a_eq_r))
     col = _reference_polish(-m.T, _reference_lexmin(-m.T, v_col, a_ub_c, a_eq_c))
     return float((row @ m).min()), row, col
+
+
+# ---------------------------------------------------------------------------
+# Reference exact minimax: every vertex of each optimal set, in rationals
+# ---------------------------------------------------------------------------
+
+
+def _reference_exact_solve(system: list[list[int]]) -> list[Fraction] | None:
+    """The solution of a square integer system (augmented rows) in Fractions,
+    or None when it is singular; the elimination keeps each row in lowest
+    integer terms."""
+    rows = [list(r) for r in system]
+    size = len(rows)
+    for col in range(size):
+        pick = next((r for r in range(col, size) if rows[r][col]), None)
+        if pick is None:
+            return None
+        rows[col], rows[pick] = rows[pick], rows[col]
+        pivot = rows[col]
+        for r in range(size):
+            f = rows[r][col]
+            if r != col and f:
+                row = [pivot[col] * e - f * p for e, p in zip(rows[r], pivot)]
+                g = math.gcd(*row) or 1
+                rows[r] = [e // g for e in row]
+    return [Fraction(rows[i][-1], rows[i][i]) for i in range(size)]
+
+
+def _reference_lexmin_row(a: list[list[int]]) -> tuple[Fraction, list[Fraction]]:
+    """(value, lexicographically least optimal strategy) of the row player of
+    the integer matrix ``a``.
+
+    A vertex of {(x, v): x >= 0, sum(x) = 1, (x^T a)_j >= v} has x_i = 0
+    active off its support S and |S| of the column constraints active, so
+    every pair of S and |S| columns is solved; the feasible solutions of
+    largest v are the optimal set's vertices, and the least of them in
+    list order is the least of the set, a polytope.
+    """
+    k, n = len(a), len(a[0])
+    best = None
+    for s in range(1, min(k, n) + 1):
+        for support in itertools.combinations(range(k), s):
+            for tight in itertools.combinations(range(n), s):
+                sol = _reference_exact_solve(
+                    [[1] * s + [0, 1]]
+                    + [[a[i][j] for i in support] + [-1, 0] for j in tight]
+                )
+                if sol is None or min(sol[:s]) < 0:
+                    continue
+                x = [Fraction(0)] * k
+                for i, p in zip(support, sol):
+                    x[i] = p
+                v = sol[s]
+                if best is not None and v < best[0]:
+                    continue
+                if any(sum(p * row[j] for p, row in zip(x, a) if p) < v for j in range(n)):
+                    continue
+                if best is None or v > best[0] or x < best[1]:
+                    best = (v, x)
+    return best
+
+
+def reference_exact_lexmin(m: np.ndarray) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+    """(value, row, column) of the zero-sum matrix game ``m`` in Fractions:
+    each side's lexicographically least optimal strategy, by enumerating
+    every vertex of its optimal set.  The work grows as the binomial
+    coefficient C(rows + columns, rows), so keep games to a few actions."""
+    exact = [[Fraction(e) for e in row] for row in np.asarray(m, dtype=float).tolist()]
+    den = math.lcm(*(e.denominator for row in exact for e in row))
+    a = [[int(e * den) for e in row] for row in exact]
+    value, row = _reference_lexmin_row(a)
+    col = _reference_lexmin_row([[-e for e in c] for c in zip(*a)])[1]
+    return value / den, row, col
 
 
 # ---------------------------------------------------------------------------
