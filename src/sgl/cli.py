@@ -23,8 +23,10 @@ Exit codes: 0 on success, 2 for malformed input (bad files, schema
 violations, policies outside their spaces), 3 for unsupported combinations
 (e.g. minimax on a general-sum game) and for a computation that misses its
 tolerance (an ArithmeticError, e.g. a Bellman residual above VALUE_TOL at
-gamma = 0.9999999999999), 4 for ergodicity failures.  Results print as JSON
-on stdout; commands with file outputs also write them.
+gamma = 0.9999999999999), 4 when an average-reward game fails the
+support-union check (``values.check_ergodic``); no policy's chain is
+refused.  Results print as JSON on stdout; commands with file outputs
+also write them.
 
 The SGL_LOG_LEVEL environment variable (error, info, debug) controls
 logging verbosity.

@@ -44,7 +44,9 @@ class UnsupportedOperationError(ValueError):
 
 
 class ErgodicityError(ValueError):
-    """Average-reward computation on a chain without a single recurrent class."""
+    """An average-reward game fails the support-union check of
+    ``values.check_ergodic``, the paper's assumption; no policy's chain is
+    refused, since every chain has gains."""
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +67,7 @@ class Discounted:
 
 @dataclass(frozen=True)
 class Average:
-    """Long-run average reward; requires an ergodic chain to be well defined."""
+    """Long-run average reward: each state's gain, defined for every chain."""
 
 
 RewardFormulation = Discounted | Average

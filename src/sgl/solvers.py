@@ -96,9 +96,8 @@ from .restrictions import (
 )
 from .values import (
     InducedMDP,
-    _closed_classes,
+    _gain_and_bias,
     induce_mdp,
-    mdp_policy_value,
     mdp_policy_values,
     mdp_run_values,
     policy_value,
@@ -593,44 +592,29 @@ def _policy_iteration_discounted(
     raise ArithmeticError("policy iteration failed to terminate")
 
 
-def _gain_and_bias(p: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Gain g and bias h of a chain with rewards r: (g, h, several closed classes).
-
-    Solves g = P g and g + h = r + P h with h = 0 at the first state of
-    each closed class.  Each pin replaces a row of g = P g at a state of its
-    class, the class's one redundant row, so the system is nonsingular
-    whatever the number of closed classes (Puterman, *Markov Decision
-    Processes*, 1994, §9.2).
-    """
-    n = len(r)
-    labels, closed = _closed_classes(p > 0.0)
-    rest = np.eye(n) - p
-    a = np.block([[rest, np.zeros((n, n))], [np.eye(n), rest]])
-    b = np.concatenate([np.zeros(n), r])
-    pinned = np.unique(labels, return_index=True)[1][closed]
-    a[pinned] = 0.0
-    a[pinned, n + pinned] = 1.0
-    g, h = np.split(np.linalg.solve(a, b), 2)
-    return g, h, closed.size > 1
-
-
-def _policy_iteration_average(meta_r: list[np.ndarray], meta_p: list[np.ndarray]) -> list[int]:
+def _policy_iteration_average(
+    meta_r: list[np.ndarray], meta_p: list[np.ndarray]
+) -> tuple[list[int], np.ndarray]:
     """Howard's policy iteration for the average reward, multichain form.
 
     Arguments as for ``_policy_iteration_discounted``, and the same rule
-    improves the choice.  A choice whose chain has several closed classes
-    first improves P g, each state's gain; only when no state can, it
-    improves r + P h among the generators that keep P g at its best.  A
-    unichain chain's gain is constant, so there it improves r + P h alone.
-    The iteration ends at a choice that maximizes every state's gain.
+    improves the choice.  Each step evaluates the choice's chain by
+    ``values._gain_and_bias``.  A chain with several closed classes first
+    improves P g, each state's gain; only when no state can, it improves
+    r + P h among the generators that keep P g at its best.  A unichain
+    chain's gain is constant, so there it improves r + P h alone.  Which
+    step is taken follows from the chain's closed classes, not from the
+    values of g.  The iteration ends at a choice that maximizes every
+    state's gain, and returns it with each state's gain under it.
     """
     s_count = len(meta_r)
     choice = [0] * s_count
     for _ in range(_max_iterations(meta_r)):
         p = np.vstack([meta_p[s][choice[s]] for s in range(s_count)])
         r = np.array([meta_r[s][choice[s]] for s in range(s_count)])
-        g, h, multichain = _gain_and_bias(p, r)
-        if not multichain:
+        g, h, classes = _gain_and_bias(p[np.newaxis], r[np.newaxis, np.newaxis])
+        g, h = g[0, 0], h[0, 0]
+        if classes[0] == 1:
             scores = (meta_r[s] + meta_p[s] @ h for s in range(s_count))
         else:
             gains = [meta_p[s] @ g for s in range(s_count)]
@@ -641,7 +625,7 @@ def _policy_iteration_average(meta_r: list[np.ndarray], meta_p: list[np.ndarray]
                 for s, q in enumerate(gains)
             )
         if not _improve(choice, scores):
-            return choice
+            return choice, g
     raise ArithmeticError("policy iteration failed to terminate")
 
 
@@ -649,23 +633,20 @@ def _statewise_best_response(mdp: InducedMDP, hull: ConvexHull) -> BestResponseR
     """Route (b): optimal per-state generator choice in the induced MDP, for a
     hull whose blocks are single states.
 
-    Policy iteration finds the choice, discounted or average reward.  The
-    value is the chosen table's, from the discounted iteration's last solve
-    or from ``mdp_policy_value``; an average-reward choice optimal at every
-    state may need several closed classes, and then that value raises
-    ErgodicityError.
+    Policy iteration finds the choice, discounted or average reward, and
+    the value is the chosen table's, from the iteration's last solve.  An
+    average-reward choice optimal at every state may need several closed
+    classes; its value is then the initial state's gain, as for any other
+    chain.
     """
     generators = [table[:, 0] for table in hull.tables]
     meta_r = [g @ mdp.reward[s] for s, g in enumerate(generators)]
     meta_p = [g @ mdp.transition[s] for s, g in enumerate(generators)]
-    discounted = isinstance(mdp.formulation, Discounted)
-    if discounted:
+    if isinstance(mdp.formulation, Discounted):
         choice, v = _policy_iteration_discounted(mdp.formulation.gamma, meta_r, meta_p)
     else:
-        choice = _policy_iteration_average(meta_r, meta_p)
+        choice, v = _policy_iteration_average(meta_r, meta_p)
     probs = np.vstack([generators[s][choice[s]] for s in range(mdp.n_states)])
-    if not discounted:
-        v = mdp_policy_value(mdp, probs)
     return BestResponseResult(
         functools.partial(Policy, probs),
         float(v[mdp.initial_index]),

@@ -1,15 +1,18 @@
 """Exact value computation for stochastic games under fixed joint policies.
 
 Discounted values solve the linear Bellman system (I - gamma * P_pi) V = r_pi
-directly; average values solve the stationary-distribution system
-d (P_pi - I) = 0, sum(d) = 1 directly.  Both are direct dense solves rather
-than fixed-point iteration, so results are reproducible to solver precision
+directly.  Average values are each state's gain P* r, the Cesaro limit of
+the rewards, which every finite chain has: one evaluator,
+``_gain_and_bias``, finds it for any chain, with transient states or
+several closed classes, by direct solves of the gain/bias equations
+(Puterman, *Markov Decision Processes*, 1994, §9.2).  No value comes from
+fixed-point iteration, so results are reproducible to solver precision,
 and every returned table is residual-checked against VALUE_TOL.
 
 There is one evaluator family, and every member works on a batch:
 ``policy_values`` (a game's values at its initial state) and
 ``mdp_policy_values`` (an induced MDP's per-state values) take a leading
-batch axis and make one solve over the (B, |S|, |S|) stack, and
+batch axis and make one solve over the stack, and
 ``policy_value`` and ``mdp_policy_value`` are their batch-of-one case.
 ``mdp_run_values`` does the same for a stack cut into runs, one MDP each,
 and ``mdp_policy_values`` is its one-run case: the runs' MDP arrays are
@@ -19,20 +22,16 @@ contracting each run on its own.
 tables, not by ``Policy`` objects, so the solvers pass rows of their
 lattices and stacks as they are; ``policy_value`` is the one entry point
 here that takes a validated ``JointPolicy``.
-A residual that is above VALUE_TOL or not a number, or a non-finite
-average gain, raises ArithmeticError, and a NaN in an average-reward
-chain raises MalformedInputError before the stationary solve, so
-non-finite data never comes back as a value.
+A residual that is above VALUE_TOL or not a number raises ArithmeticError,
+and a NaN or infinity in an average-reward chain raises MalformedInputError
+before the solve, so non-finite data never comes back as a value.
 
-The ergodicity check used to gate average-reward evaluation is the
-support-union test: the state graph with an edge s -> s' whenever *some*
-joint action moves s to s' with positive probability must form a single
-communicating class.  This is a decidable approximation of requiring
-irreducibility under every joint policy (which quantifies over a continuum);
-a specific policy can still zero out the support of an action, so the
-per-policy chain is re-checked at evaluation time.  That check asks only
-for a unichain chain, one closed class plus possibly transient states,
-which is exactly when the stationary system has a unique solution.
+``policy_values`` refuses an average-reward game that fails the
+support-union test, ``check_ergodic``: the states must form one
+communicating class when every joint action's transitions count.  No
+value needs it, since a policy may still split the chain and its gains are
+computed like any other's; it stays because it is the paper's standing
+assumption for average-reward games, which the CLI reports with exit 4.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .games import (
@@ -95,69 +95,83 @@ def _discounted_values(p: np.ndarray, r: np.ndarray, gamma: float) -> np.ndarray
     return values
 
 
-def _closed_classes(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A chain's communicating classes from its (|S|, |S|) support.
+def _closed_anchors(supports: np.ndarray) -> np.ndarray:
+    """Each state's closed class's first state, or -1 on a transient state,
+    (B, |S|), from a stack of (B, |S|, |S|) chain supports.
 
-    Returns (each state's class label, the sorted labels of the closed
-    classes, those no edge leaves).
+    The chains are the diagonal blocks of one graph, so one search finds
+    every chain's communicating classes; a closed class is one that no edge
+    leaves.
     """
-    _, labels = connected_components(
-        support.astype(np.int8), directed=True, connection="strong"
-    )
-    src, dst = np.nonzero(support)
+    batch, n = supports.shape[:2]
+    chain, src, dst = np.nonzero(supports)
+    src, dst = chain * n + src, chain * n + dst
+    graph = csr_matrix((np.ones(src.size, dtype=np.int8), (src, dst)), shape=(batch * n,) * 2)
+    _, labels = connected_components(graph, directed=True, connection="strong")
     leaving = labels[src[labels[src] != labels[dst]]]
-    return labels, np.setdiff1d(labels, leaving)
+    firsts = np.unique(labels, return_index=True)[1][labels] % n
+    return np.where(np.isin(labels, leaving), -1, firsts).reshape(batch, n)
 
 
-def _require_unichain(support: np.ndarray) -> None:
-    """Raise unless a chain's (|S|, |S|) support has exactly one closed class.
+def _gain_and_bias(
+    p: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gain g and bias h, each (B, m, |S|), of a stack of chains with rewards
+    r (B, m, |S|), and each chain's number of closed classes, (B,).
 
-    Transient states may feed into that class: d (P - I) = 0, sum(d) = 1 is
-    uniquely solvable for any unichain chain, with d zero off the class.
-    """
-    closed = _closed_classes(support)[1]
-    if closed.size != 1:
-        raise ErgodicityError(
-            f"chain induced by the policy has {closed.size} closed classes, not one"
-        )
-
-
-def _stationary_stack(p: np.ndarray) -> np.ndarray:
-    """Stationary distributions (B, |S|) of a stack of unichain chains.
-
-    Every chain is checked; chains sharing a support pattern share the
-    verdict, so each distinct pattern is checked once.  A non-finite entry
-    is a data fault, refused first with one test for the whole stack.
+    g = P g and g + h = r + P h, with h = 0 at the first state of each
+    closed class, so g = P* r.  No gain shares a solve with a transient
+    state's bias, which grows as the state's exit probability shrinks:
+    - the first solve has each closed class's gain in its first state's
+      column, the other states' h from g + h = r + P h on the class, and on
+      a transient state g less the chain's first closed class's gain, from
+      g = P g, which is exactly 0 in a unichain chain;
+    - the second has h on transient states, from h - P h = r - g there.
+    Each distinct support pattern is classified once, all in one graph
+    search.  A non-finite transition is refused first.  A residual above
+    VALUE_TOL or not a number raises ArithmeticError: that of g = P g, and
+    that of g + h = r + P h relative to the larger of 1 and the chain's
+    largest bias.
     """
     if not np.isfinite(p).all():
         raise MalformedInputError("NaN or infinity in the transition probabilities")
-    n = p.shape[-1]
-    supports = (p > 0.0).reshape(p.shape[0], -1)
-    packed = np.ascontiguousarray(np.packbits(supports, axis=1))
+    batch, n = p.shape[0], p.shape[-1]
+    supports = p > 0.0
+    packed = np.ascontiguousarray(np.packbits(supports.reshape(batch, -1), axis=1))
     patterns = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
-    for b in np.unique(patterns, return_index=True)[1]:
-        _require_unichain(supports[b].reshape(n, n))
-    a = np.swapaxes(p, 1, 2) - np.eye(n)
-    a[:, -1, :] = 1.0
-    b = np.zeros((p.shape[0], n, 1))
-    b[:, -1, 0] = 1.0
-    d = np.linalg.solve(a, b)[..., 0]
-    residual = np.abs(d - (d[:, np.newaxis, :] @ p)[:, 0, :]).sum(axis=1)
-    if not (np.all(residual <= VALUE_TOL) and np.all(d >= -VALUE_TOL)):
-        raise ErgodicityError(f"stationary solve failed (residual {residual.max()})")
-    d = np.clip(d, 0.0, None)
-    return d / d.sum(axis=1, keepdims=True)
-
-
-def _average_gains(p: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Long-run average rewards (B, m) of a stack of unichain chains.
-
-    A non-finite reward reaches the gains only, so they are checked too.
-    """
-    gains = (r @ _stationary_stack(p)[:, :, np.newaxis])[:, :, 0]
-    if not np.all(np.isfinite(gains)):
-        raise ArithmeticError("non-finite average gain")
-    return gains
+    _, first, pattern_of = np.unique(patterns, return_index=True, return_inverse=True)
+    anchor = _closed_anchors(supports[first])[pattern_of]
+    states = np.arange(n)
+    closed, pinned = anchor >= 0, anchor == states
+    column = np.where(closed, anchor, states)
+    reference = np.argmax(closed, axis=1)[:, np.newaxis]
+    rest = np.eye(n) - p
+    # A transient row adds up each closed class's coefficients in the
+    # class's gain column, then moves their sum to the reference column.
+    transient = rest @ np.eye(n)[column]
+    transient[np.arange(batch)[:, np.newaxis], states, reference] -= np.where(
+        pinned[:, np.newaxis], transient, 0.0
+    ).sum(axis=2)
+    a = np.where(closed[:, :, np.newaxis], rest, transient)
+    rows, cols = np.nonzero(closed)
+    a[rows, cols, anchor[rows, cols]] = 1.0
+    x = np.swapaxes(
+        np.linalg.solve(a, np.swapaxes(np.where(closed[:, np.newaxis], r, 0.0), 1, 2)), 1, 2
+    )
+    g = np.take_along_axis(x, column[:, np.newaxis], axis=2)
+    shift = np.take_along_axis(x, reference[:, np.newaxis], axis=2)
+    g = np.where(closed[:, np.newaxis], g, g + shift)
+    h = np.where((closed & ~pinned)[:, np.newaxis], x, 0.0)
+    if not closed.all():
+        q = np.where(closed[:, :, np.newaxis], np.eye(n), rest)
+        h = np.where(closed[:, np.newaxis], h, r - g)
+        h = np.swapaxes(np.linalg.solve(q, np.swapaxes(h, 1, 2)), 1, 2)
+    pt = np.swapaxes(p, 1, 2)
+    scale = np.maximum(1.0, np.abs(h).max(axis=(1, 2), keepdims=True))
+    residual = np.maximum(np.abs(g - g @ pt), np.abs(g + h - r - h @ pt) / scale).max()
+    if not residual <= VALUE_TOL:
+        raise ArithmeticError(f"gain/bias residual {residual} above tolerance")
+    return g, h, np.count_nonzero(pinned, axis=1)
 
 
 def policy_values(game: StochasticGame, stacks: Sequence[np.ndarray]) -> np.ndarray:
@@ -170,10 +184,11 @@ def policy_values(game: StochasticGame, stacks: Sequence[np.ndarray]) -> np.ndar
     p, r = _chain_stack(game, stacks)
     if isinstance(game.formulation, Discounted):
         values = _discounted_values(p, r, game.formulation.gamma)
-        return values[:, :, game.initial_index]
-    if not check_ergodic(game):
+    elif check_ergodic(game):
+        values = _gain_and_bias(p, r)[0]
+    else:
         raise ErgodicityError("game fails the support-union ergodicity check")
-    return _average_gains(p, r)
+    return values[:, :, game.initial_index]
 
 
 def policy_value(game: StochasticGame, joint: JointPolicy) -> np.ndarray:
@@ -183,9 +198,8 @@ def policy_value(game: StochasticGame, joint: JointPolicy) -> np.ndarray:
 
 def check_ergodic(game: StochasticGame) -> bool:
     """Support-union test: one communicating class over all joint actions."""
-    support = (game.transition.sum(axis=1) > 0.0).astype(np.int8)
-    n_comp, _ = connected_components(support, directed=True, connection="strong")
-    return n_comp == 1
+    support = game.transition.sum(axis=1) > 0.0
+    return bool(np.all(_closed_anchors(support[np.newaxis]) == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +273,7 @@ def mdp_policy_values(mdp: InducedMDP, probs: np.ndarray) -> np.ndarray:
     """State values (B, |S|) of a (B, |S|, |A|) stack of policies in the MDP.
 
     One linear solve covers the whole stack.  Average-reward MDPs return
-    each gain broadcast over states so callers can index by state uniformly.
+    each state's gain.
     """
     return mdp_run_values([mdp], [], probs)
 
@@ -294,13 +308,10 @@ def mdp_run_values(
         np.einsum("bsa,bsat->bst", probs[rows], transitions[run[rows]], out=p[rows])
     if isinstance(mdp.formulation, Discounted):
         return _discounted_values(p, r[:, np.newaxis, :], mdp.formulation.gamma)[:, 0, :]
-    return np.repeat(_average_gains(p, r[:, np.newaxis, :]), mdp.n_states, axis=1)
+    return _gain_and_bias(p, r[:, np.newaxis, :])[0][:, 0, :]
 
 
 def mdp_policy_value(mdp: InducedMDP, probs: np.ndarray) -> np.ndarray:
-    """State values of a (|S|, |A|) policy array in the induced MDP.
-
-    Average-reward MDPs return a constant vector (the gain broadcast over
-    states) so callers can index by state uniformly.
-    """
+    """State values, or each state's gain, of a (|S|, |A|) policy array in
+    the induced MDP."""
     return mdp_policy_values(mdp, np.asarray(probs)[np.newaxis])[0]

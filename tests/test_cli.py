@@ -37,7 +37,7 @@ from sgl.restrictions import (
 )
 from sgl.games import MalformedInputError, Policy, joint_policy_to_list
 from sgl.learners import PlayerSpec, final_joint_policy, self_play
-from util import load_trajectory_rows, player_rows
+from util import load_trajectory_rows, player_rows, reference_best_gains, reference_gains
 
 # What an installer's generated `sgl` script does, given the entry point value
 # as its first argument.
@@ -256,6 +256,33 @@ class TestCheck:
         err = capsys.readouterr().err
         assert code == 4
         assert err.startswith("error: ") and "ergodicity" in err and "Traceback" not in err
+
+
+    def test_multichain_policy_in_ergodic_game_exits_0(self, capsys, tmp_path):
+        # Go-stay moves: staying keeps the state, going switches it, and
+        # going from s1 pays 1.  The game passes the support-union check,
+        # but the joint (stay, stay) splits it into two closed classes.
+        transition = np.zeros((2, 2, 2))
+        transition[0, 0, 0] = transition[0, 1, 1] = 1.0
+        transition[1, 0, 1] = transition[1, 1, 0] = 1.0
+        rewards = np.zeros((1, 2, 2))
+        rewards[0, 1, 1] = 1.0
+        game = StochasticGame(
+            ("s0", "s1"), (("stay", "go"),), transition, rewards, "s0", Average()
+        )
+        game_path = tmp_path / "go_stay.json"
+        save_game(game, game_path)
+        policy_path = tmp_path / "stay.json"
+        policy_path.write_text(json.dumps([{"s0": [1, 0], "s1": [1, 0]}]))
+        code = main(["check", "--game", str(game_path), "--policy", str(policy_path)])
+        assert code == 0
+        stay = np.zeros(2, dtype=int)
+        value = reference_gains(transition[[0, 1], stay][np.newaxis],
+                                rewards[0][[0, 1], stay][np.newaxis])[0, 0]
+        best = reference_best_gains(game)[0]
+        assert (value, best) == (0.0, 0.5)
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["gaps"] == [best - value] and cert["verdict"] is False
 
 
 class TestSweep:

@@ -31,6 +31,7 @@ from util import (
     random_game,
     random_joint_policy,
     random_policy,
+    reference_gains,
     reference_run_values,
     simulate_average_reward,
 )
@@ -49,6 +50,22 @@ def two_state_cycle(formulation) -> StochasticGame:
 
 
 CYCLE_POLICY = JointPolicy((Policy([[1.0], [1.0]]),))
+
+
+def chains_as_actions(chains: np.ndarray, rewards: np.ndarray) -> tuple[StochasticGame, np.ndarray]:
+    """A one-player average-reward game whose first actions are a stack of
+    (B, |S|, |S|) chains with (B, |S|) rewards, and the (B, |S|, B + 1) pure
+    policies that follow each chain.  One more action moves every state
+    along a cycle, so the game passes the support-union check."""
+    count, n = rewards.shape
+    cycle = np.roll(np.eye(n), 1, axis=1)[:, np.newaxis, :]
+    game = StochasticGame(
+        tuple(f"s{s}" for s in range(n)), (tuple(f"a{a}" for a in range(count + 1)),),
+        np.concatenate([np.swapaxes(chains, 0, 1), cycle], axis=1),
+        np.concatenate([rewards.T, np.zeros((n, 1))], axis=1)[np.newaxis],
+        "s0", Average(),
+    )
+    return game, np.repeat(np.eye(count + 1)[:count, np.newaxis, :], n, axis=1)
 
 
 def stationary_by_indicators(game: StochasticGame, joint: JointPolicy) -> np.ndarray:
@@ -169,6 +186,52 @@ class TestAverage:
                 game, joint, steps=10**7, seed=seed, start_state=start
             )
             assert np.max(np.abs(sim - exact)) <= 1e-3
+
+    def test_any_chain_matches_cesaro_oracle(self):
+        # 2,000 chains whose rows reach one or two states, so that many leave
+        # states transient or split into several closed classes (over 15%
+        # have gains that differ between states).
+        rng = np.random.default_rng(73)
+        multichain = 0
+        for n in range(2, 7):
+            count = 400
+            chains = np.zeros((count, n, n))
+            weight = rng.uniform(size=(count, n))
+            index = np.indices((count, n))
+            first = rng.integers(n, size=(count, n))
+            # Half the rows reach their first state alone.
+            second = np.where(rng.uniform(size=(count, n)) < 0.5, first,
+                              rng.integers(n, size=(count, n)))
+            np.add.at(chains, (*index, first), weight)
+            np.add.at(chains, (*index, second), 1.0 - weight)
+            rewards = rng.uniform(-1.0, 1.0, size=(count, n))
+            want = reference_gains(chains, rewards)
+            multichain += np.count_nonzero(np.ptp(want, axis=1) > 1e-9)
+            game, pure = chains_as_actions(chains, rewards)
+            assert check_ergodic(game)
+            got = mdp_policy_values(induce_mdp(game, 0, []), pure)
+            assert np.max(np.abs(got - want)) <= 1e-12
+            for s, state in enumerate(game.states):
+                at_s = policy_values(replace(game, initial_state=state), [pure])[:, 0]
+                assert np.max(np.abs(at_s - want[:, s])) <= 1e-12
+        assert multichain >= 300
+
+    def test_slow_chains_keep_their_accuracy(self):
+        # Five states, {0, 1} and {2, 3, 4} joined only by probability eps:
+        # one slowly mixing class, then {0, 1} transient, left with
+        # probability eps.  A transient state's bias grows like 1 / eps, and
+        # neither it nor the class's must cost the gains their accuracy.
+        rng = np.random.default_rng(79)
+        for eps, leak, tol in ((1e-5, 1e-5, 1e-9), (1e-9, 0.0, 1e-12)):
+            chains = rng.dirichlet(np.ones(5), size=(50, 5))
+            chains[:, :2, 2:] = chains[:, 2:, :2] = 0.0
+            chains[:, 0, 3] = chains[:, 1, 4] = eps
+            chains[:, 3, 1] = leak
+            chains /= chains.sum(axis=2, keepdims=True)
+            rewards = rng.uniform(-1.0, 1.0, size=(50, 5))
+            game, pure = chains_as_actions(chains, rewards)
+            got = mdp_policy_values(induce_mdp(game, 0, []), pure)
+            assert np.max(np.abs(got - reference_gains(chains, rewards))) <= tol
 
     def test_stationary_residual(self):
         rng = np.random.default_rng(9)
@@ -459,6 +522,34 @@ class TestBatched:
         monkeypatch.setattr(np.linalg, "solve", solve)
         policy_values(game, stacks)
         mdp_policy_values(mdp, stacks[0])
+
+
+def test_average_residual_checked_for_every_member(monkeypatch):
+    # Either solve's result, off by 1e-6 in one entry, is refused.  The
+    # second solve is taken only with a transient state: staying in s0 and
+    # leaving s1 and s2 by dense rows makes two.
+    rng = np.random.default_rng(49)
+    game = random_game(rng, n_states=3, action_counts=(2,), average=True)
+    game = replace(game, transition=np.concatenate(
+        [game.transition[:, :1], np.eye(3)[:, np.newaxis]], axis=1))
+    stacks = [np.stack([random_policy(rng, 3, 2).probs for _ in range(4)]
+                       + [Policy.pure(3, 2, [1, 0, 0]).probs])]
+    solve = np.linalg.solve
+    for call in (0, 1):
+        calls = []
+
+        def perturb_last_member(a, b):
+            x = solve(a, b)
+            if len(calls) == call:
+                x[-1, -1] += 1e-6
+            calls.append(1)
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", perturb_last_member)
+        with pytest.raises(ArithmeticError):
+            policy_values(game, stacks)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+    policy_values(game, stacks)
 
 
 def test_nan_transition_refused_before_the_stationary_solve():

@@ -540,7 +540,7 @@ def reference_run_values(mdps, cuts, probs: np.ndarray) -> np.ndarray:
         np.einsum("bsa,sa->bs", probs[start:stop], run_mdp.reward, out=r[start:stop])
     if isinstance(mdp.formulation, Discounted):
         return values._discounted_values(p, r[:, np.newaxis, :], mdp.formulation.gamma)[:, 0, :]
-    return np.repeat(values._average_gains(p, r[:, np.newaxis, :]), mdp.n_states, axis=1)
+    return values._gain_and_bias(p, r[:, np.newaxis, :])[0][:, 0, :]
 
 
 def reference_weight_best_response(game, i, others, hull):
