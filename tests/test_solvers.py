@@ -1025,6 +1025,32 @@ class TestImplicitRoute:
         assert len(module_lp_calls["restrictions"]) == 1
         assert checked.gaps == sol.certificate.gaps
 
+    def test_outputs_pinned(self):
+        # Value, weight and explicit strategy bytes of 200 seeded one-state
+        # games: global or statewise row hulls against the full column space
+        # or a statewise column hull, with real and with integer payoffs.
+        rng = np.random.default_rng(26)
+        digest = hashlib.sha256()
+        for k in range(200):
+            m, n = (int(x) for x in rng.integers(2, 7, size=2))
+            if k % 3 == 0:
+                a = rng.integers(-3, 4, size=(m, n)).astype(float)
+            else:
+                a = rng.uniform(-1.0, 1.0, size=(m, n))
+            row_hull = random_global_hull if k % 2 else random_statewise_hull
+            rows = row_hull(rng, 1, m, int(rng.integers(1, 5)))
+            cols = (
+                FullSpace(1, n) if k % 4 < 2
+                else random_statewise_hull(rng, 1, n, int(rng.integers(1, 5)))
+            )
+            sol = restricted_equilibrium_via_implicit(matrix_game([a, -a]), [rows, cols])
+            digest.update(np.float64(sol.value).tobytes())
+            for w, policy in zip(sol.weights, sol.explicit_joint.policies):
+                digest.update(w.tobytes() + policy.probs.tobytes())
+        assert digest.hexdigest() == (
+            "d79d5efbea25f6414e68d167dca236b8bf26852a1c0a50425c4c34e4d77bfbe1"
+        )
+
     def test_rejects_general_sum(self, bos_game):
         with pytest.raises(UnsupportedOperationError):
             restricted_equilibrium_via_implicit(
