@@ -1,9 +1,9 @@
 """Stochastic games with limited agents.
 
 Exact values and equilibria for finite stochastic games, restricted policy
-spaces and implicit games for modelling agent limitations, certification of
-equilibrium existence and nonexistence at desk scale, and WoLF-PHC
-self-play with and without restrictions.
+spaces for modelling agent limitations and the implicit games they induce,
+certification of equilibrium existence and nonexistence at desk scale, and
+WoLF-PHC self-play with and without restrictions.
 """
 
 from .games import (
@@ -39,15 +39,13 @@ from .restrictions import (
     DeterministicOnly,
     FixedCoordinates,
     FullSpace,
-    ImplicitGame,
     RestrictedPolicySpace,
     Singleton,
     StateUniform,
-    TauMapping,
     broken_actuator,
     build_implicit,
     epsilon_exploration,
-    map_policy,
+    implicit_policy,
 )
 from .solvers import (
     BestResponseResult,

@@ -12,8 +12,9 @@ The restricted variant runs the identical update (``wolf_phc_step``) over
 a fixed set of generator strategies instead of primitive actions: the
 learner samples a generator from its weight vector, executes a primitive
 action drawn from that generator, and hill-climbs in the weight simplex.
-Its induced explicit policy is the weight-blend of the generators, so by
-construction it never leaves the hull.
+A hull seat learns one weight vector per state, so its explicit policy
+stays in the hull in one-state games but can leave a global hull, whose
+states share one weight vector, in a multi-state game.
 
 Matches are single-threaded and own their mutable state; the RNG is seeded
 per match and split per player, so a (seed, config, game) triple fixes the

@@ -1,4 +1,4 @@
-"""Restricted policy spaces and implicit games.
+"""Restricted policy spaces and the implicit games they induce.
 
 A restricted policy space is a non-empty subset of one player's policy
 polytope.  The solvers see it only through a membership test, its convex
@@ -44,13 +44,14 @@ with their own arguments (the shape, pins by state name, or the one
 policy) rather than generators.  ``space_from_dict`` reads all seven tags;
 probability rows in a file are read by ``games.load_distribution``.
 
-An implicit game rewrites a game from the point of view of limited agents:
-each player's implicit actions are distributions over its explicit actions
-(the tau mappings), transitions are the induced expectations, and rewards
-default to the induced expectations as well (an explicit override models
-reward shaping, where tau stays the identity).  With default rewards, the
-value of any implicit joint policy equals the explicit value of its mapped
-policy; `map_policy` performs that mapping.
+A limitation is a space too.  The policies an implicit game's map tau
+reaches are those of the statewise hull with generators tau[s, b, :], so
+``broken_actuator`` and ``epsilon_exploration`` build the paper's two
+examples as such hulls.  The implicit game is a view of the hull blocks
+(``build_implicit``): each player's actions at a state are that state's
+generators, transitions and rewards are the generator-weighted
+expectations, and an implicit joint policy has the explicit value of its
+``implicit_policy`` images.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .games import (
-    JointPolicy,
     MalformedInputError,
     Policy,
     StochasticGame,
@@ -311,10 +311,6 @@ class ConvexHullGlobal(ConvexHull):
         super().__init__([range(shape[0])], [np.stack([g.probs for g in generators])])
         self.generator_probs = self.tables[0]
 
-    def recover_weights(self, policy: Policy) -> tuple[float, np.ndarray]:
-        self._check_shape(policy)
-        return _recover_weights_lp(policy.probs.ravel(), self.generator_probs.reshape(self.k, -1))
-
 
 class ConvexHullStatewise(ConvexHull):
     """Per-state convex strategy sets, blended independently at each state:
@@ -445,194 +441,86 @@ def Singleton(policy: Policy) -> ConvexHullGlobal:
     return _tagged(ConvexHullGlobal((policy,)), "singleton")
 
 
+def broken_actuator(n_states: int, n_actions: int, broken: int, null: int) -> ConvexHullStatewise:
+    """A limitation where action ``broken`` acts as action ``null``: the
+    statewise hull of the unit vectors with ``broken``'s row replaced by
+    ``null``'s."""
+    if not (0 <= broken < n_actions and 0 <= null < n_actions):
+        raise MalformedInputError("broken/null action out of range")
+    rows = np.eye(n_actions)
+    rows[broken] = rows[null]
+    return ConvexHullStatewise((rows,) * n_states)
+
+
+def epsilon_exploration(n_states: int, n_actions: int, eps: float) -> ConvexHullStatewise:
+    """A limitation where the chosen action is kept with probability 1 - eps
+    and replaced by a uniform action with probability eps: the statewise hull
+    of the rows (1 - eps) e_a + eps / |A|."""
+    eps = float(eps)
+    if not (0.0 <= eps < 1.0):
+        raise MalformedInputError(f"epsilon {eps} outside [0, 1)")
+    return ConvexHullStatewise(((1.0 - eps) * np.eye(n_actions) + eps / n_actions,) * n_states)
+
+
 # ---------------------------------------------------------------------------
 # Implicit games
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TauMapping:
-    """Per-player stochastic maps from implicit actions to explicit actions.
+def _state_generators(hull: ConvexHull) -> np.ndarray:
+    """A hull's generators as one (|S|, k, |A|) array: the hull must have one
+    block per state and the same generator count k in every state."""
+    if any(len(block) != 1 for block in hull.blocks):
+        raise UnsupportedOperationError("an implicit game needs one hull block per state")
+    if len({len(table) for table in hull.tables}) != 1:
+        raise UnsupportedOperationError("an implicit game needs one generator count in every state")
+    return np.stack([table[:, 0] for table in hull.tables])
 
-    ``taus[i][s, b, a]`` is the probability that implicit action b of
-    player i realizes explicit action a in state s; each (s, b) row is a
-    distribution.
+
+def implicit_policy(hull: ConvexHull, weights: np.ndarray) -> Policy:
+    """The explicit policy of implicit weights (|S|, k) over a hull's
+    generators: pi(s, a) = sum_b w(s, b) G_s(b, a)."""
+    return Policy(np.einsum("sb,sba->sa", weights, _state_generators(hull)))
+
+
+def build_implicit(game: StochasticGame, hulls: Sequence[ConvexHull]) -> StochasticGame:
+    """The implicit game of one hull per player.
+
+    Player i's actions at state s are its hull's generators there, named
+    ``g0``, ``g1``, ...; transitions and rewards are the generator-weighted
+    expectations of the explicit ones.  The value of any implicit joint
+    policy is the explicit value of its ``implicit_policy`` images.
     """
-
-    taus: tuple[np.ndarray, ...]
-    implicit_action_sets: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self) -> None:
-        taus = tuple(np.asarray(t, dtype=float) for t in self.taus)
-        names = tuple(tuple(a) for a in self.implicit_action_sets)
-        if len(taus) != len(names):
-            raise MalformedInputError("need implicit action names for every player")
-        for i, t in enumerate(taus):
-            if t.ndim != 3:
-                raise MalformedInputError(f"tau for player {i} must be 3-D")
-            if t.shape[1] != len(names[i]):
-                raise MalformedInputError(f"tau/{i} rows disagree with action names")
-            if np.any(t < -STRUCTURAL_TOL):
-                raise MalformedInputError(f"tau/{i} has negative entries")
-            sums = t.sum(axis=2)
-            if np.max(np.abs(sums - 1.0)) > STRUCTURAL_TOL:
-                raise MalformedInputError(
-                    f"tau rows for player {i} must each sum to 1"
-                )
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "implicit_action_sets", names)
-
-    @property
-    def n_players(self) -> int:
-        return len(self.taus)
-
-
-def identity_tau(game: StochasticGame) -> TauMapping:
-    return TauMapping(
-        taus=tuple(
-            np.tile(np.eye(k), (game.n_states, 1, 1)) for k in game.action_counts
-        ),
-        implicit_action_sets=game.action_sets,
-    )
-
-
-@dataclass(frozen=True)
-class ImplicitGame:
-    """A derived game together with the tau mappings tying it to its source."""
-
-    game: StochasticGame
-    tau: TauMapping
-    explicit: StochasticGame
-
-    def mapping_residual(self) -> float:
-        """Max deviation of the implicit transitions from the tau expectation."""
-        weights = _joint_tau_weights(self.explicit, self.tau)
-        worst = 0.0
-        for s in range(self.explicit.n_states):
-            expected = weights[s] @ self.explicit.transition[s]
-            worst = max(worst, float(np.max(np.abs(expected - self.game.transition[s]))))
-        return worst
-
-
-def _joint_tau_weights(explicit: StochasticGame, tau: TauMapping) -> list[np.ndarray]:
-    """Per state, the (implicit-joint x explicit-joint) realization weights.
-
-    Row-major joint indexing lets the per-player tau slices combine by
-    Kronecker product in player order.
-    """
-    out = []
-    for s in range(explicit.n_states):
+    if len(hulls) != game.n_players:
+        raise MalformedInputError("need one hull per player")
+    generators = [_state_generators(hull) for hull in hulls]
+    for i, g in enumerate(generators):
+        if g.shape[0] != game.n_states or g.shape[2] != game.action_counts[i]:
+            raise MalformedInputError(f"hull for player {i} has wrong shape")
+    n_joint = math.prod(g.shape[1] for g in generators)
+    transition = np.zeros((game.n_states, n_joint, game.n_states))
+    rewards = np.zeros((game.n_players, game.n_states, n_joint))
+    for s in range(game.n_states):
+        # Row-major joint indexing: the players' generator rows combine by
+        # Kronecker product in player order.
         w = np.ones((1, 1))
-        for t in tau.taus:
-            w = np.kron(w, t[s])
-        out.append(w)
-    return out
-
-
-def build_implicit(
-    explicit: StochasticGame,
-    tau: TauMapping,
-    reward_override: np.ndarray | None = None,
-) -> ImplicitGame:
-    """Derive the implicit game induced by tau.
-
-    Transitions are the tau expectations of the explicit transitions.
-    Rewards default to the tau expectations of the explicit rewards; a
-    ``reward_override`` of shape (n, |S|, implicit joint count) replaces
-    them wholesale (reward shaping keeps tau the identity and overrides
-    only this table).
-    """
-    if tau.n_players != explicit.n_players:
-        raise MalformedInputError("tau must cover every player")
-    for i, t in enumerate(tau.taus):
-        if t.shape[0] != explicit.n_states or t.shape[2] != explicit.action_counts[i]:
-            raise MalformedInputError(f"tau for player {i} has wrong shape")
-    weights = _joint_tau_weights(explicit, tau)
-    n_implicit_joint = weights[0].shape[0]
-    transition = np.zeros((explicit.n_states, n_implicit_joint, explicit.n_states))
-    rewards = np.zeros((explicit.n_players, explicit.n_states, n_implicit_joint))
-    for s in range(explicit.n_states):
-        transition[s] = weights[s] @ explicit.transition[s]
-        for i in range(explicit.n_players):
-            rewards[i, s] = weights[s] @ explicit.rewards[i, s]
-    if reward_override is not None:
-        reward_override = np.asarray(reward_override, dtype=float)
-        if reward_override.shape != rewards.shape:
-            raise MalformedInputError(
-                f"reward override shape {reward_override.shape} != {rewards.shape}"
-            )
-        rewards = reward_override
+        for g in generators:
+            w = np.kron(w, g[s])
+        transition[s] = w @ game.transition[s]
+        for i in range(game.n_players):
+            rewards[i, s] = w @ game.rewards[i, s]
     implicit = StochasticGame(
-        states=explicit.states,
-        action_sets=tau.implicit_action_sets,
+        states=game.states,
+        action_sets=tuple(tuple(f"g{b}" for b in range(g.shape[1])) for g in generators),
         transition=transition,
         rewards=rewards,
-        initial_state=explicit.initial_state,
-        formulation=explicit.formulation,
+        initial_state=game.initial_state,
+        formulation=game.formulation,
     )
     problems = validate(implicit)
     if problems:
         raise MalformedInputError("implicit game invalid: " + "; ".join(problems))
-    return ImplicitGame(game=implicit, tau=tau, explicit=explicit)
-
-
-def broken_actuator(
-    explicit: StochasticGame, i: int, broken_action: int, null_action: int
-) -> ImplicitGame:
-    """Implicit game where one of player i's actions behaves like a null action.
-
-    Transition and reward rows with the broken component equal the rows
-    with the null component; tau maps broken deterministically to null.
-    """
-    k = explicit.action_counts[i]
-    if not (0 <= broken_action < k and 0 <= null_action < k):
-        raise MalformedInputError("broken/null action out of range")
-    base = identity_tau(explicit)
-    taus = [np.array(t) for t in base.taus]
-    taus[i][:, broken_action, :] = 0.0
-    taus[i][:, broken_action, null_action] = 1.0
-    return build_implicit(
-        explicit, TauMapping(tuple(taus), explicit.action_sets)
-    )
-
-
-def epsilon_exploration(
-    explicit: StochasticGame, eps: Sequence[float]
-) -> ImplicitGame:
-    """Implicit game for per-player epsilon-greedy execution noise.
-
-    Each player's chosen action is kept with probability 1 - eps_i and
-    replaced by a uniform action with probability eps_i.
-    """
-    if len(eps) != explicit.n_players:
-        raise MalformedInputError("need one epsilon per player")
-    taus = []
-    for i, e in enumerate(eps):
-        e = float(e)
-        if not (0.0 <= e < 1.0):
-            raise MalformedInputError(f"epsilon {e} outside [0, 1)")
-        k = explicit.action_counts[i]
-        mat = (1.0 - e) * np.eye(k) + e / k
-        taus.append(np.tile(mat, (explicit.n_states, 1, 1)))
-    return build_implicit(
-        explicit, TauMapping(tuple(taus), explicit.action_sets)
-    )
-
-
-def map_policy(ig: ImplicitGame, implicit_joint: JointPolicy) -> JointPolicy:
-    """Translate an implicit joint policy into the explicit game.
-
-    pi_i(s, a) = sum_b pihat_i(s, b) tau_i(s, b, a).
-    """
-    if len(implicit_joint) != ig.game.n_players:
-        raise MalformedInputError("implicit joint policy has wrong player count")
-    mapped = []
-    for i, pol in enumerate(implicit_joint.policies):
-        if pol.probs.shape != (ig.game.n_states, ig.game.action_counts[i]):
-            raise MalformedInputError(f"implicit policy {i} has wrong shape")
-        probs = np.einsum("sb,sba->sa", pol.probs, ig.tau.taus[i])
-        mapped.append(Policy(probs))
-    return JointPolicy(tuple(mapped))
+    return implicit
 
 
 # ---------------------------------------------------------------------------

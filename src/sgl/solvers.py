@@ -86,12 +86,10 @@ from .games import (
 from .restrictions import (
     ConvexHull,
     FullSpace,
-    ImplicitGame,
     MEMBERSHIP_TOL,
     RestrictedPolicySpace,
-    TauMapping,
     build_implicit,
-    map_policy,
+    implicit_policy,
     simplex_grid,
 )
 from .values import (
@@ -162,7 +160,7 @@ class RestrictedMatrixEquilibrium:
     weights: tuple[np.ndarray, np.ndarray]
     explicit_joint: JointPolicy
     certificate: EquilibriumCertificate
-    implicit: ImplicitGame
+    implicit: StochasticGame
 
 
 @dataclass(frozen=True, eq=False)
@@ -967,7 +965,7 @@ def restricted_equilibrium_via_implicit(
 ) -> RestrictedMatrixEquilibrium:
     """Solve a restricted zero-sum matrix game through its implicit game.
 
-    Each space's vertices become the implicit actions (the full space
+    Each space's hull generators become the implicit actions (the full space
     contributes its pure actions), the implicit matrix game is solved
     exactly by ``minimax_zero_sum_matrix``, and its lexicographically least
     optimal implicit mixtures map back to explicit strategies.  Non-convex
@@ -982,25 +980,19 @@ def restricted_equilibrium_via_implicit(
         raise UnsupportedOperationError("implicit route needs a zero-sum game")
     if not all(space.is_convex for space in spaces):
         raise UnsupportedOperationError("implicit route needs convex spaces")
-    taus = []
-    names = []
-    for space in spaces:
-        vertices = space.as_hull().vertex_probs()
-        taus.append(vertices[np.newaxis, :, 0, :])
-        names.append(tuple(f"g{k}" for k in range(len(vertices))))
-    ig = build_implicit(game, TauMapping(tuple(taus), tuple(names)))
-    value, row_w, col_w = minimax_zero_sum_matrix(ig.game)
-    implicit_joint = JointPolicy(
-        (Policy(row_w[np.newaxis, :]), Policy(col_w[np.newaxis, :]))
+    hulls = [space.as_hull() for space in spaces]
+    implicit = build_implicit(game, hulls)
+    value, row_w, col_w = minimax_zero_sum_matrix(implicit)
+    explicit_joint = JointPolicy(
+        tuple(implicit_policy(h, w[np.newaxis]) for h, w in zip(hulls, (row_w, col_w)))
     )
-    explicit_joint = map_policy(ig, implicit_joint)
     certificate = _certificate(game, explicit_joint, spaces, epsilon)
     return RestrictedMatrixEquilibrium(
         value=value,
         weights=(row_w, col_w),
         explicit_joint=explicit_joint,
         certificate=certificate,
-        implicit=ig,
+        implicit=implicit,
     )
 
 

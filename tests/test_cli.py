@@ -33,10 +33,13 @@ from sgl.restrictions import (
     FullSpace,
     Singleton,
     StateUniform,
+    broken_actuator,
+    epsilon_exploration,
     save_spaces,
 )
 from sgl.games import MalformedInputError, Policy, joint_policy_to_list
 from sgl.learners import PlayerSpec, final_joint_policy, self_play
+from sgl.solvers import restricted_equilibrium_via_implicit
 from util import load_trajectory_rows, player_rows, reference_best_gains, reference_gains
 
 # What an installer's generated `sgl` script does, given the entry point value
@@ -126,6 +129,42 @@ class TestSolve:
             ["solve", "restricted", str(rps_file), "--spaces", str(spaces_path)]
         )
         assert code == 3
+
+
+class TestLimitations:
+    def test_paper_limitations_reach_every_spaces_command(self, capsys, tmp_path, rps_file):
+        # The paper's two limitations are statewise hulls: they need no file
+        # tag of their own to reach the commands that read --spaces.
+        spaces = [broken_actuator(1, 3, 2, 0), epsilon_exploration(1, 3, 0.3)]
+        spaces_path = tmp_path / "spaces.json"
+        save_spaces(spaces, rps(), spaces_path)
+        variants = [entry["variant"] for entry in json.loads(spaces_path.read_text())]
+        assert variants == ["convex_hull_statewise"] * 2
+        code, payload = run_cli(
+            capsys, "solve", "restricted", str(rps_file), "--spaces", str(spaces_path)
+        )
+        assert code == 0
+        assert payload["value"] == restricted_equilibrium_via_implicit(rps(), spaces).value
+        policy_path = tmp_path / "solution.json"
+        policy_path.write_text(json.dumps(payload["joint_policy"]))
+        code, checked = run_cli(
+            capsys,
+            "check",
+            "--game", str(rps_file),
+            "--policy", str(policy_path),
+            "--spaces", str(spaces_path),
+        )
+        assert code == 0
+        assert checked["verdict"] is True
+        code, swept = run_cli(
+            capsys,
+            "sweep",
+            "--game", str(rps_file),
+            "--spaces", str(spaces_path),
+            "--resolution", "0.25",
+        )
+        assert code == 0
+        assert swept["grid_points"] == 15 * 15
 
 
 class TestCheck:

@@ -16,6 +16,7 @@ from sgl.games import (
     UnsupportedOperationError,
     fact5_game,
     rps,
+    validate,
 )
 from sgl.restrictions import (
     ConvexHullGlobal,
@@ -25,12 +26,10 @@ from sgl.restrictions import (
     FullSpace,
     Singleton,
     StateUniform,
-    TauMapping,
     broken_actuator,
     build_implicit,
     epsilon_exploration,
-    identity_tau,
-    map_policy,
+    implicit_policy,
     save_spaces,
     simplex_grid,
     space_from_dict,
@@ -105,9 +104,6 @@ class TestMembership:
         # (1/3, 1/2, 1/6) = 2/3 * s1 + 1/3 * s2.
         assert hull.contains(Policy([[1 / 3, 0.5, 1 / 6]]))
         assert not hull.contains(Policy([[1 / 3, 1 / 3, 1 / 3]]))
-        gap, weights = hull.recover_weights(Policy([[1 / 3, 0.5, 1 / 6]]))
-        assert gap <= 1e-9
-        assert np.allclose(weights, [2 / 3, 1 / 3], atol=1e-9)
 
     def test_state_uniform(self):
         space = StateUniform(2, 2)
@@ -401,29 +397,18 @@ class TestPins:
 
 
 class TestImplicitGames:
-    def test_identity_tau_reproduces_game(self, rps_game):
-        ig = build_implicit(rps_game, identity_tau(rps_game))
-        assert np.array_equal(ig.game.transition, rps_game.transition)
-        assert np.array_equal(ig.game.rewards, rps_game.rewards)
-        assert ig.mapping_residual() <= 1e-15
+    def test_full_spaces_reproduce_game(self, rps_game):
+        ig = build_implicit(rps_game, [FullSpace(1, 3), FullSpace(1, 3)])
+        assert np.array_equal(ig.transition, rps_game.transition)
+        assert np.array_equal(ig.rewards, rps_game.rewards)
 
     def test_rps_column_hull_matrix(self, rps_game, rps_column_hull):
-        gens = np.stack([g.probs[0] for g in rps_column_hull.generators])
-        tau = TauMapping(
-            (identity_tau(rps_game).taus[0], gens[np.newaxis, :, :]),
-            (rps_game.action_sets[0], ("s1", "s2")),
-        )
-        ig = build_implicit(rps_game, tau)
+        ig = build_implicit(rps_game, [FullSpace(1, 3), rps_column_hull])
         expected = np.array([[-0.5, 0.0], [0.5, -0.5], [0.0, 0.5]])
-        assert np.allclose(ig.game.payoff_matrix(0), expected, atol=1e-15)
+        assert np.allclose(ig.payoff_matrix(0), expected, atol=1e-15)
 
     def test_blotto_row_hull_matrix(self, blotto_game, blotto_row_hull):
-        gens = np.stack([g.probs[0] for g in blotto_row_hull.generators])
-        tau = TauMapping(
-            (gens[np.newaxis, :, :], identity_tau(blotto_game).taus[1]),
-            (("g1", "g2", "g3"), blotto_game.action_sets[1]),
-        )
-        ig = build_implicit(blotto_game, tau)
+        ig = build_implicit(blotto_game, [blotto_row_hull, FullSpace(1, 4)])
         expected = np.array(
             [
                 [1.0, 2.5, 0.75, -1.0],
@@ -431,82 +416,71 @@ class TestImplicitGames:
                 [-1.0, 0.75, 2.5, 1.0],
             ]
         )
-        assert np.allclose(ig.game.payoff_matrix(0), expected, atol=1e-15)
+        assert np.allclose(ig.payoff_matrix(0), expected, atol=1e-15)
 
-    def test_reward_override_replaces_table(self, rps_game):
-        override = np.ones((2, 1, 9))
-        ig = build_implicit(rps_game, identity_tau(rps_game), reward_override=override)
-        assert np.array_equal(ig.game.rewards, override)
-        assert np.array_equal(ig.game.transition, rps_game.transition)
-
-    def test_tau_rows_must_sum_to_one(self, rps_game):
-        taus = [np.array(t) for t in identity_tau(rps_game).taus]
-        taus[0][0, 0, 0] = 0.5
-        with pytest.raises(MalformedInputError):
-            TauMapping(tuple(taus), rps_game.action_sets)
+    def test_needs_one_block_per_state_and_one_generator_count(self):
+        game = random_game(np.random.default_rng(9), n_states=2, action_counts=(2, 2))
+        with pytest.raises(UnsupportedOperationError):
+            build_implicit(game, [StateUniform(2, 2), FullSpace(2, 2)])
+        uneven = ConvexHullStatewise((np.eye(2), np.eye(2)[:1]))
+        with pytest.raises(UnsupportedOperationError):
+            build_implicit(game, [uneven, FullSpace(2, 2)])
 
     def test_broken_actuator_rows_match_null(self):
         rng = np.random.default_rng(8)
         game = random_game(rng, n_states=3, action_counts=(3, 2))
-        ig = broken_actuator(game, i=0, broken_action=2, null_action=0)
+        ig = build_implicit(game, [broken_actuator(3, 3, broken=2, null=0), FullSpace(3, 2)])
         for s in range(3):
             for b in range(2):
                 j_broken = game.joint_index((2, b))
                 j_null = game.joint_index((0, b))
-                assert np.allclose(
-                    ig.game.transition[s, j_broken], ig.game.transition[s, j_null]
-                )
-                assert np.allclose(
-                    ig.game.rewards[:, s, j_broken], ig.game.rewards[:, s, j_null]
-                )
-        from sgl.games import validate
+                assert np.array_equal(ig.transition[s, j_broken], ig.transition[s, j_null])
+                assert np.array_equal(ig.rewards[:, s, j_broken], ig.rewards[:, s, j_null])
+        assert validate(ig) == []
 
-        assert validate(ig.game) == []
-
-    def test_broken_actuator_range_check(self, rps_game):
+    def test_broken_actuator_range_check(self):
         with pytest.raises(MalformedInputError):
-            broken_actuator(rps_game, 0, broken_action=5, null_action=0)
+            broken_actuator(1, 3, broken=5, null=0)
 
     def test_epsilon_zero_is_identity(self, rps_game):
-        ig = epsilon_exploration(rps_game, [0.0, 0.0])
-        assert np.allclose(ig.game.rewards, rps_game.rewards, atol=1e-15)
+        ig = build_implicit(rps_game, [epsilon_exploration(1, 3, 0.0)] * 2)
+        assert np.array_equal(ig.rewards, rps_game.rewards)
+        assert np.array_equal(ig.transition, rps_game.transition)
 
-    def test_epsilon_out_of_range(self, rps_game):
+    def test_epsilon_out_of_range(self):
         with pytest.raises(MalformedInputError):
-            epsilon_exploration(rps_game, [1.0, 0.0])
+            epsilon_exploration(1, 3, 1.0)
 
     def test_epsilon_mixes_toward_uniform_rows(self, rps_game):
-        ig = epsilon_exploration(rps_game, [0.9999, 0.9999])
+        ig = build_implicit(rps_game, [epsilon_exploration(1, 3, 0.9999)] * 2)
         # Near-total noise: every implicit payoff approaches the grand mean 0.
-        assert np.max(np.abs(ig.game.rewards)) < 1e-3
+        assert np.max(np.abs(ig.rewards)) < 1e-3
 
     def test_epsilon_value_equals_mixed_explicit_value(self, rps_game):
-        eps = [0.3, 0.3]
-        ig = epsilon_exploration(rps_game, eps)
+        hulls = [epsilon_exploration(1, 3, 0.3)] * 2
+        ig = build_implicit(rps_game, hulls)
         for r in range(3):
             for c in range(3):
                 implicit_joint = JointPolicy(
                     (Policy.pure(1, 3, [r]), Policy.pure(1, 3, [c]))
                 )
-                vi = policy_value(ig.game, implicit_joint)
-                mixed = map_policy(ig, implicit_joint)
+                vi = policy_value(ig, implicit_joint)
+                mixed = JointPolicy(
+                    tuple(implicit_policy(h, p.probs) for h, p in zip(hulls, implicit_joint))
+                )
                 ve = policy_value(rps_game, mixed)
                 assert np.max(np.abs(vi - ve)) <= 1e-12
 
-    def test_map_policy_examples(self, rps_game, rps_column_hull):
-        gens = np.stack([g.probs[0] for g in rps_column_hull.generators])
-        tau = TauMapping(
-            (identity_tau(rps_game).taus[0], gens[np.newaxis, :, :]),
-            (rps_game.action_sets[0], ("s1", "s2")),
-        )
-        ig = build_implicit(rps_game, tau)
-        pure = JointPolicy((Policy.uniform(1, 3), Policy([[1.0, 0.0]])))
+    def test_implicit_policy_examples(self, rps_column_hull):
         assert np.allclose(
-            map_policy(ig, pure)[1].probs, [[0.5, 0.5, 0.0]], atol=1e-15
+            implicit_policy(rps_column_hull, np.array([[1.0, 0.0]])).probs,
+            [[0.5, 0.5, 0.0]],
+            atol=1e-15,
         )
-        mixed = JointPolicy((Policy.uniform(1, 3), Policy([[2 / 3, 1 / 3]])))
         assert np.allclose(
-            map_policy(ig, mixed)[1].probs, [[1 / 3, 0.5, 1 / 6]], atol=1e-15
+            implicit_policy(rps_column_hull, np.array([[2 / 3, 1 / 3]])).probs,
+            [[1 / 3, 0.5, 1 / 6]],
+            atol=1e-15,
         )
 
     def test_value_preservation_property(self):
@@ -520,18 +494,16 @@ class TestImplicitGames:
                 action_counts=(2, int(rng.integers(2, 4))),
                 average=average,
             )
-            taus = []
-            names = []
-            for i, count in enumerate(game.action_counts):
-                n_implicit = int(rng.integers(1, 4))
-                tau = rng.dirichlet(np.ones(count), size=(game.n_states, n_implicit))
-                taus.append(tau)
-                names.append(tuple(f"b{j}" for j in range(n_implicit)))
-            ig = build_implicit(game, TauMapping(tuple(taus), tuple(names)))
-            assert ig.mapping_residual() <= 1e-12
-            implicit_joint = random_joint_policy(rng, ig.game)
-            explicit_joint = map_policy(ig, implicit_joint)
-            vi = policy_value(ig.game, implicit_joint)
+            hulls = [
+                random_statewise_hull(rng, game.n_states, count, int(rng.integers(1, 4)))
+                for count in game.action_counts
+            ]
+            ig = build_implicit(game, hulls)
+            implicit_joint = random_joint_policy(rng, ig)
+            explicit_joint = JointPolicy(
+                tuple(implicit_policy(h, p.probs) for h, p in zip(hulls, implicit_joint))
+            )
+            vi = policy_value(ig, implicit_joint)
             ve = policy_value(game, explicit_joint)
             assert np.max(np.abs(vi - ve)) <= 1e-10
 

@@ -1019,7 +1019,7 @@ class TestImplicitRoute:
         sol = restricted_equilibrium_via_implicit(rps_game, spaces)
         assert module_lp_calls["restrictions"] == []
         taken = len(module_lp_calls["solvers"])
-        minimax_zero_sum_matrix(sol.implicit.game)
+        minimax_zero_sum_matrix(sol.implicit)
         assert len(module_lp_calls["solvers"]) == 2 * taken
         checked = check_equilibrium(rps_game, sol.explicit_joint, spaces, 1e-8)
         assert len(module_lp_calls["restrictions"]) == 1
