@@ -462,8 +462,55 @@ class TestSupportEnumeration:
             assert eq[0].probs[0].tolist() == row.tolist()
             assert eq[1].probs[0].tolist() == col.tolist()
 
+    def test_outputs_pinned(self):
+        # Equilibria bytes and degenerate flags of 300 seeded games of 1-5
+        # actions a side, with integer and with real payoffs.
+        rng = np.random.default_rng(31)
+        digest = hashlib.sha256()
+        for g in range(300):
+            shape = tuple(int(x) for x in rng.integers(1, 6, size=2))
+            if g % 2:
+                a, b = (rng.integers(-3, 4, size=shape).astype(float) for _ in "ab")
+            else:
+                a, b = (rng.uniform(-1.0, 1.0, size=shape) for _ in "ab")
+            result = support_enumeration_bimatrix(matrix_game([a, b]))
+            for eq in result.equilibria:
+                digest.update(eq[0].probs.tobytes() + eq[1].probs.tobytes())
+            digest.update(bytes([len(result.equilibria), result.degenerate]))
+        assert digest.hexdigest() == (
+            "fd8009a7b2d3a6f0a11e3dd24c91d120295c6601148602fad4e6485d08b0ec7c"
+        )
+
 
 class TestRestrictedBestResponse:
+    def test_route_b_outputs_pinned(self):
+        # Value, policy bytes and description of 360 seeded route-(b)
+        # queries on 2-7 states, discounted and average reward (a quarter of
+        # them one-player MDPs whose chains may split), each with the full
+        # space, a statewise hull and the deterministic space.
+        rng = np.random.default_rng(27)
+        digest = hashlib.sha256()
+        for q in range(360):
+            n, k = int(rng.integers(2, 8)), int(rng.integers(2, 4))
+            if q % 4 == 3:
+                game, others = random_average_mdp(rng, n, k), []
+            else:
+                gamma = float(rng.uniform(0.5, 0.99))
+                game = random_game(rng, n, (k, 2), gamma=gamma, average=q % 4 == 2)
+                others = [random_policy(rng, n, 2)]
+            if q % 3 == 0:
+                space = FullSpace(n, k)
+            elif q % 3 == 1:
+                space = random_statewise_hull(rng, n, k, int(rng.integers(1, 4)))
+            else:
+                space = DeterministicOnly(n, k)
+            br = restricted_best_response(game, 0, others, space)
+            digest.update(np.float64(br.value).tobytes() + br.policy.probs.tobytes())
+            digest.update(br.description.encode())
+        assert digest.hexdigest() == (
+            "0a4d9db7e5078c4beb01ea59e1b9a7af2d0d4f59e0fc111d134b83dd4b26be1c"
+        )
+
     def test_rps_vs_uniform_everything_optimal(self, rps_game):
         br = restricted_best_response(
             rps_game, 0, [Policy.uniform(1, 3)], FullSpace(1, 3)
