@@ -48,6 +48,7 @@ from .games import (
     joint_policy_from_list,
     joint_policy_to_list,
     load_game,
+    read_json,
     validate,
 )
 from .learners import PlayerSpec, WolfPhcConfig, final_joint_policy, self_play
@@ -87,14 +88,6 @@ def _emit(payload: dict, out_path: str | None) -> None:
     print(text)
     if out_path:
         Path(out_path).write_text(text + "\n", encoding="utf-8")
-
-
-def _load_json_file(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedInputError(f"cannot read {path}: {exc}") from exc
 
 
 def _spaces(args, game):
@@ -153,7 +146,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     game = load_game(args.game)
-    joint = joint_policy_from_list(_load_json_file(args.policy), game)
+    joint = joint_policy_from_list(read_json(args.policy, "policy"), game)
     cert = check_equilibrium(game, joint, _spaces(args, game), epsilon=args.eps)
     _emit(certificate_to_dict(cert, game), args.out)
     return EXIT_OK
@@ -181,11 +174,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_learn(args) -> int:
     game = load_game(args.game)
-    config = (
-        WolfPhcConfig.from_dict(_load_json_file(args.config))
-        if args.config
-        else WolfPhcConfig()
-    )
+    config = WolfPhcConfig()
+    if args.config:
+        config = WolfPhcConfig.from_dict(read_json(args.config, "config"))
     spaces = _spaces(args, game)
     specs = []
     for space in spaces:

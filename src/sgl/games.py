@@ -696,12 +696,18 @@ def save_game(game: StochasticGame, path) -> None:
         json.dump(game_to_dict(game), fh, indent=2)
 
 
-def load_game(path) -> StochasticGame:
+def read_json(path, what: str):
+    """The JSON value in the file at ``path``.  A file that cannot be opened
+    or parsed raises MalformedInputError, naming it as the ``what`` file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedInputError(f"cannot read game file {path}: {exc}") from exc
+        raise MalformedInputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def load_game(path) -> StochasticGame:
+    data = read_json(path, "game")
     if not isinstance(data, dict):
         raise MalformedInputError("game file must hold a JSON object")
     return game_from_dict(data)

@@ -695,7 +695,7 @@ def self_play(
         if spec.space is not None:
             if spec.space.n_states != n_states or spec.space.n_actions != counts[i]:
                 raise MalformedInputError(f"player {i} hull does not match the game")
-            hull = spec.space.generator_probs
+            hull = spec.space.tables[0]
         arms = counts[i] if hull is None else hull.shape[0]
         layouts.append(_SeatLayout(
             arms=int(arms), wolf=spec.algo == "wolf-phc",

@@ -76,6 +76,7 @@ from .games import (
     check_strategy,
     load_distribution,
     parses,
+    read_json,
     validate,
 )
 
@@ -309,7 +310,6 @@ class ConvexHullGlobal(ConvexHull):
             raise MalformedInputError("hull generators must share one shape")
         self.generators = tuple(generators)
         super().__init__([range(shape[0])], [np.stack([g.probs for g in generators])])
-        self.generator_probs = self.tables[0]
 
 
 class ConvexHullStatewise(ConvexHull):
@@ -616,11 +616,7 @@ def save_spaces(
 
 
 def load_spaces(path, game: StochasticGame) -> list[RestrictedPolicySpace]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedInputError(f"cannot read spaces file {path}: {exc}") from exc
+    data = read_json(path, "spaces")
     if not isinstance(data, list) or len(data) != game.n_players:
         raise MalformedInputError("spaces file must list one space per player")
     return [

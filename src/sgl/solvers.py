@@ -13,8 +13,8 @@ basis to the optimum of the shifted game's LP, then down to the
 lexicographically least optimal strategy over the columns whose reduced
 costs are zero.  It calls no LP solver, and the pair is certified before
 it is returned.  Support enumeration solves each equal-cardinality support
-pair's indifference systems by fraction-free elimination in rationals and
-certifies the pair.
+pair's indifference systems by fraction-free elimination, made of the same
+integer pivots, and certifies the pair.
 
 Restricted best responses take one route per input, chosen from the game
 and from the block structure of the space's convex hull (``as_hull``):
@@ -24,15 +24,19 @@ and from the block structure of the space's convex hull (``as_hull``):
     vertex;
 (b) multi-state games whose hull has one block per state (``FullSpace``,
     ``FixedCoordinates`` and ``ConvexHullStatewise``) reduce to an MDP over
-    per-state generator choices, solved by Howard's policy iteration under
+    per-state generator choices, solved by one Howard policy iteration for
     both criteria (the multichain form for the average reward), which
-    maximizes every state's value simultaneously and takes no LP;
+    maximizes every state's value simultaneously and takes no LP.  Each
+    choice is evaluated by ``values``' checked evaluators, so a residual
+    above VALUE_TOL raises ArithmeticError (exit 3), as ``policy_value``
+    does;
 (c) multi-state games whose hull is one block (``StateUniform``,
     ``Singleton`` and ``ConvexHullGlobal``) tie the weights across states,
     making the value generally non-concave in the weights; these are
     searched by a dense grid over the weight simplex, evaluated in batched
     solves of at most ``_BATCH`` policies, then polished by a batched zoom
-    over each coordinate pair.  Many opponent profiles are answered in
+    over each coordinate pair.  One generator is searched like any other
+    count, on a grid of one point.  Many opponent profiles are answered in
     lockstep, each step's solves shared by every query.  The result carries
     a Lipschitz-style tolerance estimate from adjacent grid values, which is
     not a proof, instead of an exactness claim.  A hull with several blocks,
@@ -78,6 +82,7 @@ from .games import (
     JointPolicy,
     MalformedInputError,
     Policy,
+    RewardFormulation,
     StochasticGame,
     UnsupportedOperationError,
     _repr_rows,
@@ -94,6 +99,7 @@ from .restrictions import (
 )
 from .values import (
     InducedMDP,
+    _discounted_values,
     _gain_and_bias,
     induce_mdp,
     mdp_policy_values,
@@ -256,7 +262,8 @@ def _pivot(t: list[list[int]], basis: list[int], r: int, k: int, d: int) -> int:
 
     t holds the true tableau times d, the previous pivot; every other row
     becomes (p * row - f * pivot row) // d, each division exact, and row r
-    stays as it is.  Returns the new multiplier, the pivot p.
+    stays as it is, with column k its basic variable.  Returns the new
+    multiplier, the pivot p.  The minimax simplex and ``_eliminate`` share it.
     """
     pivot_row = t[r]
     p = pivot_row[k]
@@ -342,9 +349,10 @@ def _eliminate(rows: list[list[int]], n: int):
 
     Each column's pivot is the first remaining row, in the given order,
     with a nonzero entry there, so the pivot rows are the earliest rows of
-    full rank; every division is exact.  Returns (rows, pivot columns, last
-    pivot): the pivot rows come first, each holding the last pivot in its
-    pivot column and zero in the other pivot columns.
+    full rank, and it pivots by ``_pivot``, so every division is exact.
+    Returns (rows, pivot columns, last pivot): the pivot rows come first,
+    each holding the last pivot in its pivot column and zero in the other
+    pivot columns.
     """
     rows = [list(row) for row in rows]
     pivots: list[int] = []
@@ -355,40 +363,25 @@ def _eliminate(rows: list[list[int]], n: int):
         if pick is None:
             continue
         rows.insert(top, rows.pop(pick))
-        pivot_row = rows[top]
-        pivot = pivot_row[col]
-        for r, row in enumerate(rows):
-            if r != top:
-                f = row[col]
-                rows[r] = [(pivot * e - f * p) // prev for e, p in zip(row, pivot_row)]
-        prev = pivot
         pivots.append(col)
+        prev = _pivot(rows, pivots, top, col, prev)
     return rows, pivots, prev
 
 
 def _exact_strategy(
-    a: list[list[int]],
-    support: Sequence[int],
-    order: Sequence[int],
-    value: Fraction | None,
+    a: list[list[int]], support: Sequence[int], order: Sequence[int]
 ) -> tuple[list[int], int] | None:
     """Exact solution x, on ``support``, of an indifference system of ``a``.
 
     x is a strategy over the rows of ``a``.  The unknowns are x on
-    ``support`` and, when ``value`` is None, the value.  The equations are
-    the simplex sum, then (x^T a)_j = value for the columns j in ``order``,
-    earliest first, as many as are independent.  Returns (numerators,
-    positive common denominator), or None when those equations have rank
-    below the number of unknowns.
+    ``support`` and the value v; the equations are the simplex sum, then
+    (x^T a)_j = v for the columns j in ``order``, earliest first, as many as
+    are independent.  Returns (numerators, positive common denominator), or
+    None when those equations have rank below the number of unknowns.
     """
-    if value is None:
-        rows = [[1] * len(support) + [0, 1]]
-        rows += [[a[i][j] for i in support] + [-1, 0] for j in order]
-    else:
-        p, q = value.numerator, value.denominator
-        rows = [[1] * len(support) + [1]]
-        rows += [[q * a[i][j] for i in support] + [p] for j in order]
-    n = len(rows[0]) - 1
+    rows = [[1] * len(support) + [0, 1]]
+    rows += [[a[i][j] for i in support] + [-1, 0] for j in order]
+    n = len(support) + 1
     rows, pivots, det = _eliminate(rows, n)
     if len(pivots) < n:
         return None
@@ -500,10 +493,10 @@ def support_enumeration_bimatrix(game: StochasticGame) -> SupportEnumerationResu
     for k in range(1, min(m, n) + 1):
         for rows in itertools.combinations(range(m), k):
             for cols in itertools.combinations(range(n), k):
-                col = _exact_strategy(a_t, cols, rows, None)
+                col = _exact_strategy(a_t, cols, rows)
                 if col is None or min(col[0]) < 0:
                     continue
-                row = _exact_strategy(b_t, rows, cols, None)
+                row = _exact_strategy(b_t, rows, cols)
                 if row is None or min(row[0]) < 0:
                     continue
                 if 0 in [row[0][i] for i in rows] + [col[0][j] for j in cols]:
@@ -565,65 +558,46 @@ def _improve(choice: list[int], scores: Iterable[np.ndarray]) -> bool:
     return improved
 
 
-def _max_iterations(meta_r: list[np.ndarray]) -> int:
-    return 200 * sum(len(r) for r in meta_r) + 50
-
-
-def _policy_iteration_discounted(
-    gamma: float, meta_r: list[np.ndarray], meta_p: list[np.ndarray]
+def _policy_iteration(
+    formulation: RewardFormulation, meta_r: list[np.ndarray], meta_p: list[np.ndarray]
 ) -> tuple[list[int], np.ndarray]:
-    """Exact policy iteration over per-state generator choices.
+    """Howard's policy iteration over per-state generator choices, under
+    either criterion (Puterman, 1994, §6.4 and §9.2).
 
     ``meta_r[s]`` and ``meta_p[s]`` hold each generator's reward and
-    transition row at state s.  Each step evaluates the choice and improves
-    it by ``_improve``, so the iteration terminates at a simultaneous
-    per-state optimum.
+    transition row at state s.  Each step evaluates the choice's chain by
+    ``_discounted_values`` or ``_gain_and_bias``, which raise ArithmeticError
+    on a residual above VALUE_TOL, then improves r + gamma P v by
+    ``_improve``, or under the average reward: with several closed classes
+    first P g, each state's gain, and only when no state can, r + P h among
+    the generators that keep P g at its best; with one, r + P h alone.  The
+    step follows from the chain's closed classes, not from the values of g.
+    Returns the final choice, optimal at every state, with each state's
+    value (or gain) from the last evaluation.
     """
     s_count = len(meta_r)
     choice = [0] * s_count
-    for _ in range(_max_iterations(meta_r)):
-        p = np.vstack([meta_p[s][choice[s]] for s in range(s_count)])
-        r = np.array([meta_r[s][choice[s]] for s in range(s_count)])
-        v = np.linalg.solve(np.eye(s_count) - gamma * p, r)
-        if not _improve(choice, (meta_r[s] + gamma * meta_p[s] @ v for s in range(s_count))):
-            return choice, v
-    raise ArithmeticError("policy iteration failed to terminate")
-
-
-def _policy_iteration_average(
-    meta_r: list[np.ndarray], meta_p: list[np.ndarray]
-) -> tuple[list[int], np.ndarray]:
-    """Howard's policy iteration for the average reward, multichain form.
-
-    Arguments as for ``_policy_iteration_discounted``, and the same rule
-    improves the choice.  Each step evaluates the choice's chain by
-    ``values._gain_and_bias``.  A chain with several closed classes first
-    improves P g, each state's gain; only when no state can, it improves
-    r + P h among the generators that keep P g at its best.  A unichain
-    chain's gain is constant, so there it improves r + P h alone.  Which
-    step is taken follows from the chain's closed classes, not from the
-    values of g.  The iteration ends at a choice that maximizes every
-    state's gain, and returns it with each state's gain under it.
-    """
-    s_count = len(meta_r)
-    choice = [0] * s_count
-    for _ in range(_max_iterations(meta_r)):
-        p = np.vstack([meta_p[s][choice[s]] for s in range(s_count)])
-        r = np.array([meta_r[s][choice[s]] for s in range(s_count)])
-        g, h, classes = _gain_and_bias(p[np.newaxis], r[np.newaxis, np.newaxis])
-        g, h = g[0, 0], h[0, 0]
-        if classes[0] == 1:
-            scores = (meta_r[s] + meta_p[s] @ h for s in range(s_count))
+    for _ in range(200 * sum(len(r) for r in meta_r) + 50):
+        p = np.vstack([meta_p[s][choice[s]] for s in range(s_count)])[np.newaxis]
+        r = np.array([meta_r[s][choice[s]] for s in range(s_count)])[np.newaxis, np.newaxis]
+        if isinstance(formulation, Discounted):
+            v = _discounted_values(p, r, formulation.gamma)[0, 0]
+            scores = (meta_r[s] + formulation.gamma * meta_p[s] @ v for s in range(s_count))
         else:
-            gains = [meta_p[s] @ g for s in range(s_count)]
-            if _improve(choice, gains):
-                continue
-            scores = (
-                np.where(q >= q.max() - 1e-12, meta_r[s] + meta_p[s] @ h, -np.inf)
-                for s, q in enumerate(gains)
-            )
+            g, h, classes = _gain_and_bias(p, r)
+            v, h = g[0, 0], h[0, 0]
+            if classes[0] == 1:
+                scores = (meta_r[s] + meta_p[s] @ h for s in range(s_count))
+            else:
+                gains = [meta_p[s] @ v for s in range(s_count)]
+                if _improve(choice, gains):
+                    continue
+                scores = (
+                    np.where(q >= q.max() - 1e-12, meta_r[s] + meta_p[s] @ h, -np.inf)
+                    for s, q in enumerate(gains)
+                )
         if not _improve(choice, scores):
-            return choice, g
+            return choice, v
     raise ArithmeticError("policy iteration failed to terminate")
 
 
@@ -632,7 +606,7 @@ def _statewise_best_response(mdp: InducedMDP, hull: ConvexHull) -> BestResponseR
     hull whose blocks are single states.
 
     Policy iteration finds the choice, discounted or average reward, and
-    the value is the chosen table's, from the iteration's last solve.  An
+    the value is the chosen table's, from its last evaluation.  An
     average-reward choice optimal at every state may need several closed
     classes; its value is then the initial state's gain, as for any other
     chain.
@@ -640,10 +614,7 @@ def _statewise_best_response(mdp: InducedMDP, hull: ConvexHull) -> BestResponseR
     generators = [table[:, 0] for table in hull.tables]
     meta_r = [g @ mdp.reward[s] for s, g in enumerate(generators)]
     meta_p = [g @ mdp.transition[s] for s, g in enumerate(generators)]
-    if isinstance(mdp.formulation, Discounted):
-        choice, v = _policy_iteration_discounted(mdp.formulation.gamma, meta_r, meta_p)
-    else:
-        choice, v = _policy_iteration_average(meta_r, meta_p)
+    choice, v = _policy_iteration(mdp.formulation, meta_r, meta_p)
     probs = np.vstack([generators[s][choice[s]] for s in range(mdp.n_states)])
     return BestResponseResult(
         functools.partial(Policy, probs),
@@ -793,7 +764,7 @@ def _weight_best_responses(
     nothing.  Each query's result is bit-identical to asking it alone.  The
     returned tolerance is a Lipschitz-style estimate, not a proof: the
     largest value change per step between adjacent grid points, times the
-    step.
+    step; one generator's grid is one point, so its tolerance is 0.
     """
     if len(hull.blocks) != 1:
         raise UnsupportedOperationError("route (c) searches the weights of one block")
@@ -805,16 +776,11 @@ def _weight_best_responses(
     while group := list(itertools.islice(mdps, per_group)):
         value_of = _hull_values(hull, group)
         owner = np.arange(len(group))
-        if k == 1:
-            values = value_of(owner, np.ones((owner.size, 1, 1)))[:, 0]
-            build = functools.partial(hull.policy_of_weights, grid[0])
-            results.extend(BestResponseResult(build, float(v)) for v in values)
-            continue
         values = value_of(owner, np.broadcast_to(grid, (owner.size, *grid.shape)))
         # Largest change per step between grid neighbours bounds what
         # refinement could still uncover.
         slopes = np.abs(np.diff(values, axis=1))[:, adjacent] / gaps
-        tolerance = slopes.max(axis=1) * _GRID_STEP
+        tolerance = slopes.max(axis=1, initial=0.0) * _GRID_STEP
         best_at = np.argmax(values, axis=1)
         w = grid[best_at]
         best = values[owner, best_at]

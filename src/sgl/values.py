@@ -7,7 +7,8 @@ the rewards, which every finite chain has: one evaluator,
 several closed classes, by direct solves of the gain/bias equations
 (Puterman, *Markov Decision Processes*, 1994, §9.2).  No value comes from
 fixed-point iteration, so results are reproducible to solver precision,
-and every returned table is residual-checked against VALUE_TOL.
+and every returned table is residual-checked against VALUE_TOL.  These are
+the package's only float solves; route (b) in ``solvers`` evaluates with them.
 
 There is one evaluator family, and every member works on a batch:
 ``policy_values`` (a game's values at its initial state) and

@@ -694,6 +694,13 @@ BAD_INPUTS = {
     "policy-row-of-numeric-strings": (
         CHECK, {"policy": [{"s0": ["1", "0", "0"]}, UNIFORM_PAIR[1]]}
     ),
+    "policy-file-missing": (["check", "--game", "{game}", "--policy", "{out}/policy.json"], {}),
+    "spaces-file-missing": (
+        ["check", "--game", "{game}", "--policy", "{policy}", "--spaces", "{out}/spaces.json"], {}
+    ),
+    "config-file-missing": (
+        ["learn", "--game", "{game}", "--iters", "10", "--config", "{out}/config.json"], {}
+    ),
     "reproduce-no-seeds": (REPRODUCE + ["--seeds", "0"], {}),
     "reproduce-no-workers": (REPRODUCE + ["--workers", "0"], {}),
     "sweep-resolution-zero": (SWEEP + ["0"], {}),

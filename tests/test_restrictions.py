@@ -228,7 +228,7 @@ def _unit_generators(space) -> bool:
     if isinstance(space, DeterministicOnly):
         return True
     if isinstance(space, ConvexHullGlobal):
-        rows = space.generator_probs.reshape(-1, space.n_actions)
+        rows = space.tables[0].reshape(-1, space.n_actions)
     else:
         rows = np.vstack(space.generators)
     return bool(np.all((rows == 0.0) | (rows == 1.0)))

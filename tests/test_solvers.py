@@ -511,6 +511,24 @@ class TestRestrictedBestResponse:
             "0a4d9db7e5078c4beb01ea59e1b9a7af2d0d4f59e0fc111d134b83dd4b26be1c"
         )
 
+    def test_route_b_refuses_what_policy_value_refuses(self):
+        # At gamma = 1 - 1e-13 the Bellman residual of a 4-state solve is
+        # above VALUE_TOL: route (b)'s evaluations are values' checked ones,
+        # so it refuses the games policy_value refuses, and answers at 0.9.
+        for gamma, refused in ((1 - 1e-13, True), (0.9, False)):
+            rng = np.random.default_rng(53)
+            for _ in range(20):
+                game = random_game(rng, 4, (2, 2), gamma=gamma)
+                joint = random_joint_policy(rng, game)
+                if refused:
+                    with pytest.raises(ArithmeticError):
+                        policy_value(game, joint)
+                    with pytest.raises(ArithmeticError):
+                        restricted_best_response(game, 0, [joint[1]], FullSpace(4, 2))
+                else:
+                    br = restricted_best_response(game, 0, [joint[1]], FullSpace(4, 2))
+                    assert br.value >= policy_value(game, joint)[0] - 1e-9
+
     def test_rps_vs_uniform_everything_optimal(self, rps_game):
         br = restricted_best_response(
             rps_game, 0, [Policy.uniform(1, 3)], FullSpace(1, 3)
@@ -733,7 +751,7 @@ class TestAverageRouteB:
         for game in self._mdps():
             n = game.n_states
             t, r = game.transition, game.rewards[0]
-            choice, gains = solvers._policy_iteration_average(list(r), list(t))
+            choice, gains = solvers._policy_iteration(Average(), list(r), list(t))
             rows = np.arange(n)
             got = reference_gains(t[rows, choice][np.newaxis], r[rows, choice][np.newaxis])[0]
             best = reference_best_gains(game)
