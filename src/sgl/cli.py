@@ -12,11 +12,11 @@ every player has the full policy space (``sweep`` requires it).  Every
 variant's convex hull is one hull over blocks of states, and ``solve``,
 ``check`` and ``sweep`` pick each best-response route from the game and
 the block structure of that hull, not from the variant's tag.  ``learn``
-runs a ``full`` entry unrestricted and any global convex hull, the hull of
-one block (``convex_hull_global``, ``state_uniform``, ``singleton``), as a
-hull seat over its generators; it refuses every other space with exit 3.
-A hull seat learns one weight vector per state, so its final joint policy
-can leave a global hull; ``learn`` reports each player's membership as
+runs a ``full`` entry unrestricted and any hull of one block (every global
+hull, and every hull of a one-state game) as a hull seat over its
+generators; it refuses every other space with exit 3.  A hull seat learns
+one weight vector per state, so its final joint policy can leave a global
+hull of a multi-state game; ``learn`` reports each player's membership as
 ``final_in_space``.
 
 Exit codes: 0 on success, 2 for malformed input (bad files, schema
@@ -52,7 +52,7 @@ from .games import (
     validate,
 )
 from .learners import PlayerSpec, WolfPhcConfig, final_joint_policy, self_play
-from .restrictions import ConvexHullGlobal, FullSpace, load_spaces
+from .restrictions import FullSpace, load_spaces
 from .solvers import (
     certificate_to_dict,
     check_equilibrium,
@@ -178,17 +178,7 @@ def _cmd_learn(args) -> int:
     if args.config:
         config = WolfPhcConfig.from_dict(read_json(args.config, "config"))
     spaces = _spaces(args, game)
-    specs = []
-    for space in spaces:
-        if isinstance(space, ConvexHullGlobal):
-            hull = space
-        elif space.variant == "full":
-            hull = None
-        else:
-            raise UnsupportedOperationError(
-                "learners only support full spaces and global convex hulls"
-            )
-        specs.append(PlayerSpec(algo=args.algo, config=config, space=hull))
+    specs = [PlayerSpec(algo=args.algo, config=config, space=space) for space in spaces]
     log = self_play(game, specs, args.iters, args.seed)
     if args.out:
         log.to_csv(args.out)

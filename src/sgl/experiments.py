@@ -334,7 +334,6 @@ def _experiment_learning(spec: ReproductionSpec) -> dict:
 def _experiment_fact1(spec: ReproductionSpec) -> dict:
     game = rps()
     certificates = enumerate_deterministic(game, epsilon=0.5)
-    spec.outdir.mkdir(parents=True, exist_ok=True)
     return {
         "experiment": spec.name,
         "epsilon": 0.5,
@@ -443,7 +442,6 @@ def _experiment_fact5(spec: ReproductionSpec) -> dict:
 def _experiment_bos(spec: ReproductionSpec) -> dict:
     game = bach_stravinsky()
     result = support_enumeration_bimatrix(game)
-    spec.outdir.mkdir(parents=True, exist_ok=True)
     return {
         "experiment": spec.name,
         "count": len(result.equilibria),

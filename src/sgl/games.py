@@ -9,7 +9,10 @@ Joint actions are indexed in row-major order over per-player action
 indices, and that flat index is used everywhere: the transition tensor has
 shape (|S|, prod |A_i|, |S|) and the reward tensor (n, |S|, prod |A_i|).
 Row-major order is also the on-disk convention, so files and in-memory
-tables agree without remapping.
+tables agree without remapping.  In a file, every object keyed by field,
+state or joint action (a game and its transitions and rewards, a policy,
+a statewise hull's generators, a learner config) lists exactly its keys,
+and a joint key is ``"i,j"``, as ``save_game`` writes it, with no padding.
 
 Tolerances: STRUCTURAL_TOL guards structural identities (rows summing to
 one, exact payoff equalities) and VALUE_TOL guards solved linear systems.
@@ -220,9 +223,6 @@ class StochasticGame:
     def is_matrix_game(self) -> bool:
         return self.n_states == 1
 
-    def state_index(self, name: str) -> int:
-        return self.states.index(name)
-
     def joint_index(self, actions: Sequence[int]) -> int:
         return int(np.ravel_multi_index(tuple(actions), self.action_counts))
 
@@ -294,9 +294,6 @@ def validate(game: StochasticGame) -> list[str]:
             f"transition row for state {game.states[s_idx]!r}, joint action "
             f"{tuple(int(a) for a in actions)} sums to {sums[s_idx, j_idx]!r}"
         )
-    if isinstance(game.formulation, Discounted):
-        if not (0.0 < game.formulation.gamma < 1.0):
-            problems.append("discount factor outside (0, 1)")
     return problems
 
 
@@ -569,17 +566,20 @@ def _joint_key(actions: Sequence[int]) -> str:
     return ",".join(str(int(a)) for a in actions)
 
 
-def _parse_joint_key(key: str, action_counts: Sequence[int]) -> int:
-    try:
-        parts = tuple(int(p) for p in key.split(","))
-    except ValueError as exc:
-        raise MalformedInputError(f"bad joint action key {key!r}") from exc
-    if len(parts) != len(action_counts):
-        raise MalformedInputError(f"joint action key {key!r} has wrong arity")
-    for p, m in zip(parts, action_counts):
-        if not (0 <= p < m):
-            raise MalformedInputError(f"joint action key {key!r} out of range")
-    return int(np.ravel_multi_index(parts, tuple(action_counts)))
+def _in_order(data, keys: Sequence[str], what: str) -> list:
+    """The values of the JSON object ``data`` at ``keys``, in that order.  An
+    object with a missing, unknown or differently spelt key is malformed."""
+    if not isinstance(data, dict):
+        raise MalformedInputError(f"{what} must be a JSON object")
+    if data.keys() != set(keys):
+        missing, unknown = sorted(set(keys) - data.keys()), sorted(data.keys() - set(keys))
+        raise MalformedInputError(f"{what} lacks the keys {missing}; unknown keys {unknown}")
+    return [data[key] for key in keys]
+
+
+_GAME_KEYS = (
+    "players", "states", "actions", "initial_state", "formulation", "transitions", "rewards"
+)
 
 
 def game_to_dict(game: StochasticGame) -> dict:
@@ -621,62 +621,42 @@ def game_to_dict(game: StochasticGame) -> dict:
 @parses("game")
 def game_from_dict(data: dict) -> StochasticGame:
     """Parse the on-disk schema; raises MalformedInputError on any violation."""
-    n = int(data["players"])
-    states = [str(s) for s in data["states"]]
-    actions = [[str(a) for a in acts] for acts in data["actions"]]
-    initial = str(data["initial_state"])
-    raw_formulation = data["formulation"]
-    raw_transitions = data["transitions"]
-    raw_rewards = data["rewards"]
+    n, raw_states, raw_actions, initial, raw_formulation, raw_transitions, raw_rewards = (
+        _in_order(data, _GAME_KEYS, "game")
+    )
+    n = int(n)
+    states = [str(s) for s in raw_states]
+    actions = [[str(a) for a in acts] for acts in raw_actions]
+    initial = str(initial)
     if len(actions) != n:
         raise MalformedInputError("actions list length disagrees with player count")
     if len(raw_rewards) != n:
         raise MalformedInputError("rewards list length disagrees with player count")
-    if initial not in states:
-        raise MalformedInputError(f"initial state {initial!r} not among states")
     if raw_formulation == "average":
         formulation: RewardFormulation = Average()
-    elif isinstance(raw_formulation, dict) and "discounted" in raw_formulation:
-        formulation = Discounted(_number(raw_formulation["discounted"]))
     else:
-        raise MalformedInputError(f"unrecognized formulation {raw_formulation!r}")
+        (gamma,) = _in_order(raw_formulation, ["discounted"], "formulation")
+        formulation = Discounted(_number(gamma))
     counts = [len(a) for a in actions]
     n_states = len(states)
-    n_joint = int(np.prod(counts))
+    keys = [_joint_key(a) for a in itertools.product(*map(range, counts))]
     state_index = {s: k for k, s in enumerate(states)}
-    transition = np.zeros((n_states, n_joint, n_states))
-    seen: set[tuple[int, int]] = set()
-    for state_name, per_state in raw_transitions.items():
-        if state_name not in state_index:
-            raise MalformedInputError(f"transition for unknown state {state_name!r}")
-        s = state_index[state_name]
-        for key, dist in per_state.items():
-            j = _parse_joint_key(key, counts)
-            if (s, j) in seen:
-                raise MalformedInputError(f"duplicate transition row {state_name}/{key}")
-            seen.add((s, j))
+    transition = np.zeros((n_states, len(keys), n_states))
+    for s, per_state in enumerate(_in_order(raw_transitions, states, "transitions")):
+        what = f"transitions at {states[s]!r}"
+        for j, dist in enumerate(_in_order(per_state, keys, what)):
             for target, p in dist.items():
                 if target not in state_index:
                     raise MalformedInputError(f"transition to unknown state {target!r}")
                 transition[s, j, state_index[target]] = _number(p)
             transition[s, j] = load_distribution(
-                transition[s, j], f"transition row {state_name}/{key}"
+                transition[s, j], f"transition row {states[s]}/{keys[j]}"
             )
-    if len(seen) != n_states * n_joint:
-        raise MalformedInputError("missing transition rows")
-    rewards = np.zeros((n, n_states, n_joint))
+    rewards = np.zeros((n, n_states, len(keys)))
     for i, per_player in enumerate(raw_rewards):
-        for state_name, per_state in per_player.items():
-            if state_name not in state_index:
-                raise MalformedInputError(f"reward for unknown state {state_name!r}")
-            s = state_index[state_name]
-            for key, value in per_state.items():
-                j = _parse_joint_key(key, counts)
-                rewards[i, s, j] = _number(value)
-        expected = {(state_index[sn], _parse_joint_key(k, counts))
-                    for sn, d in per_player.items() for k in d}
-        if len(expected) != n_states * n_joint:
-            raise MalformedInputError(f"player {i} reward table incomplete")
+        for s, per_state in enumerate(_in_order(per_player, states, f"player {i}'s rewards")):
+            what = f"player {i}'s rewards at {states[s]!r}"
+            rewards[i, s] = [_number(v) for v in _in_order(per_state, keys, what)]
     game = StochasticGame(
         states=tuple(states),
         action_sets=tuple(tuple(a) for a in actions),
@@ -707,10 +687,7 @@ def read_json(path, what: str):
 
 
 def load_game(path) -> StochasticGame:
-    data = read_json(path, "game")
-    if not isinstance(data, dict):
-        raise MalformedInputError("game file must hold a JSON object")
-    return game_from_dict(data)
+    return game_from_dict(read_json(path, "game"))
 
 
 # ---------------------------------------------------------------------------
@@ -725,16 +702,11 @@ def policy_to_dict(policy: Policy, states: Sequence[str]) -> dict:
 @parses("policy")
 def policy_from_dict(data: dict, states: Sequence[str], n_actions: int) -> Policy:
     probs = np.zeros((len(states), n_actions))
-    missing = set(states) - set(data)
-    if missing:
-        raise MalformedInputError(f"policy missing states {sorted(missing)}")
-    for name, row in data.items():
-        if name not in states:
-            raise MalformedInputError(f"policy for unknown state {name!r}")
+    for s, row in enumerate(_in_order(data, states, "policy")):
         row = np.array([_number(x) for x in row])
         if row.shape != (n_actions,):
-            raise MalformedInputError(f"policy row for {name!r} has wrong length")
-        probs[list(states).index(name)] = load_distribution(row, f"policy row for {name!r}")
+            raise MalformedInputError(f"policy row for {states[s]!r} has wrong length")
+        probs[s] = load_distribution(row, f"policy row for {states[s]!r}")
     return Policy(probs)
 
 

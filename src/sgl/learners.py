@@ -12,9 +12,10 @@ The restricted variant runs the identical update (``wolf_phc_step``) over
 a fixed set of generator strategies instead of primitive actions: the
 learner samples a generator from its weight vector, executes a primitive
 action drawn from that generator, and hill-climbs in the weight simplex.
-A hull seat learns one weight vector per state, so its explicit policy
-stays in the hull in one-state games but can leave a global hull, whose
-states share one weight vector, in a multi-state game.
+A seat takes a hull of one block (``PlayerSpec``): a global hull, or in a
+one-state game any hull.  It learns one weight vector per state, so its
+explicit policy stays in the hull in one-state games but can leave a
+global hull, whose states share one weight vector, in a multi-state game.
 
 Matches are single-threaded and own their mutable state; the RNG is seeded
 per match and split per player, so a (seed, config, game) triple fixes the
@@ -56,9 +57,13 @@ from .games import (
     MalformedInputError,
     Policy,
     StochasticGame,
+    UnsupportedOperationError,
+    _in_order,
+    _number,
     _repr_rows,
+    parses,
 )
-from .restrictions import ConvexHullGlobal
+from .restrictions import ConvexHull
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,20 +125,18 @@ class WolfPhcConfig:
         }
 
     @staticmethod
+    @parses("learner config")
     def from_dict(data: dict) -> "WolfPhcConfig":
-        try:
-            return WolfPhcConfig(
-                alpha_offset=float(data["alpha"]["offset"]),
-                alpha_scale=float(data["alpha"]["scale"]),
-                win_offset=float(data["delta_win"]["offset"]),
-                win_scale=float(data["delta_win"]["scale"]),
-                lose_ratio=float(data["delta_lose_ratio"]),
-                explore_base=float(data["explore"]["base"]),
-                explore_scale=float(data["explore"]["scale"]),
-                gamma=float(data.get("gamma", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInputError(f"bad learner config: {exc}") from exc
+        alpha, win, lose_ratio, explore, gamma = _in_order(
+            data, ("alpha", "delta_win", "delta_lose_ratio", "explore", "gamma"), "learner config"
+        )
+        return WolfPhcConfig(*map(_number, (
+            *_in_order(alpha, ("offset", "scale"), "alpha schedule"),
+            *_in_order(win, ("offset", "scale"), "delta_win schedule"),
+            lose_ratio,
+            *_in_order(explore, ("base", "scale"), "explore schedule"),
+            gamma,
+        )))
 
 
 @dataclass(slots=True)
@@ -152,14 +155,6 @@ class LearnerState:
     counts: list[int]
     generators: np.ndarray | None = None
     last_delta_was_lose: bool = False
-
-    @property
-    def n_states(self) -> int:
-        return len(self.q)
-
-    @property
-    def n_arms(self) -> int:
-        return len(self.q[0])
 
 
 def fresh_learner(
@@ -267,17 +262,32 @@ def q_learner_step(
 
 @dataclass(frozen=True)
 class PlayerSpec:
-    """What one seat runs: the algorithm, its schedules, and an optional hull."""
+    """What one seat runs: the algorithm, its schedules, and its space.
+
+    A seat without a space, or with a ``full`` one, plays its actions.  A
+    hull of one block, as every hull of a one-state game is, makes a hull
+    seat over its ``generators``.  Any other space is unsupported.
+    """
 
     algo: str = "wolf-phc"
     config: WolfPhcConfig = field(default_factory=WolfPhcConfig)
-    space: ConvexHullGlobal | None = None
+    space: ConvexHull | None = None
 
     def __post_init__(self) -> None:
         if self.algo not in ("wolf-phc", "q"):
             raise MalformedInputError(f"unknown learner algorithm {self.algo!r}")
-        if self.algo == "q" and self.space is not None:
+        if self.algo == "q" and self.generators is not None:
             raise MalformedInputError("the Q baseline does not support hull restriction")
+
+    @property
+    def generators(self) -> np.ndarray | None:
+        """A hull seat's (arms, states, actions) generator table, or None for a
+        seat that plays its actions."""
+        if self.space is None or getattr(self.space, "variant", None) == "full":
+            return None
+        if self.space.as_hull() is not self.space or len(self.space.tables) != 1:
+            raise UnsupportedOperationError("learners only support full spaces and hulls of one block")
+        return self.space.tables[0]
 
 
 @dataclass(frozen=True)
@@ -691,11 +701,10 @@ def self_play(
     layouts, seats, hulls = [], [], []
     for i, (spec, rng) in enumerate(zip(specs, player_rngs)):
         cfg = spec.config
-        hull = None
-        if spec.space is not None:
-            if spec.space.n_states != n_states or spec.space.n_actions != counts[i]:
-                raise MalformedInputError(f"player {i} hull does not match the game")
-            hull = spec.space.tables[0]
+        space = spec.space
+        if space is not None and (space.n_states, space.n_actions) != (n_states, counts[i]):
+            raise MalformedInputError(f"player {i}'s space does not match the game")
+        hull = spec.generators
         arms = counts[i] if hull is None else hull.shape[0]
         layouts.append(_SeatLayout(
             arms=int(arms), wolf=spec.algo == "wolf-phc",

@@ -72,10 +72,13 @@ from .games import (
     StochasticGame,
     STRUCTURAL_TOL,
     UnsupportedOperationError,
+    _in_order,
     _number,
     check_strategy,
     load_distribution,
     parses,
+    policy_from_dict,
+    policy_to_dict,
     read_json,
     validate,
 )
@@ -529,8 +532,6 @@ def build_implicit(game: StochasticGame, hulls: Sequence[ConvexHull]) -> Stochas
 
 
 def space_to_dict(space: RestrictedPolicySpace, states: Sequence[str]) -> dict:
-    from .games import policy_to_dict
-
     variant = space.variant
     if variant == "convex_hull_global":
         return {
@@ -557,8 +558,6 @@ def space_to_dict(space: RestrictedPolicySpace, states: Sequence[str]) -> dict:
 def space_from_dict(
     data: dict, states: Sequence[str], n_actions: int
 ) -> RestrictedPolicySpace:
-    from .games import policy_from_dict
-
     if not isinstance(data, dict) or "variant" not in data:
         raise MalformedInputError("space object must carry a 'variant' field")
     variant = data["variant"]
@@ -578,14 +577,10 @@ def space_from_dict(
         )
         return ConvexHullGlobal(gens)
     if variant == "convex_hull_statewise":
-        raw = data["generators"]
-        missing = set(states) - set(raw)
-        if missing:
-            raise MalformedInputError(f"statewise hull missing states {sorted(missing)}")
         gens = []
-        for state in states:
+        for state, raw in zip(states, _in_order(data["generators"], states, "statewise hull")):
             what = f"statewise generator for {state!r}"
-            rows = [np.array([_number(x) for x in g]) for g in raw[state]]
+            rows = [np.array([_number(x) for x in g]) for g in raw]
             if any(row.shape != (n_actions,) for row in rows):
                 raise MalformedInputError(f"{what} has wrong length")
             gens.append([load_distribution(row, what) for row in rows])

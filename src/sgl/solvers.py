@@ -201,23 +201,14 @@ class SweepResult:
 
     @functools.cached_property
     def rows(self) -> list[tuple]:
-        """One tuple of Python floats per lattice point, in header order.
-
-        Built column by column on first use: each lattice parameter's
-        floats are made once and repeated, as the lattice orders them.
-        """
-        sizes = [len(table) for table in self.params]
-        columns = []
-        for i, table in enumerate(self.params):
-            inner, outer = math.prod(sizes[i + 1:]), math.prod(sizes[:i])
-            for values in table.T.tolist():
-                repeated = itertools.chain.from_iterable(
-                    itertools.repeat(v, inner) for v in values
-                )
-                columns.append(list(repeated) * outer)
-        columns.extend(self.gaps.T.tolist())
-        columns.append(_first_max(self.gaps).tolist())
-        return list(zip(*columns))
+        """One tuple of Python floats per lattice point, in header order, built
+        on first use."""
+        points = np.unravel_index(np.arange(len(self.gaps)), [len(t) for t in self.params])
+        return list(zip(*np.hstack([
+            *(table[index] for table, index in zip(self.params, points)),
+            self.gaps,
+            _first_max(self.gaps)[:, np.newaxis],
+        ]).T.tolist()))
 
     @property
     def margin(self) -> float:

@@ -38,7 +38,7 @@ from sgl.restrictions import (
     save_spaces,
 )
 from sgl.games import MalformedInputError, Policy, joint_policy_to_list
-from sgl.learners import PlayerSpec, final_joint_policy, self_play
+from sgl.learners import PlayerSpec, WolfPhcConfig, final_joint_policy, self_play
 from sgl.solvers import restricted_equilibrium_via_implicit
 from util import load_trajectory_rows, player_rows, reference_best_gains, reference_gains
 
@@ -369,8 +369,6 @@ class TestLearn:
             assert sum(row) == pytest.approx(1.0, abs=1e-12)
 
     def test_config_file(self, capsys, tmp_path, rps_file):
-        from sgl.learners import WolfPhcConfig
-
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(WolfPhcConfig(lose_ratio=2.0).to_dict()))
         code, _ = run_cli(
@@ -446,6 +444,22 @@ class TestLearn:
             assert space.contains(Policy([final] * 3))
         if variant == "singleton":
             assert payload["final_policies"][0] == [0.25, 0.75]
+
+    def test_one_state_limitation_hulls_run_as_hull_seats(self, capsys, tmp_path, rps_file):
+        game = rps()
+        spaces = [broken_actuator(1, 3, 2, 0), epsilon_exploration(1, 3, 0.3)]
+        spaces_path = tmp_path / "spaces.json"
+        save_spaces(spaces, game, spaces_path)
+        code, payload = run_cli(
+            capsys, "learn", "--game", str(rps_file), "--iters", "2000", "--seed", "6",
+            "--spaces", str(spaces_path),
+        )
+        assert code == 0
+        log = self_play(game, [PlayerSpec(space=s) for s in spaces], 2000, 6)
+        assert payload["final_joint"] == joint_policy_to_list(
+            final_joint_policy(log), game.states
+        )
+        assert payload["final_in_space"] == [True, True]
 
     def test_final_in_space_flags_drifting_state_uniform_seats(self, capsys, tmp_path):
         # A hull seat learns one weight vector per state, so state-uniform
@@ -661,8 +675,10 @@ FULL = {"variant": "full"}
 CHECK = ["check", "--game", "{game}", "--policy", "{policy}", "--spaces", "{spaces}"]
 SWEEP = ["sweep", "--game", "{game}", "--spaces", "{spaces}", "--resolution"]
 REPRODUCE = ["reproduce", "rps", "--iters", "10", "--out", "{out}"]
-# argv with {game}, {policy}, {spaces} and {out} placeholders, and the
-# contents of the files that differ from a valid rps game, policy and spaces.
+LEARN = ["learn", "--game", "{game}", "--iters", "10", "--config", "{config}"]
+# argv with {game}, {policy}, {spaces}, {config} and {out} placeholders, and
+# the contents of the files that differ from a valid rps game, policy and
+# spaces, or that have no valid default (the learner config).
 BAD_INPUTS = {
     "hull-without-generators": (CHECK, {"spaces": [{"variant": "convex_hull_global"}, FULL]}),
     "singleton-without-policy": (CHECK, {"spaces": [{"variant": "singleton"}, FULL]}),
@@ -690,6 +706,17 @@ BAD_INPUTS = {
         lambda d: d["rewards"][0]["s0"].update({"0,0": "zero"}))}),
     "gamma-as-string": (["validate", "{game}"], {"game": _rps_with(
         lambda d: d.update(formulation={"discounted": "high"}))}),
+    "reward-key-alias": (["validate", "{game}"], {"game": _rps_with(
+        lambda d: d["rewards"][0]["s0"].update({"00,0": 5}))}),
+    "joint-key-with-space": (["validate", "{game}"], {"game": _rps_with(
+        lambda d: d["rewards"][0]["s0"].update({"0, 1": d["rewards"][0]["s0"].pop("0,1")}))}),
+    "statewise-hull-unknown-state": (CHECK, {"spaces": [{
+        "variant": "convex_hull_statewise",
+        "generators": {"s0": np.eye(3).tolist(), "s9": [[1, 0, 0]]},
+    }, FULL]}),
+    "config-unknown-key": (LEARN, {"config": {**WolfPhcConfig().to_dict(), "gama": 0.9}}),
+    "config-numeric-string": (LEARN, {"config": {
+        **WolfPhcConfig().to_dict(), "alpha": {"offset": "10", "scale": 10000.0}}}),
     "policy-row-of-strings": (CHECK, {"policy": [{"s0": ["a", "b", "c"]}, UNIFORM_PAIR[1]]}),
     "policy-row-of-numeric-strings": (
         CHECK, {"policy": [{"s0": ["1", "0", "0"]}, UNIFORM_PAIR[1]]}

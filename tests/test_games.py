@@ -127,7 +127,7 @@ class TestBuilders:
         eps = 0.2
         game = fact5_game(eps=eps, gamma=0.9)
         assert game.states == ("s0", "left", "right")
-        s0 = game.state_index("s0")
+        s0 = game.states.index("s0")
         assert np.all(game.rewards[:, s0, :] == 0.0)
         for r in range(2):
             j_l = game.joint_index((r, 0))

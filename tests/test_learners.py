@@ -13,6 +13,7 @@ from sgl.games import (
     JointPolicy,
     MalformedInputError,
     Policy,
+    UnsupportedOperationError,
     _repr_rows,
     blotto_4_3,
     fact5_game,
@@ -32,7 +33,15 @@ from sgl.learners import (
     self_play,
     wolf_phc_step,
 )
-from sgl.restrictions import ConvexHullGlobal, FullSpace, StateUniform
+from sgl.restrictions import (
+    ConvexHullGlobal,
+    ConvexHullStatewise,
+    DeterministicOnly,
+    FullSpace,
+    StateUniform,
+    broken_actuator,
+    epsilon_exploration,
+)
 from sgl.solvers import check_equilibrium
 from util import (
     load_trajectory_rows,
@@ -317,6 +326,19 @@ class TestSelfPlay:
         with pytest.raises(MalformedInputError):
             self_play(rps_game, [PlayerSpec(), PlayerSpec()], 10, seed=0, checkpoint_every=every)
 
+    def test_seats_other_than_full_or_one_block_refused(self):
+        game = fact5_game()
+        statewise = ConvexHullStatewise([np.eye(2)] * 3)
+        for space in (statewise, DeterministicOnly(3, 2)):
+            with pytest.raises(UnsupportedOperationError):
+                self_play(game, [PlayerSpec(space=space), PlayerSpec()], 10, seed=0)
+
+    def test_full_space_plays_its_actions(self, rps_game):
+        specs = [PlayerSpec(algo="q", space=FullSpace(1, 3)), PlayerSpec(space=FullSpace(1, 3))]
+        log = self_play(rps_game, specs, 300, seed=4)
+        want = self_play(rps_game, [PlayerSpec(algo="q"), PlayerSpec()], 300, seed=4)
+        assert log.rows == want.rows
+
     def test_wrong_hull_shape_rejected(self, rps_game):
         bad = ConvexHullGlobal((Policy([[0.5, 0.5]]),))
         with pytest.raises(MalformedInputError):
@@ -457,6 +479,9 @@ def _oracle_cases():
         "one-arm-wolf": (_one_arm_game(), [PlayerSpec(), PlayerSpec()]),
         "one-arm-q": (_one_arm_game(), [PlayerSpec(algo="q"), PlayerSpec(algo="q")]),
         "one-generator-hull": (rps(), [PlayerSpec(space=one_generator), PlayerSpec()]),
+        # The paper's two limitations: one-state statewise hulls, one block each.
+        "limitation-hulls-rps": (rps(), [PlayerSpec(space=broken_actuator(1, 3, 2, 0)),
+                                         PlayerSpec(space=epsilon_exploration(1, 3, 0.3))]),
         "fact5-gamma-0.95": (fact5_game(), [PlayerSpec(config=GAMMA_95)] * 2),
         "fact5-hull": (fact5_game(), [PlayerSpec(space=FACT5_HULL)] * 2),
         "fact5-wolf-vs-q": (fact5_game(), [PlayerSpec(config=GAMMA_95),

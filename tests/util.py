@@ -1067,7 +1067,7 @@ def reference_self_play(
         if spec.space is not None:
             if spec.space.n_states != n_states or spec.space.n_actions != counts[i]:
                 raise MalformedInputError(f"player {i} hull does not match the game")
-            gens = np.stack([g.probs for g in spec.space.generators])
+            gens = spec.space.tables[0]
             learners.append(fresh_learner(n_states, gens.shape[0], spec.config, gens))
             arm_cumulative.append([_reference_cumulative(gens[:, s]) for s in range(n_states)])
         else:
